@@ -24,11 +24,11 @@ from .experiments import (
     run_convergence,
     run_mc_stats,
     run_positivity,
-    worker_count,
 )
-from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled
+from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments
 from .noise import (
     CHOLESKY_MAX_STEPS,
+    STREAM_VERSION,
     CirculantEmbeddingError,
     FactorizationError,
     GridSpec,
@@ -68,10 +68,12 @@ __all__ = [
     "NoiseError",
     "NoisePath",
     "PositivityReport",
+    "STREAM_VERSION",
     "Trajectory",
     "build_mixed",
     "derive_coupled",
     "discrete_ito_iterated",
+    "ensemble_increments",
     "fbm_covariance",
     "implicit_step",
     "interpolate",
@@ -89,6 +91,5 @@ __all__ = [
     "simulate_z_batch",
     "singular_drift",
     "substream_seed",
-    "worker_count",
     "z_to_r",
 ]

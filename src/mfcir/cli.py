@@ -9,7 +9,8 @@ bracket      quadratic-variation and bracket diagnostics
 mcstats      Monte Carlo mean / SE of the rate at one time point
 
 Exit codes: 0 success, 2 configuration or validation error, 3 I/O error,
-4 numerical failure inside a noise generator.  All floating-point output
+4 numerical failure in the noise generator (a circulant embedding with a
+significantly negative eigenvalue).  All floating-point output
 is written with 17 significant digits, so equal configurations yield
 byte-identical files and values round-trip through ``float()``.
 """
@@ -441,3 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

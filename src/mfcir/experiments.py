@@ -2,7 +2,8 @@
 
 Each run* function is a pure function of its arguments: per-path seeds
 are derived from the master seed with :func:`mfcir.noise.substream_seed`,
-so reruns reproduce results exactly, independent of worker count.
+and :func:`mfcir.mixed.ensemble_increments` turns them into increments,
+so reruns reproduce results exactly.
 
 Every simulated trajectory is also checked against the a priori envelope
 
@@ -15,15 +16,14 @@ violations, expected to be zero always.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bracket import BracketEstimate, discrete_ito_iterated
-from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled
+# build_mixed is not called here; perfbench/spans.py wraps it by this name.
+from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
 from .scheme import CirParams, simulate_z, simulate_z_batch, singular_drift, z_to_r
 
@@ -35,42 +35,13 @@ __all__ = [
     "run_convergence",
     "run_mc_stats",
     "run_positivity",
-    "worker_count",
 ]
 
 _BOUND_SLACK = 1e-9
 
 
-def worker_count() -> int:
-    """Worker cap from the MFCIR_THREADS environment variable (0 = auto)."""
-    raw = os.environ.get("MFCIR_THREADS", "0").strip()
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"MFCIR_THREADS must be an integer, got {raw!r}") from None
-    available = os.cpu_count() or 1
-    if requested <= 0:
-        return available
-    return min(requested, available)
-
-
 def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
     return [substream_seed(master_seed, i) for i in range(n_paths)]
-
-
-def _mixed_ensemble(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
-    """Increment matrix (len(seeds), steps_n), one mixed path per row."""
-    workers = worker_count()
-
-    def one(seed: int) -> np.ndarray:
-        return build_mixed(spec, grid, seed).increments
-
-    if workers > 1 and len(seeds) >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(seed) for seed in seeds]
-    return np.stack(rows)
 
 
 def _bound_violations(params: CirParams, grid: GridSpec, increments: np.ndarray, z: np.ndarray) -> int:
@@ -110,7 +81,7 @@ def run_positivity(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    inc = _mixed_ensemble(spec, grid, _path_seeds(master_seed, n_paths))
+    inc = ensemble_increments(spec, grid, _path_seeds(master_seed, n_paths))
     z = simulate_z_batch(params, grid, inc)
     min_z = float(z.min())
     return PositivityReport(
@@ -274,7 +245,7 @@ def run_mc_stats(
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     index = int(round(t_eval / grid.dt))
     index = min(max(index, 0), grid.steps_n)
-    inc = _mixed_ensemble(spec, grid, _path_seeds(master_seed, n_paths))
+    inc = ensemble_increments(spec, grid, _path_seeds(master_seed, n_paths))
     z = simulate_z_batch(params, grid, inc)
     r_at = (params.sigma * z[:, index] / 2.0) ** 2
     mean = float(r_at.mean())
@@ -309,7 +280,7 @@ def run_bracket(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     refinements = [int(r) for r in refinements]
     seeds = _path_seeds(master_seed, n_paths)
-    inc = _mixed_ensemble(spec, grid, seeds)
+    inc = ensemble_increments(spec, grid, seeds)
     paths = [
         NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
         for row, seed in zip(inc, seeds)

@@ -2,7 +2,9 @@
 
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
-fractional part is switched off (and vice versa).  ``derive_coupled``
+fractional part is switched off (and vice versa).
+:func:`ensemble_increments` is the one place where path seeds become
+driver increments; :func:`build_mixed` is its one-path case.  ``derive_coupled``
 produces coarse-grid restrictions of one fine realization by exact block
 summation, which is what a self-convergence study needs: every grid sees
 the same underlying driver.
@@ -16,22 +18,27 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .noise import (
-    CHOLESKY_MAX_STEPS,
+from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by these names
     GridSpec,
     NoisePath,
     _check_hurst,
+    _davies_harte_rows,
+    _rng,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
     substream_seed,
 )
 
-__all__ = ["CoupledNoise", "MixedSpec", "build_mixed", "derive_coupled"]
+__all__ = ["CoupledNoise", "MixedSpec", "build_mixed", "derive_coupled", "ensemble_increments"]
 
 # Fixed substream indices of a path seed; part of the seeding contract.
 _BM_STREAM = 0
 _FBM_STREAM = 1
+
+# Complex spectrum values per chunk of paths: 64 paths at 2**10 steps, one
+# at 2**16.  Keeps the chunk buffers near 7 MB whatever the number of paths.
+_CHUNK_SPECTRUM = 2**17
 
 
 @dataclass(frozen=True)
@@ -61,26 +68,48 @@ class MixedSpec:
             raise ValueError("component weights must be finite")
 
 
+def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
+    """Mixed-driver increments, shape (len(seeds), steps_n), one path per row.
+
+    Row i is the path of ``seeds[i]``: its Brownian component comes from
+    substream 0 of the seed and its fractional component from substream 1,
+    through :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  The
+    paths are generated in chunks of rows, and a row does not depend on the
+    chunking or on the other seeds.
+    """
+    n = grid.steps_n
+    out = np.zeros((len(seeds), n))
+    rows = max(1, _CHUNK_SPECTRUM // (2 * n))
+    for lo in range(0, len(seeds), rows):
+        chunk = seeds[lo : lo + rows]
+        block = out[lo : lo + len(chunk)]
+        if spec.weight_bm != 0.0:
+            for row, seed in zip(block, chunk):
+                _rng(substream_seed(seed, _BM_STREAM)).standard_normal(out=row)
+            # Two products in the per-path samplers' order, so that rows
+            # match sample_brownian_increments bit for bit.
+            block *= np.sqrt(grid.dt)
+            block *= spec.weight_bm
+        if spec.weight_fbm != 0.0:
+            g = np.empty((len(chunk), 2 * n))
+            for row, seed in zip(g, chunk):
+                _rng(substream_seed(seed, _FBM_STREAM)).standard_normal(out=row)
+            fbm = _davies_harte_rows(spec.hurst, grid, g)
+            fbm *= spec.weight_fbm
+            block += fbm
+        if not np.isfinite(block).all():
+            raise ValueError("increments contain NaN or Inf")
+    return out
+
+
 def build_mixed(spec: MixedSpec, grid: GridSpec, seed: int) -> NoisePath:
     """Sample one mixed-driver path on ``grid`` from a path seed.
 
-    The Brownian and fractional components are generated from substreams
-    0 and 1 of ``seed``.  The fractional component uses the Cholesky
-    generator up to ``CHOLESKY_MAX_STEPS`` steps and the circulant FFT
-    generator beyond that.
+    The one-path case of :func:`ensemble_increments`: the Brownian and
+    fractional components come from substreams 0 and 1 of ``seed``, the
+    fractional one through circulant embedding at every grid size.
     """
-    inc = np.zeros(grid.steps_n)
-    if spec.weight_bm != 0.0:
-        bm = sample_brownian_increments(grid, substream_seed(seed, _BM_STREAM))
-        inc = inc + spec.weight_bm * bm.increments
-    if spec.weight_fbm != 0.0:
-        sampler = (
-            sample_fbm_cholesky
-            if grid.steps_n <= CHOLESKY_MAX_STEPS
-            else sample_fbm_davies_harte
-        )
-        fbm = sampler(spec.hurst, grid, substream_seed(seed, _FBM_STREAM))
-        inc = inc + spec.weight_fbm * fbm.increments
+    inc = ensemble_increments(spec, grid, [seed])[0]
     return NoisePath(grid=grid, increments=inc, kind="mixed", seed=seed, hurst=spec.hurst)
 
 

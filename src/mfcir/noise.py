@@ -4,10 +4,13 @@ Provides Brownian increments and exact (non-approximate) fractional
 Brownian increments, reproducible from 64-bit integer seeds.  Two fBm
 generators are available:
 
-* ``sample_fbm_cholesky`` factors the covariance of the path values and
-  is the O(n^3) ground truth for small grids.
 * ``sample_fbm_davies_harte`` embeds the increment covariance in a
-  circulant matrix and samples through an FFT in O(n log n).
+  circulant matrix and samples through an FFT in O(n log n).  It is the
+  production sampler for every grid size, and its row-wise form also
+  serves the batched ensemble engine of :mod:`mfcir.mixed`.
+* ``sample_fbm_cholesky`` factors the covariance of the path values and
+  is the O(n^3) ground truth for small grids, kept as a cross-check
+  oracle.  It is the only user of SciPy, imported on first use.
 
 Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "CHOLESKY_MAX_STEPS",
@@ -28,6 +30,7 @@ __all__ = [
     "GridSpec",
     "NoiseError",
     "NoisePath",
+    "STREAM_VERSION",
     "fbm_covariance",
     "sample_brownian_increments",
     "sample_fbm_cholesky",
@@ -38,6 +41,12 @@ __all__ = [
 #: Largest grid the Cholesky generator accepts (2**11 steps).  The factor
 #: costs O(n^3) time and O(n^2) memory, which stops being reasonable here.
 CHOLESKY_MAX_STEPS = 2048
+
+#: Version of the seed-to-sample mapping.  It changes whenever equal
+#: (seed, grid, configuration) inputs start to produce different samples.
+#: Version 2: every mixed driver draws its fractional part by circulant
+#: embedding; version 1 used the Cholesky factor up to 2048 steps.
+STREAM_VERSION = 2
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -191,6 +200,8 @@ def _cholesky_factor(h: float, steps_n: int, horizon_t: float) -> np.ndarray:
 
 def _spd_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, raising :class:`FactorizationError` if not SPD."""
+    from scipy.linalg.lapack import dpotrf
+
     factor, info = dpotrf(cov, lower=1, clean=1)
     if info != 0:
         raise FactorizationError(
@@ -207,8 +218,9 @@ def sample_fbm_cholesky(h: float, grid: GridSpec, seed: int) -> NoisePath:
 
     The covariance of the values (B_{t_1}, ..., B_{t_n}) is factored once
     per (h, grid) and cached, then each path costs one matrix-vector
-    product.  Grids above ``CHOLESKY_MAX_STEPS`` are refused; use
-    :func:`sample_fbm_davies_harte` for those.
+    product.  Grids above ``CHOLESKY_MAX_STEPS`` are refused.  This is
+    the cross-check oracle for :func:`sample_fbm_davies_harte`, which
+    every production path uses.
     """
     h = _check_hurst(h)
     if grid.steps_n > CHOLESKY_MAX_STEPS:
@@ -255,6 +267,26 @@ def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
     return lam
 
 
+def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray) -> np.ndarray:
+    """fBm increments, one path per row, from ``normals`` of shape (rows, 2n).
+
+    Each row of standard normals is assembled into a Hermitian-symmetric
+    spectrum, scaled by the square roots of the circulant eigenvalues and
+    inverted by one row-wise FFT, so a row's increments do not depend on
+    the other rows of the batch.
+    """
+    n = grid.steps_n
+    lam = _circulant_eigenvalues(h, n, grid.dt)
+    z = np.empty(normals.shape, dtype=np.complex128)
+    z[:, 0] = normals[:, 0]
+    z[:, n] = normals[:, 1]
+    half = (normals[:, 2 : n + 1] + 1j * normals[:, n + 1 :]) / np.sqrt(2.0)
+    z[:, 1:n] = half
+    z[:, n + 1 :] = half[:, ::-1].conj()
+    z *= np.sqrt(lam)
+    return np.sqrt(2 * n) * np.fft.ifft(z, axis=1).real[:, :n]
+
+
 def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     """Exact fBm increments through circulant embedding (Davies-Harte).
 
@@ -265,14 +297,6 @@ def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     so the inverse FFT is real up to rounding.
     """
     h = _check_hurst(h)
-    n = grid.steps_n
-    lam = _circulant_eigenvalues(h, n, grid.dt)
-    g = _rng(seed).standard_normal(2 * n)
-    z = np.empty(2 * n, dtype=np.complex128)
-    z[0] = g[0]
-    z[n] = g[1]
-    half = (g[2 : n + 1] + 1j * g[n + 1 : 2 * n]) / np.sqrt(2.0)
-    z[1:n] = half
-    z[n + 1 :] = half[::-1].conj()
-    inc = np.sqrt(2 * n) * np.fft.ifft(np.sqrt(lam) * z).real[:n]
+    g = _rng(seed).standard_normal(2 * grid.steps_n)
+    inc = _davies_harte_rows(h, grid, g[None, :])[0]
     return NoisePath(grid=grid, increments=inc, kind="fractional", seed=seed, hurst=h)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -244,3 +245,30 @@ def test_installed_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def _run_python(*args):
+    """A fresh interpreter that imports mfcir from this checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "pos.csv"
+    proc = _run_python("-m", "mfcir", "positivity", "--n", "16", "--paths", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    header, rows, footer = read_csv_rows(out)
+    assert header == ["n_paths", "min_z", "min_r", "feller_ok"]
+    assert rows[0][0] == 3 and rows[0][1] > 0.0
+    proc = _run_python("-m", "mfcir.cli", "positivity", "--hurst", "0.4")
+    assert proc.returncode == 2
+    assert "hurst" in proc.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy serves only the Cholesky cross-check oracle, loaded on first use.
+    proc = _run_python("-c", "import sys, mfcir.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

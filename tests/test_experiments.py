@@ -11,12 +11,10 @@ from mfcir.experiments import (
     McStats,
     PositivityReport,
     _fit_order,
-    _mixed_ensemble,
     run_bracket,
     run_convergence,
     run_mc_stats,
     run_positivity,
-    worker_count,
 )
 from mfcir.mixed import MixedSpec
 from mfcir.noise import GridSpec
@@ -195,35 +193,6 @@ class TestMcStats:
         assert isinstance(stats, McStats)
         with pytest.raises(AttributeError):
             stats.sample_mean = 0.0
-
-
-class TestWorkerCount:
-    def test_auto_and_explicit(self, monkeypatch):
-        cpus = __import__("os").cpu_count() or 1
-        monkeypatch.setenv("MFCIR_THREADS", "0")
-        assert worker_count() == cpus
-        monkeypatch.setenv("MFCIR_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("MFCIR_THREADS", str(cpus + 100))
-        assert worker_count() == cpus
-        monkeypatch.setenv("MFCIR_THREADS", "-3")
-        assert worker_count() == cpus
-        monkeypatch.delenv("MFCIR_THREADS")
-        assert worker_count() == cpus
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("MFCIR_THREADS", "many")
-        with pytest.raises(ValueError, match="MFCIR_THREADS"):
-            worker_count()
-
-    def test_threaded_ensemble_matches_serial(self, monkeypatch):
-        grid = GridSpec(1.0, 2**6)
-        seeds = list(range(70))
-        monkeypatch.setenv("MFCIR_THREADS", "1")
-        serial = _mixed_ensemble(MixedSpec(), grid, seeds)
-        monkeypatch.setenv("MFCIR_THREADS", "4")
-        threaded = _mixed_ensemble(MixedSpec(), grid, seeds)
-        assert np.array_equal(serial, threaded)
 
 
 class TestBracketEnsemble:

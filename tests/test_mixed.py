@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcir.mixed import MixedSpec, build_mixed, derive_coupled
+from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
 from mfcir.noise import (
     GridSpec,
     sample_brownian_increments,
     sample_fbm_cholesky,
+    sample_fbm_davies_harte,
     substream_seed,
 )
 
@@ -36,7 +37,7 @@ def test_degenerate_brownian_mode_is_exact():
 def test_degenerate_fractional_mode_is_exact():
     grid = GridSpec(1.0, 128)
     mixed = build_mixed(MixedSpec(weight_bm=0.0), grid, 911)
-    fbm = sample_fbm_cholesky(0.75, grid, substream_seed(911, 1))
+    fbm = sample_fbm_davies_harte(0.75, grid, substream_seed(911, 1))
     assert np.array_equal(mixed.increments, fbm.increments)
 
 
@@ -81,6 +82,49 @@ def test_mixed_path_metadata():
     assert path.kind == "mixed"
     assert path.hurst == 0.8
     assert path.seed == 1
+
+
+def reference_row(spec, grid, seed):
+    """One mixed path assembled by hand from the per-path samplers."""
+    inc = np.zeros(grid.steps_n)
+    if spec.weight_bm != 0.0:
+        bm = sample_brownian_increments(grid, substream_seed(seed, 0))
+        inc = inc + spec.weight_bm * bm.increments
+    if spec.weight_fbm != 0.0:
+        fbm = sample_fbm_davies_harte(spec.hurst, grid, substream_seed(seed, 1))
+        inc = inc + spec.weight_fbm * fbm.increments
+    return inc
+
+
+class TestEnsembleIncrements:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 2048, 2049, 4096])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.3, -1.7), (0.0, 0.0)])
+    def test_rows_match_per_path_samplers_bitwise(self, n, weights):
+        spec = MixedSpec(0.75, *weights)
+        grid = GridSpec(1.0, n)
+        seeds = [0, 2**64 - 1] + [substream_seed(31, i) for i in range(3)]
+        matrix = ensemble_increments(spec, grid, seeds)
+        assert matrix.shape == (len(seeds), n)
+        for row, seed in zip(matrix, seeds):
+            assert row.tobytes() == reference_row(spec, grid, seed).tobytes()
+            assert row.tobytes() == build_mixed(spec, grid, seed).increments.tobytes()
+
+    def test_rows_do_not_depend_on_chunking(self):
+        # 200 paths at n = 1024 span several chunks, the last one partial
+        spec = MixedSpec(0.7, 0.4, 1.3)
+        grid = GridSpec(2.0, 1024)
+        seeds = [substream_seed(77, i) for i in range(200)]
+        together = ensemble_increments(spec, grid, seeds)
+        alone = np.vstack([ensemble_increments(spec, grid, [seed]) for seed in seeds])
+        assert together.tobytes() == alone.tobytes()
+
+    def test_empty_seed_list(self):
+        assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ensemble_increments(MixedSpec(weight_bm=1e308), GridSpec(1e6, 4), [1])
 
 
 class TestDeriveCoupled:

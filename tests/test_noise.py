@@ -13,6 +13,7 @@ from mfcir.noise import (
     FactorizationError,
     GridSpec,
     NoisePath,
+    _circulant_eigenvalues,
     _clamped_eigenvalues,
     _spd_factor,
     fbm_covariance,
@@ -187,6 +188,15 @@ class TestDaviesHarte:
     def test_single_step_grid(self):
         path = sample_fbm_davies_harte(0.75, GridSpec(1.0, 1), 7)
         assert path.increments.shape == (1,)
+
+    @pytest.mark.parametrize("h", [0.501, 0.75, 0.999])
+    def test_embedding_positive_without_clamp_up_to_cholesky_range(self, h):
+        # Davies-Harte serves every grid the Cholesky factor used to, so
+        # the embedding must be positive definite there: a clamped
+        # eigenvalue would read 0 and a worse one would raise.
+        for n in range(1, CHOLESKY_MAX_STEPS + 1):
+            lam = _circulant_eigenvalues(h, n, 1.0 / n)
+            assert lam.min() > 0.0, (h, n, lam.min() / lam.max())
 
     def test_eigenvalue_clamp_vs_raise(self):
         lam = np.array([1.0, -5e-9, 0.5])
