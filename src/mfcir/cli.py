@@ -220,11 +220,9 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     merged.update({k: v for k, v in file_values.items() if k != "preset"})
     merged.update({k: v for k, v in cli_values.items() if k != "preset"})
 
-    hurst = merged["hurst"]
-    _require(0.5 < hurst < 1.0, f"invalid hurst {hurst}: the model requires 1/2 < H < 1")
     try:
         params = CirParams(k=merged["k"], theta=merged["theta"], sigma=merged["sigma"], r0=merged["r0"])
-        mixed = MixedSpec(hurst=hurst, weight_bm=merged["weight-bm"], weight_fbm=merged["weight-fbm"])
+        mixed = MixedSpec(hurst=merged["hurst"], weight_bm=merged["weight-bm"], weight_fbm=merged["weight-fbm"])
         grid = GridSpec(horizon_t=merged["T"], steps_n=merged["n"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

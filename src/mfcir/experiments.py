@@ -5,7 +5,12 @@ are derived from the master seed with :func:`mfcir.noise.substream_seed`,
 and :func:`mfcir.mixed.ensemble_increments` turns them into increments,
 so reruns reproduce results exactly.
 
-Every simulated trajectory is also checked against the a priori envelope
+Positivity audits and MC statistics stream the ensemble: chunks of paths
+are drawn and stepped one at a time, and only per-path reductions are
+kept, so memory does not grow with the number of paths.
+
+Every simulated trajectory of an ensemble or convergence run is also
+checked against the a priori envelope
 
     z <= z0 + |b(z0)| * T + 2 * sup |M|  (+ 1e-9 slack),
 
@@ -17,15 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bracket import BracketEstimate, discrete_ito_iterated
-# build_mixed is not called here; perfbench/spans.py wraps it by this name.
+# build_mixed and simulate_z_batch are not called here; perfbench/spans.py
+# wraps them by these names.
 from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
-from .scheme import CirParams, simulate_z, simulate_z_batch, singular_drift, z_to_r
+from .scheme import CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -44,13 +50,61 @@ def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
     return [substream_seed(master_seed, i) for i in range(n_paths)]
 
 
-def _bound_violations(params: CirParams, grid: GridSpec, increments: np.ndarray, z: np.ndarray) -> int:
-    """Count rows of ``z`` that pierce the pathwise envelope."""
-    cum = np.cumsum(increments, axis=1)
-    sup_m = np.maximum(np.abs(cum).max(axis=1), 0.0)
+# A sweep steps at most _SWEEP_ROWS paths at a time, and fewer on long
+# grids, so that a chunk's increments hold at most _SWEEP_CELLS values
+# (32 MB); below about a thousand paths per chunk the per-step ufunc
+# overhead starts to dominate.
+_SWEEP_ROWS = 1024
+_SWEEP_CELLS = 2**22
+
+
+def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z_max: np.ndarray) -> int:
+    """Count paths whose running max of z pierces the pathwise envelope."""
     z0 = params.z0
     limit = z0 + abs(singular_drift(z0, params)) * grid.horizon_t + 2.0 * sup_m
-    return int(np.sum(z.max(axis=1) > limit + _BOUND_SLACK))
+    return int(np.sum(z_max > limit + _BOUND_SLACK))
+
+
+def _bound_violations(params: CirParams, grid: GridSpec, increments: np.ndarray, z: np.ndarray) -> int:
+    """Count rows of ``z`` that pierce the pathwise envelope."""
+    sup_m = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
+    return _envelope_violations(params, grid, sup_m, z.max(axis=1))
+
+
+class _Sweep(NamedTuple):
+    min_z: float  # over every path and grid point, z0 included
+    bound_violations: int
+    z_at: np.ndarray  # each path's state at the requested grid point
+
+
+def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], index: int) -> _Sweep:
+    """Run the scheme over the ensemble of ``seeds``, one chunk of paths at a time.
+
+    Each chunk's increments are drawn, transposed to step-major rows and
+    stepped in place by :func:`~mfcir.scheme.implicit_steps`; then the
+    chunk is folded into the reductions and dropped.  Every reduction is
+    elementwise or a min/max, so the results equal those of the whole
+    (paths, n + 1) state matrix bit for bit, whatever the chunk size.
+    """
+    n = grid.steps_n
+    rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // n))
+    z0 = params.z0
+    min_z = z0
+    violations = 0
+    z_at = np.full(len(seeds), z0)
+    for lo in range(0, len(seeds), rows):
+        inc = ensemble_increments(spec, grid, seeds[lo : lo + rows])
+        z = np.empty((n, len(inc)))  # step-major; inc is reused below
+        for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
+            z[:, b : b + 64] = inc[b : b + 64].T
+        implicit_steps(params, grid.dt, z)  # row j now holds z_{j+1}
+        np.cumsum(inc, axis=1, out=inc)
+        sup_m = np.abs(inc, out=inc).max(axis=1)
+        violations += _envelope_violations(params, grid, sup_m, np.maximum(z.max(axis=0), z0))
+        min_z = min(min_z, float(z.min()))
+        if index > 0:
+            z_at[lo : lo + len(inc)] = z[index - 1]
+    return _Sweep(min_z, violations, z_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +135,15 @@ def run_positivity(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    inc = ensemble_increments(spec, grid, _path_seeds(master_seed, n_paths))
-    z = simulate_z_batch(params, grid, inc)
-    min_z = float(z.min())
+    sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), grid.steps_n)
     return PositivityReport(
         params=params,
         grid=grid,
         n_paths=n_paths,
-        min_z=min_z,
-        min_r=z_to_r(min_z, params.sigma),
+        min_z=sweep.min_z,
+        min_r=z_to_r(sweep.min_z, params.sigma),
         feller_ok=params.feller_ok,
-        bound_violations=_bound_violations(params, grid, inc, z),
+        bound_violations=sweep.bound_violations,
     )
 
 
@@ -214,13 +266,19 @@ def run_convergence(
 
 @dataclass(frozen=True)
 class McStats:
-    """Monte Carlo location statistics of the rate at one time point."""
+    """Monte Carlo location statistics of the rate at one time point.
+
+    ``t_used`` is the grid time actually evaluated, the grid point nearest
+    ``t_eval``; ``bound_violations`` counts paths that pierce the envelope.
+    """
 
     t_eval: float
     sample_mean: float
     sample_se: float
     n_paths: int
     closed_form_mean: float | None
+    t_used: float
+    bound_violations: int
 
 
 def run_mc_stats(
@@ -245,14 +303,13 @@ def run_mc_stats(
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     index = int(round(t_eval / grid.dt))
     index = min(max(index, 0), grid.steps_n)
-    inc = ensemble_increments(spec, grid, _path_seeds(master_seed, n_paths))
-    z = simulate_z_batch(params, grid, inc)
-    r_at = (params.sigma * z[:, index] / 2.0) ** 2
+    sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), index)
+    r_at = (params.sigma * sweep.z_at / 2.0) ** 2
     mean = float(r_at.mean())
     se = float(r_at.std(ddof=1) / math.sqrt(n_paths))
+    t_used = index * grid.dt
     closed = None
     if spec.weight_fbm == 0.0:
-        t_used = index * grid.dt
         closed = params.theta + (params.r0 - params.theta) * math.exp(-params.k * t_used)
     return McStats(
         t_eval=float(t_eval),
@@ -260,6 +317,8 @@ def run_mc_stats(
         sample_se=se,
         n_paths=n_paths,
         closed_form_mean=closed,
+        t_used=t_used,
+        bound_violations=sweep.bound_violations,
     )
 
 

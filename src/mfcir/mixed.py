@@ -23,6 +23,7 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by the
     NoisePath,
     _check_hurst,
     _davies_harte_rows,
+    _pcg64_states,
     _rng,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -79,21 +80,33 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
     """
     n = grid.steps_n
     out = np.zeros((len(seeds), n))
+    # One Generator serves every path: each row restores the state that
+    # PCG64(substream seed) would start from, derived for all seeds at once.
+    gen = _rng(0)
+    bits = gen.bit_generator
+
+    def draw(rows: np.ndarray, states: list[dict]) -> None:
+        for row, state in zip(rows, states):
+            bits.state = state
+            gen.standard_normal(out=row)
+
+    def states(stream: int) -> list[dict]:
+        return _pcg64_states([substream_seed(seed, stream) for seed in seeds])
+
+    bm_states = states(_BM_STREAM) if spec.weight_bm != 0.0 else []
+    fbm_states = states(_FBM_STREAM) if spec.weight_fbm != 0.0 else []
     rows = max(1, _CHUNK_SPECTRUM // (2 * n))
     for lo in range(0, len(seeds), rows):
-        chunk = seeds[lo : lo + rows]
-        block = out[lo : lo + len(chunk)]
+        block = out[lo : lo + rows]
         if spec.weight_bm != 0.0:
-            for row, seed in zip(block, chunk):
-                _rng(substream_seed(seed, _BM_STREAM)).standard_normal(out=row)
+            draw(block, bm_states[lo : lo + rows])
             # Two products in the per-path samplers' order, so that rows
             # match sample_brownian_increments bit for bit.
             block *= np.sqrt(grid.dt)
             block *= spec.weight_bm
         if spec.weight_fbm != 0.0:
-            g = np.empty((len(chunk), 2 * n))
-            for row, seed in zip(g, chunk):
-                _rng(substream_seed(seed, _FBM_STREAM)).standard_normal(out=row)
+            g = np.empty((len(block), 2 * n))
+            draw(g, fbm_states[lo : lo + rows])
             fbm = _davies_harte_rows(spec.hurst, grid, g)
             fbm *= spec.weight_fbm
             block += fbm

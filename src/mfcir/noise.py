@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -90,6 +91,62 @@ def _rng(seed: int) -> np.random.Generator:
     # PCG64 is pinned explicitly (not default_rng) so the bit stream does
     # not silently change with numpy's default choice.
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # Successive values of a SeedSequence hash constant, as a uint32 column.
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence (pool of four 32-bit words): hashmix call i xors
+# with constant i and multiplies by constant i + 1.  Four calls fill the
+# pool, twelve mix it, and generate_state draws eight words.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """``np.random.PCG64(s).state`` for every seed, computed at once.
+
+    Runs SeedSequence's entropy hash and ``generate_state(4, uint64)`` in
+    uint32 arithmetic on all seeds together, then PCG64's seeding (two
+    steps of its 128-bit LCG) per seed, so that one Generator can serve
+    many seeds by state assignment instead of one construction each.
+    Seeds are unsigned 64-bit integers, hashed as two 32-bit words.
+    """
+
+    def hashmix(values, i, j):
+        values = values ^ _HASH_A[i:j]
+        values *= _HASH_A[i + 1 : j + 1]
+        return values ^ (values >> 16)
+
+    s = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, s.size), dtype=np.uint32)
+    entropy[0] = s & 0xFFFFFFFF
+    entropy[1] = s >> 32
+    pool = hashmix(entropy, 0, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], 4 + 3 * src, 7 + 3 * src)
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]
+    words *= _HASH_B[1:]
+    words = (words ^ (words >> 16)).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | (words[1::2] << 32)).tolist()
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((((c << 64) | d) << 1) | 1) & _MASK128
+        state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ __all__ = [
     "CirParams",
     "Trajectory",
     "implicit_step",
+    "implicit_steps",
     "interpolate",
     "r_to_z",
     "simulate_z",
@@ -123,23 +124,49 @@ def implicit_step(z_prev: float, dm: float, dt: float, params: CirParams) -> flo
     if not math.isfinite(dm):
         raise ValueError(f"dm must be finite, got {dm}")
     _require_step_domain(params)
-    a = 1.0 + 0.5 * params.k * dt
+    two_a, two_d, four_ad = _root_coefficients(params, dt)
     c = z_prev + dm
-    d = (params.m + 0.5) * dt
-    disc = math.sqrt(c * c + 4.0 * a * d)
+    disc = math.sqrt(c * c + four_ad)
     if c >= 0.0:
-        return (c + disc) / (2.0 * a)
-    return (2.0 * d) / (disc - c)
+        return (c + disc) / two_a
+    return two_d / (disc - c)
 
 
-def _step_many(z_prev: np.ndarray, dm: np.ndarray, dt: float, params: CirParams) -> np.ndarray:
-    # Vectorized twin of implicit_step; same arithmetic, hence bitwise
-    # identical results (asserted in the test suite).
+def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, float]:
+    # 2a, 2d and 4ad of the step quadratic a z^2 - c z - d = 0, shared by
+    # every form of the step so that they agree bit for bit.
     a = 1.0 + 0.5 * params.k * dt
-    c = z_prev + dm
     d = (params.m + 0.5) * dt
-    disc = np.sqrt(c * c + 4.0 * a * d)
-    return np.where(c >= 0.0, (c + disc) / (2.0 * a), (2.0 * d) / (disc - c))
+    return 2.0 * a, 2.0 * d, 4.0 * a * d
+
+
+def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
+    """Run the implicit scheme over step-major rows, in place.
+
+    ``rows`` has shape (steps, paths) and is C-contiguous: on entry row j
+    holds every path's driver increment of step j, on exit its state
+    z_{j+1}, all paths starting from ``params.z0``.  The arithmetic is
+    that of :func:`implicit_step`, so each path matches :func:`simulate_z`
+    bit for bit.  Scratch is three rows, whatever the number of steps.
+    """
+    _require_step_domain(params)
+    two_a, two_d, four_ad = _root_coefficients(params, dt)
+    width = rows.shape[1]
+    c = np.empty(width)
+    disc = np.empty(width)
+    neg = np.empty(width, dtype=bool)
+    prev = np.full(width, params.z0)
+    for row in rows:
+        np.add(prev, row, out=c)
+        np.multiply(c, c, out=disc)
+        np.add(disc, four_ad, out=disc)
+        np.sqrt(disc, out=disc)
+        np.add(c, disc, out=row)
+        np.divide(row, two_a, out=row)
+        np.less(c, 0.0, out=neg)
+        if neg.any():
+            row[neg] = two_d / (disc[neg] - c[neg])
+        prev = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +206,12 @@ def simulate_z(params: CirParams, noise: NoisePath) -> Trajectory:
 
     Steps sequentially from ``z0 = (2 / sigma) sqrt(r0)`` using the
     closed-form root of :func:`implicit_step` (inlined for speed; the
-    arithmetic is identical).  The resulting path is strictly positive
+    arithmetic is identical; on one path it beats the array kernel
+    :func:`implicit_steps`).  The resulting path is strictly positive
     whatever the Feller margin, as long as ``m > -1/2``.
     """
     _require_step_domain(params)
-    dt = noise.grid.dt
-    a = 1.0 + 0.5 * params.k * dt
-    d = (params.m + 0.5) * dt
-    four_ad = 4.0 * a * d
-    two_a = 2.0 * a
-    two_d = 2.0 * d
+    two_a, two_d, four_ad = _root_coefficients(params, noise.grid.dt)
     zk = params.z0
     out = [zk]
     append = out.append
@@ -210,17 +233,14 @@ def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) 
     (paths, grid.steps_n + 1) and matches path-by-path what
     :func:`simulate_z` produces, bit for bit.
     """
-    _require_step_domain(params)
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 2 or inc.shape[1] != grid.steps_n:
         raise ValueError(f"increments must have shape (paths, {grid.steps_n})")
-    dt = grid.dt
-    z = np.empty((inc.shape[0], grid.steps_n + 1))
-    z[:, 0] = params.z0
-    steps = inc.T.copy()  # contiguous per-step rows
-    for j in range(grid.steps_n):
-        z[:, j + 1] = _step_many(z[:, j], steps[j], dt, params)
-    return z
+    z = np.empty((grid.steps_n + 1, inc.shape[0]))
+    z[0] = params.z0
+    z[1:] = inc.T
+    implicit_steps(params, grid.dt, z[1:])
+    return z.T
 
 
 def interpolate(traj: Trajectory, t: float):

@@ -5,20 +5,25 @@ import math
 import numpy as np
 import pytest
 
+import mfcir.experiments as experiments
 from mfcir.bracket import discrete_ito_iterated
+from mfcir.cli import main
 from mfcir.experiments import (
     ConvergenceReport,
     McStats,
     PositivityReport,
+    _bound_violations,
     _fit_order,
+    _path_seeds,
+    _sweep,
     run_bracket,
     run_convergence,
     run_mc_stats,
     run_positivity,
 )
-from mfcir.mixed import MixedSpec
+from mfcir.mixed import MixedSpec, build_mixed, ensemble_increments
 from mfcir.noise import GridSpec
-from mfcir.scheme import CirParams, z_to_r
+from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
 ZERO_NOISE = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=0.0)
@@ -188,6 +193,19 @@ class TestMcStats:
         with pytest.raises(ValueError):
             run_mc_stats(PARAMS, MixedSpec(), grid, 0.5, 1, 2)
 
+    def test_health_fields(self):
+        # the README mcstats configuration at a small size
+        params = CirParams(1.0, 0.04, 0.2, 0.08)
+        grid = GridSpec(1.0, 2**8)
+        stats = run_mc_stats(params, MixedSpec(weight_fbm=0.0), grid, 1.0, 500, 42)
+        assert stats.bound_violations == 0
+        assert stats.t_used == 1.0
+        rounded = run_mc_stats(params, MixedSpec(weight_fbm=0.0), grid, 0.3, 8, 42)
+        assert rounded.t_used == 77 * grid.dt  # the grid point nearest 0.3
+        assert rounded.t_eval == 0.3
+        expected = 0.04 + 0.04 * math.exp(-rounded.t_used)
+        assert rounded.closed_form_mean == pytest.approx(expected, rel=1e-12)
+
     def test_is_frozen_record(self):
         stats = run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 2**5), 0.5, 8, 2)
         assert isinstance(stats, McStats)
@@ -230,3 +248,82 @@ class TestBracketEnsemble:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0)
+
+
+# m = -0.3 and a heavy Brownian weight: many steps take the c < 0 root branch.
+SWEEP_PARAMS = CirParams(1.0, 0.35, 1.0, 0.04)
+SWEEP_SPEC = MixedSpec(weight_bm=2.0)
+SWEEP_GRID = GridSpec(1.0, 64)
+
+
+class TestSweep:
+    def _references(self, seeds):
+        return [simulate_z(SWEEP_PARAMS, build_mixed(SWEEP_SPEC, SWEEP_GRID, s)).z_values for s in seeds]
+
+    @pytest.mark.parametrize("rows", [1, 3, 1024])
+    def test_reports_do_not_depend_on_chunk_rows(self, monkeypatch, rows):
+        args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
+        positivity = run_positivity(*args, 10, 3)
+        mc = run_mc_stats(*args, 0.5, 10, 3)
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
+        chunked = run_positivity(*args, 10, 3)
+        assert (chunked.min_z, chunked.min_r, chunked.bound_violations) == (
+            positivity.min_z,
+            positivity.min_r,
+            positivity.bound_violations,
+        )
+        assert run_mc_stats(*args, 0.5, 10, 3) == mc
+
+    @pytest.mark.parametrize("index", [0, 1, 40, 64])
+    def test_matches_per_path_reference(self, monkeypatch, index):
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
+        seeds = _path_seeds(3, 7)
+        refs = self._references(seeds)
+        sweep = _sweep(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, seeds, index)
+        assert sweep.min_z == min(float(z.min()) for z in refs)
+        assert np.array_equal(sweep.z_at, [z[index] for z in refs])
+
+    def test_mc_stats_reduce_the_reference_states(self):
+        refs = self._references(_path_seeds(3, 7))
+        stats = run_mc_stats(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, 0.5, 7, 3)
+        r_at = (SWEEP_PARAMS.sigma * np.array([z[32] for z in refs]) / 2.0) ** 2
+        assert stats.sample_mean == float(r_at.mean())
+        assert stats.sample_se == float(r_at.std(ddof=1) / math.sqrt(7))
+
+    @pytest.mark.parametrize("shift_slack", [False, True])
+    def test_bound_violations_match_matrix_count(self, monkeypatch, shift_slack):
+        seeds = _path_seeds(5, 40)
+        inc = ensemble_increments(SWEEP_SPEC, SWEEP_GRID, seeds)
+        z = simulate_z_batch(SWEEP_PARAMS, SWEEP_GRID, inc)
+        if shift_slack:
+            # a negative slack half-way into the margins, so about half the
+            # paths count as violations
+            z0 = SWEEP_PARAMS.z0
+            limit = z0 + abs(experiments.singular_drift(z0, SWEEP_PARAMS)) * SWEEP_GRID.horizon_t
+            margins = limit + 2.0 * np.abs(np.cumsum(inc, axis=1)).max(axis=1) - z.max(axis=1)
+            monkeypatch.setattr(experiments, "_BOUND_SLACK", -float(np.median(margins)))
+        expected = _bound_violations(SWEEP_PARAMS, SWEEP_GRID, inc, z)
+        assert (0 < expected < len(seeds)) if shift_slack else expected == 0
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 7)
+        args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
+        assert run_positivity(*args, len(seeds), 5).bound_violations == expected
+        assert run_mc_stats(*args, 1.0, len(seeds), 5).bound_violations == expected
+
+    @pytest.mark.parametrize(
+        "argv, chunk",
+        [
+            (["mcstats", "--weight-fbm", "0", "--n", "1024", "--paths", "1100"], 1024),
+            (["positivity", "--weight-fbm", "0", "--n", "8192", "--paths", "600"], 512),
+        ],
+    )
+    def test_memory_is_bounded_by_one_chunk(self, monkeypatch, tmp_path, argv, chunk):
+        sizes = []
+
+        def spy(spec, grid, seeds):
+            sizes.append(len(seeds))
+            return ensemble_increments(spec, grid, seeds)
+
+        monkeypatch.setattr(experiments, "ensemble_increments", spy)
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert max(sizes) == chunk
+        assert sum(sizes) == int(argv[-1])

@@ -15,6 +15,7 @@ from mfcir.noise import (
     NoisePath,
     _circulant_eigenvalues,
     _clamped_eigenvalues,
+    _pcg64_states,
     _spd_factor,
     fbm_covariance,
     sample_brownian_increments,
@@ -273,3 +274,30 @@ class TestGridAndPathValidation:
         path = sample_brownian_increments(GridSpec(1.0, 4), 0)
         with pytest.raises(ValueError):
             path.increments[0] = 1.0
+
+
+class TestPcg64States:
+    """The vectorized seeding reproduces numpy's SeedSequence + PCG64 seeding.
+
+    A failure here means numpy changed SeedSequence's hash or PCG64's
+    seeding, which ``_pcg64_states`` re-implements.
+    """
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
+    ]
+
+    def test_states_equal_constructed_generators(self):
+        for seed, state in zip(self.SEEDS, _pcg64_states(self.SEEDS)):
+            reference = np.random.PCG64(seed).state
+            assert state["state"]["state"] == reference["state"]["state"], seed
+            assert state["state"]["inc"] == reference["state"]["inc"], seed
+            assert state == reference, seed
+
+    def test_draws_after_state_assignment(self):
+        gen = np.random.Generator(np.random.PCG64(0))
+        seeds = self.SEEDS[:8]
+        for seed, state in zip(seeds, _pcg64_states(seeds)):
+            gen.bit_generator.state = state
+            fresh = np.random.Generator(np.random.PCG64(seed)).standard_normal(257)
+            assert np.array_equal(gen.standard_normal(257), fresh), seed

@@ -13,6 +13,7 @@ from mfcir.scheme import (
     CirParams,
     Trajectory,
     implicit_step,
+    implicit_steps,
     interpolate,
     r_to_z,
     simulate_z,
@@ -264,6 +265,17 @@ class TestSimulate:
         batch = simulate_z_batch(PARAMS_M_ONE, grid, inc)
         for i, p in enumerate(paths):
             assert np.array_equal(batch[i], simulate_z(PARAMS_M_ONE, p).z_values)
+
+    def test_kernel_negative_branch_matches_scalar(self):
+        # increments that push c = z + dm below zero on most steps
+        dm = np.array([[-5.0, 0.3], [-0.1, -2.0], [0.0, -1e-300], [-3.0, 4.0]])
+        rows = dm.copy()
+        implicit_steps(PARAMS_M_HALF, 0.01, rows)
+        for path in range(dm.shape[1]):
+            z = PARAMS_M_HALF.z0
+            for step in range(dm.shape[0]):
+                z = implicit_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
+                assert rows[step, path] == z
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
