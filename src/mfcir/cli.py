@@ -8,10 +8,11 @@ positivity   minimum-of-the-rate audit over an ensemble
 bracket      quadratic-variation and bracket diagnostics
 mcstats      Monte Carlo mean / SE of the rate at one time point
 
-Exit codes: 0 success, 2 configuration or validation error, 3 I/O error,
-4 numerical failure in the noise generator (a circulant embedding with a
-significantly negative eigenvalue).  All floating-point output
-is written with 17 significant digits, so equal configurations yield
+Exit codes: 0 success, 2 configuration or validation error (an
+overflowing implicit step included), 3 I/O error, 4 numerical failure in
+the noise generator (a circulant embedding with a significantly negative
+eigenvalue).  CSV floats are written with 17 significant digits and JSON
+floats as their shortest round-trip repr, so equal configurations yield
 byte-identical files and values round-trip through ``float()``.
 """
 
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,18 +32,26 @@ from .experiments import (
     ConvergenceReport,
     McStats,
     PositivityReport,
+    _path_seeds,
     run_bracket,
     run_convergence,
     run_mc_stats,
     run_positivity,
 )
 from .mixed import MixedSpec, build_mixed
-from .noise import GridSpec, NoiseError, substream_seed
+# substream_seed is not called here; perfbench/spans.py wraps it by this name.
+from .noise import GridSpec, NoiseError, substream_seed  # noqa: F401
 from .scheme import CirParams, simulate_z
 
 __all__ = ["ConfigError", "RunConfig", "emit_report", "emit_trajectories", "main", "parse_config"]
 
-_COMMANDS = ("simulate", "convergence", "positivity", "bracket", "mcstats")
+_COMMANDS = {
+    "simulate": "sample trajectories",
+    "convergence": "self-convergence study",
+    "positivity": "minimum-rate audit",
+    "bracket": "bracket diagnostics",
+    "mcstats": "Monte Carlo mean / SE",
+}
 _FORMATS = ("csv", "json-lines")
 
 _PRESETS = {
@@ -88,46 +99,37 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
-_DEFAULTS = {
-    "k": 1.0,
-    "theta": 1.0,
-    "sigma": 1.0,
-    "r0": 1.0,
-    "hurst": 0.75,
-    "weight-bm": 1.0,
-    "weight-fbm": 1.0,
-    "T": 1.0,
-    "n": 1024,
-    "paths": 1,
-    "seed": 42,
-    "out": "-",
-    "format": "csv",
-    "n-list": (64, 128, 256, 512, 1024),
-    "n-ref": 16384,
-    "refinements": (1,),
-    "t-eval": None,  # defaults to the horizon
-}
+class _Option(NamedTuple):
+    """One run setting: the flag ``--key``, and the same key in a config file or preset."""
 
-_CONVERTERS = {
-    "k": float,
-    "theta": float,
-    "sigma": float,
-    "r0": float,
-    "hurst": float,
-    "weight-bm": float,
-    "weight-fbm": float,
-    "T": float,
-    "n": int,
-    "paths": int,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "preset": str,
-    "n-list": _int_list,
-    "n-ref": int,
-    "refinements": _int_list,
-    "t-eval": float,
-}
+    key: str
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    commands: tuple[str, ...] = ()  # the commands that take the flag; () means every one
+
+
+_OPTIONS = (
+    _Option("k", float, 1.0, "mean-reversion speed (> 0)"),
+    _Option("theta", float, 1.0, "long-run level (> 0)"),
+    _Option("sigma", float, 1.0, "volatility (> 0)"),
+    _Option("r0", float, 1.0, "initial rate (> 0)"),
+    _Option("hurst", float, 0.75, "hurst exponent of the fractional part, in (1/2, 1)"),
+    _Option("weight-bm", float, 1.0, "weight of the Brownian component"),
+    _Option("weight-fbm", float, 1.0, "weight of the fractional component"),
+    _Option("T", float, 1.0, "time horizon (> 0)"),
+    _Option("n", int, 1024, "number of grid steps (>= 1)"),
+    _Option("paths", int, 1, "number of paths / seeds (>= 1)"),
+    _Option("seed", int, 42, "master seed (unsigned 64-bit)"),
+    _Option("out", str, "-", "output file, '-' for stdout"),
+    _Option("format", str, "csv", "output format, csv or json-lines"),
+    _Option("preset", str, None, "named parameter preset (figure1)"),
+    _Option("n-list", _int_list, (64, 128, 256, 512, 1024), "comma-separated coarse grids", ("convergence",)),
+    _Option("n-ref", int, 16384, "reference grid (>= 8 * max n)", ("convergence",)),
+    _Option("refinements", _int_list, (1,), "comma-separated inner refinements", ("bracket",)),
+    _Option("t-eval", float, None, "evaluation time in (0, T]; defaults to T", ("mcstats",)),
+)
+_OPTION_BY_KEY = {option.key: option for option in _OPTIONS}
 
 
 def _read_config_file(path: str) -> dict:
@@ -147,10 +149,10 @@ def _read_config_file(path: str) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _CONVERTERS:
+        if key not in _OPTION_BY_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](raw)
+            values[key] = _OPTION_BY_KEY[key].convert(raw)
         except (ValueError, ConfigError):
             raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {raw!r}") from None
     return values
@@ -162,35 +164,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="mfcir", add_help=True)
+    parser = _Parser(prog="mfcir")
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
-    shared = argparse.ArgumentParser(add_help=False)
-    g = shared.add_argument_group("model")
-    g.add_argument("--k", type=float, help="mean-reversion speed (> 0)")
-    g.add_argument("--theta", type=float, help="long-run level (> 0)")
-    g.add_argument("--sigma", type=float, help="volatility (> 0)")
-    g.add_argument("--r0", type=float, help="initial rate (> 0)")
-    g.add_argument("--hurst", type=float, help="hurst exponent of the fractional part, in (1/2, 1)")
-    g.add_argument("--weight-bm", type=float, help="weight of the Brownian component")
-    g.add_argument("--weight-fbm", type=float, help="weight of the fractional component")
-    r = shared.add_argument_group("run")
-    r.add_argument("--T", type=float, help="time horizon (> 0)")
-    r.add_argument("--n", type=int, help="number of grid steps (>= 1)")
-    r.add_argument("--paths", type=int, help="number of paths / seeds (>= 1)")
-    r.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-    r.add_argument("--out", help="output file, '-' for stdout")
-    r.add_argument("--format", choices=_FORMATS, help="output format")
-    r.add_argument("--preset", help="named parameter preset (figure1)")
-    r.add_argument("--config", help="flat key=value config file")
-    sub.add_parser("simulate", parents=[shared], help="sample trajectories")
-    conv = sub.add_parser("convergence", parents=[shared], help="self-convergence study")
-    conv.add_argument("--n-list", type=_int_list, help="comma-separated coarse grids")
-    conv.add_argument("--n-ref", type=int, help="reference grid (>= 8 * max n)")
-    br = sub.add_parser("bracket", parents=[shared], help="bracket diagnostics")
-    br.add_argument("--refinements", type=_int_list, help="comma-separated inner refinements")
-    sub.add_parser("positivity", parents=[shared], help="minimum-rate audit")
-    mc = sub.add_parser("mcstats", parents=[shared], help="Monte Carlo mean / SE")
-    mc.add_argument("--t-eval", type=float, help="evaluation time in (0, T]")
+    for command, summary in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for option in _OPTIONS:
+            if not option.commands or command in option.commands:
+                cmd.add_argument("--" + option.key, dest=option.key, type=option.convert, help=option.help)
+        cmd.add_argument("--config", help="flat key=value config file; its keys are the flags' names")
     return parser
 
 
@@ -207,18 +188,18 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     """
     namespace = _build_parser().parse_args(argv)
     cli_values = {
-        key: getattr(namespace, key.replace("-", "_"))
-        for key in _CONVERTERS
-        if getattr(namespace, key.replace("-", "_"), None) is not None
+        option.key: getattr(namespace, option.key)
+        for option in _OPTIONS
+        if getattr(namespace, option.key, None) is not None
     }
     file_values = _read_config_file(namespace.config) if namespace.config else {}
-    merged = dict(_DEFAULTS)
+    merged = {option.key: option.default for option in _OPTIONS}
     preset = cli_values.get("preset", file_values.get("preset"))
     if preset is not None:
         _require(preset in _PRESETS, f"unknown preset {preset!r} (available: figure1)")
         merged.update(_PRESETS[preset])
-    merged.update({k: v for k, v in file_values.items() if k != "preset"})
-    merged.update({k: v for k, v in cli_values.items() if k != "preset"})
+    merged.update(file_values)
+    merged.update(cli_values)
 
     try:
         params = CirParams(k=merged["k"], theta=merged["theta"], sigma=merged["sigma"], r0=merged["r0"])
@@ -259,61 +240,53 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     )
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+@contextmanager
+def _sink(path: str):
+    """Stdout for '' or '-', else a new file with fixed newlines, removed
+    again if the body raises: a failed run leaves no output that looks complete."""
+    if path in ("", "-"):
+        yield sys.stdout
+        return
+    handle = open(path, "w", encoding="ascii", newline="")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-class _Sink:
-    """Line sink writing either to stdout or to a file with fixed newlines."""
-
-    def __init__(self, path: str):
-        self._path = path
-        self._handle = None
-
-    def __enter__(self):
-        if self._path in ("", "-"):
-            self._handle = sys.stdout
-            self._own = False
-        else:
-            self._handle = open(self._path, "w", encoding="ascii", newline="")
-            self._own = True
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._own:
-            self._handle.close()
-        return False
-
-    def line(self, text: str) -> None:
-        self._handle.write(text + "\n")
+# One line template per format.  %r of a finite float is the shortest
+# repr that round-trips, which is what json.dumps writes.
+_TRAJECTORY_ROW = {
+    "csv": "%d,%.17g,%.17g,%.17g\n",
+    "json-lines": '{"path_id": %d, "t": %r, "z": %r, "r": %r}\n',
+}
 
 
 def emit_trajectories(trajectories, config: RunConfig) -> None:
-    """Write simulated paths, one row per (path, grid point), stable order."""
-    with _Sink(config.output_path) as sink:
+    """Write simulated paths, one row per (path, grid point), stable order.
+
+    Each path is written as soon as ``trajectories`` yields it, so a lazy
+    iterable is streamed and only one path is held at a time.  The sink
+    opens once the first path is computed, so a run that fails on it
+    leaves the output file untouched; a later failure removes the file.
+    """
+    row = _TRAJECTORY_ROW[config.format]
+    paths = iter(trajectories)
+    traj = next(paths, None)
+    with _sink(config.output_path) as out:
         if config.format == "csv":
-            sink.line("path_id,t,z,r")
-        for pid, traj in enumerate(trajectories):
-            times = traj.grid.times
-            for j in range(traj.grid.steps_n + 1):
-                if config.format == "csv":
-                    sink.line(
-                        f"{pid},{_fmt(times[j])},{_fmt(traj.z_values[j])},{_fmt(traj.r_values[j])}"
-                    )
-                else:
-                    sink.line(
-                        json.dumps(
-                            {
-                                "path_id": pid,
-                                "t": float(times[j]),
-                                "z": float(traj.z_values[j]),
-                                "r": float(traj.r_values[j]),
-                            }
-                        )
-                    )
+            out.write("path_id,t,z,r\n")
+        pid = 0
+        while traj is not None:
+            values = zip(traj.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
+            out.writelines(row % (pid, t, z, r) for t, z, r in values)
+            traj = next(paths, None)
+            pid += 1
 
 
-def _report_rows(report, config: RunConfig):
+def _report_rows(report):
     """(header, list of row dicts, footer dict or None) for one report."""
     if isinstance(report, ConvergenceReport):
         rows = []
@@ -370,50 +343,44 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return _fmt(value)
+    return "%.17g" % value
 
 
 def emit_report(report, config: RunConfig) -> None:
     """Write one summary file for a convergence/positivity/bracket/mcstats run."""
-    header, rows, footer = _report_rows(report, config)
-    with _Sink(config.output_path) as sink:
-        if config.format == "csv":
-            sink.line(header)
-            for row in rows:
-                sink.line(",".join(_cell(v) for v in row.values()))
-            if footer is not None:
-                sink.line(",".join(f"{k}={_fmt(v)}" for k, v in footer.items()))
-        else:
-            for row in rows:
-                sink.line(json.dumps(row))
-            if footer is not None:
-                sink.line(json.dumps(footer))
+    header, rows, footer = _report_rows(report)
+    if config.format == "csv":
+        lines = [header] + [",".join(_cell(v) for v in row.values()) for row in rows]
+        if footer is not None:
+            lines.append(",".join(f"{k}={v:.17g}" for k, v in footer.items()))
+    else:
+        lines = [json.dumps(row) for row in rows]
+        if footer is not None:
+            lines.append(json.dumps(footer))
+    with _sink(config.output_path) as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _run(config: RunConfig) -> None:
     if config.command == "simulate":
-        trajectories = [
-            simulate_z(config.params, build_mixed(config.mixed, config.grid, substream_seed(config.seed, i)))
-            for i in range(config.n_paths)
-        ]
-        emit_trajectories(trajectories, config)
-    elif config.command == "convergence":
-        seeds = [substream_seed(config.seed, i) for i in range(config.n_paths)]
+        seeds = _path_seeds(config.seed, config.n_paths)
+        paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
+        emit_trajectories(paths, config)
+        return
+    if config.command == "convergence":
+        seeds = _path_seeds(config.seed, config.n_paths)
         report = run_convergence(
             config.params, config.mixed, config.grid.horizon_t, config.n_list, config.n_ref, seeds
         )
-        emit_report(report, config)
     elif config.command == "positivity":
         report = run_positivity(config.params, config.mixed, config.grid, config.n_paths, config.seed)
-        emit_report(report, config)
     elif config.command == "bracket":
-        estimates = run_bracket(config.mixed, config.grid, config.refinements, config.n_paths, config.seed)
-        emit_report(estimates, config)
+        report = run_bracket(config.mixed, config.grid, config.refinements, config.n_paths, config.seed)
     else:
         report = run_mc_stats(
             config.params, config.mixed, config.grid, config.t_eval, config.n_paths, config.seed
         )
-        emit_report(report, config)
+    emit_report(report, config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -31,7 +31,7 @@ from .bracket import BracketEstimate, discrete_ito_iterated
 # wraps them by these names.
 from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
-from .scheme import CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
+from .scheme import _OVERFLOW, CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -100,8 +100,12 @@ def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[i
         implicit_steps(params, grid.dt, z)  # row j now holds z_{j+1}
         np.cumsum(inc, axis=1, out=inc)
         sup_m = np.abs(inc, out=inc).max(axis=1)
-        violations += _envelope_violations(params, grid, sup_m, np.maximum(z.max(axis=0), z0))
-        min_z = min(min_z, float(z.min()))
+        z_max = z.max(axis=0)
+        chunk_min = float(z.min())
+        if not (chunk_min > 0.0 and math.isfinite(z_max.max())):
+            raise ValueError(f"the scheme left the positive finite range: {_OVERFLOW}")
+        violations += _envelope_violations(params, grid, sup_m, np.maximum(z_max, z0))
+        min_z = min(min_z, chunk_min)
         if index > 0:
             z_at[lo : lo + len(inc)] = z[index - 1]
     return _Sweep(min_z, violations, z_at)
@@ -347,6 +351,8 @@ def run_bracket(
     out = []
     for refinement in refinements:
         estimates = [discrete_ito_iterated(path, refinement) for path in paths]
+        if not all(math.isfinite(e.bracket_value) for e in estimates):  # inf or nan if a sum overflowed
+            raise ValueError("the bracket sums overflowed (driver increments too large)")
         out.append(
             BracketEstimate(
                 grid=estimates[0].grid,

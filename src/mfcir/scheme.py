@@ -97,6 +97,11 @@ def singular_drift(z: float, params: CirParams) -> float:
     return (params.m + 0.5) / z - 0.5 * params.k * z
 
 
+# What a state of 0, inf or nan means: c * c left the float range, after
+# which the step returns 2d / inf = 0 or inf / 2a.
+_OVERFLOW = "a state of 0 or inf means the implicit step overflowed (driver increments too large)"
+
+
 def _require_step_domain(params: CirParams) -> None:
     if not params.m > -0.5:
         raise ValueError(
@@ -189,8 +194,8 @@ class Trajectory:
         n = self.grid.steps_n
         if z.shape != (n + 1,) or r.shape != (n + 1,):
             raise ValueError(f"trajectory arrays must have shape ({n + 1},)")
-        if not np.all(z > 0.0):
-            raise ValueError("z_values must be strictly positive")
+        if not np.all((z > 0.0) & (z < np.inf)):
+            raise ValueError(f"z_values must be strictly positive and finite: {_OVERFLOW}")
         if z[0] != self.params.z0:
             raise ValueError("z_values[0] does not match the transformed r0")
         if not np.array_equal(r, (self.params.sigma * z / 2.0) ** 2):

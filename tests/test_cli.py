@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from conftest import read_csv_rows, read_trajectory_rows
 
-from mfcir.cli import ConfigError, main, main_entry, parse_config
+import mfcir.cli
+from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
 from mfcir.noise import CirculantEmbeddingError
 
 
@@ -98,6 +100,50 @@ class TestParseConfig:
             parse_config(["simulate", "--config", "/no/such/file.cfg"])
 
 
+# A value other than the default for each option, for the option-table tests.
+_SAMPLE_VALUES = {
+    "k": "2", "theta": "1.5", "sigma": "0.5", "r0": "0.5", "hurst": "0.6", "weight-bm": "0.5",
+    "weight-fbm": "0.5", "T": "2", "n": "8", "paths": "2", "seed": "7", "out": "x.csv",
+    "format": "json-lines", "preset": "figure1", "n-list": "8,16", "n-ref": "4096",
+    "refinements": "1,4", "t-eval": "0.5",
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("option", _OPTIONS, ids=lambda o: o.key)
+    def test_flag_parses_on_exactly_its_commands(self, option, capsys):
+        for command in _COMMANDS:
+            argv = [command, "--" + option.key, _SAMPLE_VALUES[option.key]]
+            if not option.commands or command in option.commands:
+                parse_config(argv)
+            else:
+                with pytest.raises(ConfigError, match="unrecognized"):
+                    parse_config(argv)
+                assert main(argv) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("option", _OPTIONS, ids=lambda o: o.key)
+    def test_every_key_is_a_config_file_key(self, option, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option.key} = {_SAMPLE_VALUES[option.key]}\n", encoding="utf-8")
+        command = option.commands[0] if option.commands else "mcstats"
+        via_flag = parse_config([command, "--" + option.key, _SAMPLE_VALUES[option.key]])
+        assert via_flag != parse_config([command])
+        assert parse_config([command, "--config", str(cfg)]) == via_flag
+
+    def test_command_specific_flags_and_defaults(self):
+        assert {option.key: option.commands for option in _OPTIONS if option.commands} == {
+            "n-list": ("convergence",),
+            "n-ref": ("convergence",),
+            "refinements": ("bracket",),
+            "t-eval": ("mcstats",),
+        }
+        assert parse_config(["convergence"]).n_list == (64, 128, 256, 512, 1024)
+        assert parse_config(["convergence"]).n_ref == 16384
+        assert parse_config(["bracket"]).refinements == (1,)
+        assert parse_config(["mcstats", "--T", "2.5"]).t_eval == 2.5
+
+
 class TestSimulateCommand:
     def test_row_count_and_order(self, tmp_path):
         out = tmp_path / "paths.csv"
@@ -137,6 +183,110 @@ class TestSimulateCommand:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 6
         assert set(records[0]) == {"path_id", "t", "z", "r"}
+
+    # Captured from the per-cell format() / json.dumps emitter that the
+    # line templates replaced; any drift in either format shows here.
+    GOLDEN = {
+        "csv": (
+            "path_id,t,z,r\n"
+            "0,0,2,1\n"
+            "0,0.33333333333333331,1.1747011583088096,0.34498070283301474\n"
+            "0,0.66666666666666663,1.4556088744368127,0.52969929883480127\n"
+            "0,1,2.0432882905805831,1.0437567596059303\n"
+            "1,0,2,1\n"
+            "1,0.33333333333333331,1.6013712913411602,0.6410975031829137\n"
+            "1,0.66666666666666663,1.0525087378831568,0.27694366083009891\n"
+            "1,1,1.1683885622496086,0.34128295809892689\n"
+        ),
+        "json-lines": (
+            '{"path_id": 0, "t": 0.0, "z": 2.0, "r": 1.0}\n'
+            '{"path_id": 0, "t": 0.3333333333333333, "z": 1.1747011583088096, "r": 0.34498070283301474}\n'
+            '{"path_id": 0, "t": 0.6666666666666666, "z": 1.4556088744368127, "r": 0.5296992988348013}\n'
+            '{"path_id": 0, "t": 1.0, "z": 2.043288290580583, "r": 1.0437567596059303}\n'
+            '{"path_id": 1, "t": 0.0, "z": 2.0, "r": 1.0}\n'
+            '{"path_id": 1, "t": 0.3333333333333333, "z": 1.6013712913411602, "r": 0.6410975031829137}\n'
+            '{"path_id": 1, "t": 0.6666666666666666, "z": 1.0525087378831568, "r": 0.2769436608300989}\n'
+            '{"path_id": 1, "t": 1.0, "z": 1.1683885622496086, "r": 0.3412829580989269}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_golden_bytes(self, fmt, tmp_path):
+        out = tmp_path / "paths"
+        argv = ["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == self.GOLDEN[fmt].encode("ascii")
+
+    def test_failing_first_path_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--sigma", "3", "--n", "8", "--out", str(out)]  # m < -1/2
+        assert main(argv) == 2
+        assert "-1/2" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("earlier output\n")  # the sink does not open, so it is not truncated
+        assert main(argv) == 2
+        assert out.read_text() == "earlier output\n"
+
+    def test_failing_later_path_removes_the_partial_file(self, monkeypatch, tmp_path, capsys):
+        real = mfcir.cli.simulate_z
+        calls = []
+
+        def fail_third(params, noise):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("synthetic failure on the third path")
+            return real(params, noise)
+
+        monkeypatch.setattr(mfcir.cli, "simulate_z", fail_third)
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--n", "8", "--paths", "5", "--out", str(out)]) == 2
+        assert "third path" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not out.exists()
+
+    def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
+        real = mfcir.cli.simulate_z
+        alive = []
+        most = []
+
+        def spy(params, noise):
+            traj = real(params, noise)
+            alive.append(weakref.ref(traj))
+            most.append(sum(ref() is not None for ref in alive))
+            return traj
+
+        monkeypatch.setattr(mfcir.cli, "simulate_z", spy)
+        for fmt in ("csv", "json-lines"):
+            alive.clear()
+            argv = ["simulate", "--n", "16", "--paths", "6", "--format", fmt, "--out", str(tmp_path / fmt)]
+            assert main(argv) == 0
+            assert len(alive) == 6
+        assert max(most) <= 2
+
+
+# Weights so large that c * c overflows inside the implicit step.
+_OVERFLOW_ARGV = ["--weight-bm", "1e160", "--weight-fbm", "0", "--n", "4", "--paths", "3"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["simulate", "--seed", "1", "--n", "3", "--paths", "1"],  # this path reaches inf, not 0
+        ["positivity"],
+        ["mcstats"],
+        ["bracket"],
+        ["convergence", "--n-list", "4,8", "--n-ref", "64"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_overflowing_state_is_a_config_error(argv, fmt, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv[:1] + _OVERFLOW_ARGV + argv[1:] + ["--format", fmt, "--out", str(out)]) == 2
+    assert "overflowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReportCommands:

@@ -327,3 +327,17 @@ class TestSweep:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         assert max(sizes) == chunk
         assert sum(sizes) == int(argv[-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_driver_is_rejected_not_reported():
+    # c * c overflows in the step, which then returns 0 or inf; no report
+    # may carry those states as a minimum or a mean.
+    spec = MixedSpec(hurst=0.75, weight_bm=1e160, weight_fbm=0.0)
+    grid = GridSpec(1.0, 4)
+    with pytest.raises(ValueError, match="overflowed"):
+        run_positivity(PARAMS, spec, grid, 3, 42)
+    with pytest.raises(ValueError, match="overflowed"):
+        run_mc_stats(PARAMS, spec, grid, 1.0, 3, 42)
+    with pytest.raises(ValueError, match="overflowed"):
+        run_bracket(spec, grid, [1, 2], 3, 42)

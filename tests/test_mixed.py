@@ -45,9 +45,8 @@ def test_fbm_only_variance_at_horizon():
     grid = GridSpec(1.0, 16)
     spec = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=1.0)
     n_paths = 10_000
-    ends = np.array(
-        [build_mixed(spec, grid, substream_seed(5, i)).path_values()[-1] for i in range(n_paths)]
-    )
+    seeds = [substream_seed(5, i) for i in range(n_paths)]
+    ends = np.cumsum(ensemble_increments(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
     assert abs(ends.var(ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / n_paths)
 
 
@@ -56,9 +55,8 @@ def test_default_mix_variance_is_sum_of_components():
     grid = GridSpec(1.0, 16)
     spec = MixedSpec(hurst=0.75)
     n_paths = 10_000
-    ends = np.array(
-        [build_mixed(spec, grid, substream_seed(6, i)).path_values()[-1] for i in range(n_paths)]
-    )
+    seeds = [substream_seed(6, i) for i in range(n_paths)]
+    ends = np.cumsum(ensemble_increments(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
     assert abs(ends.var(ddof=1) - 2.0) <= 3 * 2.0 * math.sqrt(2.0 / n_paths)
 
 

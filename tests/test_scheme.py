@@ -305,6 +305,11 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="positive"):
             self._mk([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError, match="finite.*overflowed"):
+            self._mk([1.0, bad])
+
     def test_rejects_initial_mismatch(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         z = np.array([2.0, 3.0])
