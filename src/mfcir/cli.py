@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -242,17 +243,28 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 @contextmanager
 def _sink(path: str):
-    """Stdout for '' or '-', else a new file with fixed newlines, removed
-    again if the body raises: a failed run leaves no output that looks complete."""
+    """Stdout for '' or '-', else a text stream with fixed newlines.  A new
+    or regular file is written under a temporary name beside it, renamed
+    over it once the body has finished: a failed run leaves it as it was.
+    Other targets (/dev/null, a pipe, a terminal) are written directly."""
     if path in ("", "-"):
         yield sys.stdout
         return
-    handle = open(path, "w", encoding="ascii", newline="")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)  # through a symlink, so that the link stays
+    temp = f"{target}.{os.getpid()}.part"
+    handle = open(temp, "x", encoding="ascii", newline="")
     try:
         with handle:
             yield handle
-    except BaseException:
-        os.remove(path)
+        if os.path.isfile(target):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:  # KeyboardInterrupt too: the file removed is this run's own
+        os.remove(temp)
         raise
 
 
@@ -268,26 +280,20 @@ def emit_trajectories(trajectories, config: RunConfig) -> None:
     """Write simulated paths, one row per (path, grid point), stable order.
 
     Each path is written as soon as ``trajectories`` yields it, so a lazy
-    iterable is streamed and only one path is held at a time.  The sink
-    opens once the first path is computed, so a run that fails on it
-    leaves the output file untouched; a later failure removes the file.
+    iterable is streamed and only one path is held at a time.
     """
     row = _TRAJECTORY_ROW[config.format]
-    paths = iter(trajectories)
-    traj = next(paths, None)
     with _sink(config.output_path) as out:
         if config.format == "csv":
             out.write("path_id,t,z,r\n")
-        pid = 0
-        while traj is not None:
+        for pid, traj in enumerate(trajectories):
             values = zip(traj.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
             out.writelines(row % (pid, t, z, r) for t, z, r in values)
-            traj = next(paths, None)
-            pid += 1
 
 
 def _report_rows(report):
-    """(header, list of row dicts, footer dict or None) for one report."""
+    """(row dicts, footer dict or None) for one report; the keys of a row
+    are the CSV header."""
     if isinstance(report, ConvergenceReport):
         rows = []
         for i, n in enumerate(report.n_list):
@@ -300,20 +306,18 @@ def _report_rows(report):
                     "q75": float(np.percentile(per_seed, 75)),
                 }
             )
-        footer = {"fitted_order": report.fitted_order, "r2": report.fit_r2}
-        return "n,median_sup_error,q25,q75", rows, footer
+        return rows, {"fitted_order": report.fitted_order, "r2": report.fit_r2}
     if isinstance(report, PositivityReport):
-        rows = [
+        return [
             {
                 "n_paths": report.n_paths,
                 "min_z": report.min_z,
                 "min_r": report.min_r,
                 "feller_ok": report.feller_ok,
             }
-        ]
-        return "n_paths,min_z,min_r,feller_ok", rows, None
+        ], None
     if isinstance(report, McStats):
-        rows = [
+        return [
             {
                 "t_eval": report.t_eval,
                 "sample_mean": report.sample_mean,
@@ -321,8 +325,7 @@ def _report_rows(report):
                 "n_paths": report.n_paths,
                 "closed_form_mean": report.closed_form_mean,
             }
-        ]
-        return "t_eval,sample_mean,sample_se,n_paths,closed_form_mean", rows, None
+        ], None
     # list of bracket estimates
     rows = [
         {
@@ -333,7 +336,7 @@ def _report_rows(report):
         }
         for est in report
     ]
-    return "n,refinement,qv,bracket_value", rows, None
+    return rows, None
 
 
 def _cell(value) -> str:
@@ -348,9 +351,9 @@ def _cell(value) -> str:
 
 def emit_report(report, config: RunConfig) -> None:
     """Write one summary file for a convergence/positivity/bracket/mcstats run."""
-    header, rows, footer = _report_rows(report)
+    rows, footer = _report_rows(report)
     if config.format == "csv":
-        lines = [header] + [",".join(_cell(v) for v in row.values()) for row in rows]
+        lines = [",".join(rows[0])] + [",".join(_cell(v) for v in row.values()) for row in rows]
         if footer is not None:
             lines.append(",".join(f"{k}={v:.17g}" for k, v in footer.items()))
     else:

@@ -31,7 +31,7 @@ from .bracket import BracketEstimate, discrete_ito_iterated
 # wraps them by these names.
 from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
-from .scheme import _OVERFLOW, CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
+from .scheme import _require_in_range, CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -102,8 +102,7 @@ def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[i
         sup_m = np.abs(inc, out=inc).max(axis=1)
         z_max = z.max(axis=0)
         chunk_min = float(z.min())
-        if not (chunk_min > 0.0 and math.isfinite(z_max.max())):
-            raise ValueError(f"the scheme left the positive finite range: {_OVERFLOW}")
+        _require_in_range(chunk_min, z_max.max(), params.sigma)
         violations += _envelope_violations(params, grid, sup_m, np.maximum(z_max, z0))
         min_z = min(min_z, chunk_min)
         if index > 0:
@@ -311,6 +310,8 @@ def run_mc_stats(
     r_at = (params.sigma * sweep.z_at / 2.0) ** 2
     mean = float(r_at.mean())
     se = float(r_at.std(ddof=1) / math.sqrt(n_paths))
+    if not (math.isfinite(mean) and math.isfinite(se)):  # every r is finite, but their sums need not be
+        raise ValueError("the sample mean or its standard error overflowed (driver increments too large)")
     t_used = index * grid.dt
     closed = None
     if spec.weight_fbm == 0.0:

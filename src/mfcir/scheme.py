@@ -97,9 +97,17 @@ def singular_drift(z: float, params: CirParams) -> float:
     return (params.m + 0.5) / z - 0.5 * params.k * z
 
 
-# What a state of 0, inf or nan means: c * c left the float range, after
-# which the step returns 2d / inf = 0 or inf / 2a.
-_OVERFLOW = "a state of 0 or inf means the implicit step overflowed (driver increments too large)"
+def _require_in_range(z_min: float, z_max: float, sigma: float) -> None:
+    """Raise unless the states from ``z_min`` to ``z_max`` are positive and
+    their rates ``(sigma z / 2)**2`` finite.
+
+    A state of 0, inf or nan means c * c left the float range inside the
+    step, which then returns 2d / inf = 0 or inf / 2a; a finite z can
+    still give an infinite rate.
+    """
+    if not (z_min > 0.0 and np.isfinite((sigma * np.float64(z_max) / 2.0) ** 2)):
+        raise ValueError("a state left the positive finite range: the implicit step overflowed "
+                         "(driver increments too large)")
 
 
 def _require_step_domain(params: CirParams) -> None:
@@ -194,8 +202,7 @@ class Trajectory:
         n = self.grid.steps_n
         if z.shape != (n + 1,) or r.shape != (n + 1,):
             raise ValueError(f"trajectory arrays must have shape ({n + 1},)")
-        if not np.all((z > 0.0) & (z < np.inf)):
-            raise ValueError(f"z_values must be strictly positive and finite: {_OVERFLOW}")
+        _require_in_range(z.min(), z.max(), self.params.sigma)
         if z[0] != self.params.z0:
             raise ValueError("z_values[0] does not match the transformed r0")
         if not np.array_equal(r, (self.params.sigma * z / 2.0) ** 2):

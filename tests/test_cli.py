@@ -2,8 +2,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -223,26 +225,77 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "-1/2" in capsys.readouterr().err
         assert not out.exists()
-        out.write_text("earlier output\n")  # the sink does not open, so it is not truncated
+        out.write_text("earlier output\n")  # only the temporary file beside it was written
         assert main(argv) == 2
         assert out.read_text() == "earlier output\n"
 
-    def test_failing_later_path_removes_the_partial_file(self, monkeypatch, tmp_path, capsys):
+    @staticmethod
+    def _fail_on_third_path(monkeypatch, error):
         real = mfcir.cli.simulate_z
         calls = []
 
         def fail_third(params, noise):
             calls.append(None)
             if len(calls) == 3:
-                raise ValueError("synthetic failure on the third path")
+                raise error
             return real(params, noise)
 
         monkeypatch.setattr(mfcir.cli, "simulate_z", fail_third)
+        return calls
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failing_later_path_leaves_the_target_as_it_was(self, existing, monkeypatch, tmp_path, capsys):
+        calls = self._fail_on_third_path(monkeypatch, ValueError("synthetic failure on the third path"))
         out = tmp_path / "paths.csv"
+        if existing:
+            out.write_text("earlier output\n")
         assert main(["simulate", "--n", "8", "--paths", "5", "--out", str(out)]) == 2
         assert "third path" in capsys.readouterr().err
         assert len(calls) == 3
-        assert not out.exists()
+        assert os.listdir(tmp_path) == (["paths.csv"] if existing else [])  # no temporary file left
+        if existing:
+            assert out.read_text() == "earlier output\n"
+
+    def test_interrupt_leaves_the_target_and_no_temporary_file(self, monkeypatch, tmp_path):
+        self._fail_on_third_path(monkeypatch, KeyboardInterrupt())
+        out = tmp_path / "paths.csv"
+        out.write_text("earlier output\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--n", "8", "--paths", "5", "--out", str(out)])
+        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert out.read_text() == "earlier output\n"
+
+    def test_replacing_keeps_the_mode_and_a_symlink(self, tmp_path):
+        target = tmp_path / "paths.csv"
+        target.write_text("earlier output\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == self.GOLDEN["csv"]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "paths.csv"]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_non_regular_target_is_written_directly(self, fail, monkeypatch, tmp_path, capsys):
+        if fail:
+            self._fail_on_third_path(monkeypatch, ValueError("synthetic failure on the third path"))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["simulate", "--n", "3", "--paths", "5", "--seed", "5", "--out", str(fifo)]) == (2 if fail else 0)
+        reader.join(timeout=30)
+        assert not reader.is_alive()  # the pipe itself was opened, not a file put in its place
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+        lines = received[0].splitlines()
+        assert lines[0] == "path_id,t,z,r"
+        assert len(lines) == 1 + 4 * (2 if fail else 5)
+        if fail:
+            assert "third path" in capsys.readouterr().err
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
         real = mfcir.cli.simulate_z
@@ -266,6 +319,12 @@ class TestSimulateCommand:
 
 # Weights so large that c * c overflows inside the implicit step.
 _OVERFLOW_ARGV = ["--weight-bm", "1e160", "--weight-fbm", "0", "--n", "4", "--paths", "3"]
+# Path 0 of seed 2 ends near z = 9.4e153: finite, but sigma = 3 puts its
+# rate (sigma z / 2)**2 past the float range.
+_RATE_OVERFLOW_ARGV = [
+    "--k", "0.01", "--theta", "300", "--sigma", "3", "--T", "0.01", "--n", "1",
+    "--weight-bm", "1e155", "--seed", "2", "--paths", "1",
+]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -275,6 +334,8 @@ _OVERFLOW_ARGV = ["--weight-bm", "1e160", "--weight-fbm", "0", "--n", "4", "--pa
     [
         ["simulate"],
         ["simulate", "--seed", "1", "--n", "3", "--paths", "1"],  # this path reaches inf, not 0
+        ["simulate"] + _RATE_OVERFLOW_ARGV,
+        ["positivity"] + _RATE_OVERFLOW_ARGV,
         ["positivity"],
         ["mcstats"],
         ["bracket"],

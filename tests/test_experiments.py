@@ -341,3 +341,15 @@ def test_overflowing_driver_is_rejected_not_reported():
         run_mc_stats(PARAMS, spec, grid, 1.0, 3, 42)
     with pytest.raises(ValueError, match="overflowed"):
         run_bracket(spec, grid, [1, 2], 3, 42)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_sample_moments_are_rejected():
+    # Every state and rate is finite (about 1e-301 to 1e300), but the rates'
+    # sum and squared deviations are not.
+    params = CirParams(1.0, 3.0, 3.0, 1.0)
+    spec = MixedSpec(hurst=0.75, weight_bm=1e150, weight_fbm=0.0)
+    grid = GridSpec(1.0, 1)
+    assert run_positivity(params, spec, grid, 3, 42).min_z > 0.0
+    with pytest.raises(ValueError, match="overflowed"):
+        run_mc_stats(params, spec, grid, 1.0, 3, 42)

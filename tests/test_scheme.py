@@ -310,6 +310,13 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="finite.*overflowed"):
             self._mk([1.0, bad])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_finite_state_whose_rate_overflows(self):
+        params = CirParams(1.0, 10.0, 3.0, 1.0)
+        z = np.array([params.z0, 1e154])  # (3 * 1e154 / 2)**2 is past the float range
+        with pytest.raises(ValueError, match="overflowed"):
+            Trajectory(GridSpec(1.0, 1), z, (params.sigma * z / 2.0) ** 2, params, 0)
+
     def test_rejects_initial_mismatch(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         z = np.array([2.0, 3.0])
