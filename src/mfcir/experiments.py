@@ -5,9 +5,10 @@ are derived from the master seed with :func:`mfcir.noise.substream_seed`,
 and :func:`mfcir.mixed.ensemble_increments` turns them into increments,
 so reruns reproduce results exactly.
 
-Positivity audits and MC statistics stream the ensemble: chunks of paths
-are drawn and stepped one at a time, and only per-path reductions are
-kept, so memory does not grow with the number of paths.
+Positivity audits, MC statistics and bracket diagnostics stream the
+ensemble: chunks of paths are drawn and reduced one at a time, and only
+per-path reductions are kept, so memory does not grow with the number
+of paths.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,12 +51,24 @@ def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
     return [substream_seed(master_seed, i) for i in range(n_paths)]
 
 
-# A sweep steps at most _SWEEP_ROWS paths at a time, and fewer on long
-# grids, so that a chunk's increments hold at most _SWEEP_CELLS values
+# A chunk of the ensemble holds at most _SWEEP_ROWS paths, and fewer on
+# long grids, so that its increments hold at most _SWEEP_CELLS values
 # (32 MB); below about a thousand paths per chunk the per-step ufunc
-# overhead starts to dominate.
+# overhead of the sweep starts to dominate.
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
+
+
+def _map_chunks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], reduce: Callable) -> list:
+    """``reduce(chunk_seeds, increments)`` over the ensemble, one chunk at a time.
+
+    Returns the results in seed order.  Nothing here refers to a chunk's
+    increments once ``reduce`` returns, so the chunk is freed before the
+    next one is drawn, as long as ``reduce`` keeps no view of it.
+    """
+    rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
+    chunks = (seeds[lo : lo + rows] for lo in range(0, len(seeds), rows))
+    return [reduce(chunk, ensemble_increments(spec, grid, chunk)) for chunk in chunks]
 
 
 def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z_max: np.ndarray) -> int:
@@ -82,18 +95,14 @@ def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[i
 
     Each chunk's increments are drawn, transposed to step-major rows and
     stepped in place by :func:`~mfcir.scheme.implicit_steps`; then the
-    chunk is folded into the reductions and dropped.  Every reduction is
-    elementwise or a min/max, so the results equal those of the whole
-    (paths, n + 1) state matrix bit for bit, whatever the chunk size.
+    chunk is reduced and dropped.  Every reduction is elementwise or a
+    min/max, so the results equal those of the whole (paths, n + 1) state
+    matrix bit for bit, whatever the chunk size.
     """
     n = grid.steps_n
-    rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // n))
     z0 = params.z0
-    min_z = z0
-    violations = 0
-    z_at = np.full(len(seeds), z0)
-    for lo in range(0, len(seeds), rows):
-        inc = ensemble_increments(spec, grid, seeds[lo : lo + rows])
+
+    def reduce(chunk, inc):
         z = np.empty((n, len(inc)))  # step-major; inc is reused below
         for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
             z[:, b : b + 64] = inc[b : b + 64].T
@@ -103,11 +112,12 @@ def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[i
         z_max = z.max(axis=0)
         chunk_min = float(z.min())
         _require_in_range(chunk_min, z_max.max(), params.sigma)
-        violations += _envelope_violations(params, grid, sup_m, np.maximum(z_max, z0))
-        min_z = min(min_z, chunk_min)
-        if index > 0:
-            z_at[lo : lo + len(inc)] = z[index - 1]
-    return _Sweep(min_z, violations, z_at)
+        violations = _envelope_violations(params, grid, sup_m, np.maximum(z_max, z0))
+        z_at = z[index - 1].copy() if index > 0 else np.full(len(inc), z0)
+        return chunk_min, violations, z_at
+
+    mins, violations, z_at = zip(*_map_chunks(spec, grid, seeds, reduce))
+    return _Sweep(min(z0, *mins), sum(violations), np.concatenate(z_at))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +318,9 @@ def run_mc_stats(
     index = min(max(index, 0), grid.steps_n)
     sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), index)
     r_at = (params.sigma * sweep.z_at / 2.0) ** 2
-    mean = float(r_at.mean())
-    se = float(r_at.std(ddof=1) / math.sqrt(n_paths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(r_at.mean())
+        se = float(r_at.std(ddof=1) / math.sqrt(n_paths))
     if not (math.isfinite(mean) and math.isfinite(se)):  # every r is finite, but their sums need not be
         raise ValueError("the sample mean or its standard error overflowed (driver increments too large)")
     t_used = index * grid.dt
@@ -338,20 +349,26 @@ def run_bracket(
 
     The bracket recovers an almost-sure limit, so ensemble medians (not
     single paths) are the meaningful summary; with ``n_paths = 1`` the
-    medians reduce to the single path's values.
+    medians reduce to the single path's values.  The paths are drawn and
+    estimated one chunk at a time and only their estimates are kept, so
+    memory does not grow with the number of paths.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     refinements = [int(r) for r in refinements]
-    seeds = _path_seeds(master_seed, n_paths)
-    inc = ensemble_increments(spec, grid, seeds)
-    paths = [
-        NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
-        for row, seed in zip(inc, seeds)
-    ]
+
+    def reduce(chunk, inc):
+        inc.setflags(write=False)  # so that its rows can back NoisePaths without a copy
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
+            return [
+                [discrete_ito_iterated(NoisePath._over(grid, row, "mixed", seed, spec.hurst), r) for r in refinements]
+                for row, seed in zip(inc, chunk)
+            ]
+
+    chunks = _map_chunks(spec, grid, _path_seeds(master_seed, n_paths), reduce)
+    per_path = [path for chunk in chunks for path in chunk]  # each path: one estimate per refinement
     out = []
-    for refinement in refinements:
-        estimates = [discrete_ito_iterated(path, refinement) for path in paths]
+    for refinement, estimates in zip(refinements, zip(*per_path)):
         if not all(math.isfinite(e.bracket_value) for e in estimates):  # inf or nan if a sum overflowed
             raise ValueError("the bracket sums overflowed (driver increments too large)")
         out.append(

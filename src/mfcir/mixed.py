@@ -37,8 +37,10 @@ __all__ = ["CoupledNoise", "MixedSpec", "build_mixed", "derive_coupled", "ensemb
 _BM_STREAM = 0
 _FBM_STREAM = 1
 
-# Complex spectrum values per chunk of paths: 64 paths at 2**10 steps, one
-# at 2**16.  Keeps the chunk buffers near 7 MB whatever the number of paths.
+# Standard normals per chunk of paths, 2n per path: 64 paths at 2**10
+# steps, one at 2**16.  The chunk's normals, half spectra (n + 1 complex
+# values per path) and transform output stay near 3 MB together, whatever
+# the number of paths.
 _CHUNK_SPECTRUM = 2**17
 
 
@@ -98,18 +100,19 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
     rows = max(1, _CHUNK_SPECTRUM // (2 * n))
     for lo in range(0, len(seeds), rows):
         block = out[lo : lo + rows]
-        if spec.weight_bm != 0.0:
-            draw(block, bm_states[lo : lo + rows])
-            # Two products in the per-path samplers' order, so that rows
-            # match sample_brownian_increments bit for bit.
-            block *= np.sqrt(grid.dt)
-            block *= spec.weight_bm
-        if spec.weight_fbm != 0.0:
-            g = np.empty((len(block), 2 * n))
-            draw(g, fbm_states[lo : lo + rows])
-            fbm = _davies_harte_rows(spec.hurst, grid, g)
-            fbm *= spec.weight_fbm
-            block += fbm
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
+            if spec.weight_bm != 0.0:
+                draw(block, bm_states[lo : lo + rows])
+                # Two products in the per-path samplers' order, so that rows
+                # match sample_brownian_increments bit for bit.
+                block *= np.sqrt(grid.dt)
+                block *= spec.weight_bm
+            if spec.weight_fbm != 0.0:
+                g = np.empty((len(block), 2 * n))
+                draw(g, fbm_states[lo : lo + rows])
+                fbm = _davies_harte_rows(spec.hurst, grid, g)
+                fbm *= spec.weight_fbm
+                block += fbm
         if not np.isfinite(block).all():
             raise ValueError("increments contain NaN or Inf")
     return out

@@ -45,9 +45,12 @@ CHOLESKY_MAX_STEPS = 2048
 
 #: Version of the seed-to-sample mapping.  It changes whenever equal
 #: (seed, grid, configuration) inputs start to produce different samples.
-#: Version 2: every mixed driver draws its fractional part by circulant
-#: embedding; version 1 used the Cholesky factor up to 2048 steps.
-STREAM_VERSION = 2
+#: Version 3: the circulant embedding is inverted by a real FFT of the
+#: n + 1 distinct spectrum values, which moves fractional samples at the
+#: level of rounding.  Version 2: every mixed driver draws its fractional
+#: part by circulant embedding; version 1 used the Cholesky factor up to
+#: 2048 steps.
+STREAM_VERSION = 3
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -211,6 +214,20 @@ class NoisePath:
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
+    @classmethod
+    def _over(cls, grid: GridSpec, row: np.ndarray, kind: str, seed: int, hurst: float | None = None) -> NoisePath:
+        """A path whose increments are ``row`` itself, not a copy of it.
+
+        For increments that are already checked, such as the rows of
+        :func:`~mfcir.mixed.ensemble_increments`; ``row`` must be read-only.
+        """
+        if row.flags.writeable:
+            raise ValueError("a NoisePath can only share a read-only row")
+        path = object.__new__(cls)
+        for name, value in zip(("grid", "increments", "kind", "seed", "hurst"), (grid, row, kind, seed, hurst)):
+            object.__setattr__(path, name, value)
+        return path
+
     def path_values(self) -> np.ndarray:
         """Path values at the grid points, starting from 0 (length n + 1)."""
         values = np.empty(self.grid.steps_n + 1)
@@ -313,45 +330,64 @@ def _clamped_eigenvalues(lam: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
+    """The n + 1 distinct eigenvalues of the 2n x 2n circulant embedding.
+
+    The first row is symmetric, so the spectrum is real and lambda_k equals
+    lambda_{2n-k}; ``rfft`` computes lambda_0, ..., lambda_n only.
+    """
     # Autocovariance of the stationary increment sequence,
     # gamma(j) = dt**(2h) * (|j+1|**(2h) - 2|j|**(2h) + |j-1|**(2h)) / 2.
     j = np.arange(steps_n + 1, dtype=np.float64)
     e = 2.0 * h
     gamma = 0.5 * dt**e * ((j + 1.0) ** e - 2.0 * j**e + np.abs(j - 1.0) ** e)
     first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant row, length 2n
-    lam = _clamped_eigenvalues(np.fft.fft(first_row).real)
+    lam = _clamped_eigenvalues(np.fft.rfft(first_row).real)
     lam.setflags(write=False)
     return lam
+
+
+@lru_cache(maxsize=8)
+def _spectrum_scale(h: float, steps_n: int, dt: float) -> np.ndarray:
+    # sqrt(2n * lambda_k) per frequency k = 0..n, over sqrt(2) where the
+    # spectrum value is complex (0 < k < n): that spreads its unit variance
+    # over a real and an imaginary normal.
+    scale = np.sqrt(2 * steps_n * _circulant_eigenvalues(h, steps_n, dt))
+    scale[1:steps_n] /= np.sqrt(2.0)
+    scale.setflags(write=False)
+    return scale
 
 
 def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray) -> np.ndarray:
     """fBm increments, one path per row, from ``normals`` of shape (rows, 2n).
 
-    Each row of standard normals is assembled into a Hermitian-symmetric
-    spectrum, scaled by the square roots of the circulant eigenvalues and
-    inverted by one row-wise FFT, so a row's increments do not depend on
-    the other rows of the batch.
+    Each row of standard normals fills the n + 1 values of a
+    Hermitian-symmetric spectrum that are not redundant: real ones at
+    frequencies 0 and n (normals 0 and 1), complex ones in between (real
+    parts from normals 2..n, imaginary parts from n+1..2n-1).  Scaled by
+    the square roots of the circulant eigenvalues, they are inverted by one
+    row-wise real FFT, so a row's increments do not depend on the other
+    rows of the batch.
     """
     n = grid.steps_n
-    lam = _circulant_eigenvalues(h, n, grid.dt)
-    z = np.empty(normals.shape, dtype=np.complex128)
-    z[:, 0] = normals[:, 0]
-    z[:, n] = normals[:, 1]
-    half = (normals[:, 2 : n + 1] + 1j * normals[:, n + 1 :]) / np.sqrt(2.0)
-    z[:, 1:n] = half
-    z[:, n + 1 :] = half[:, ::-1].conj()
-    z *= np.sqrt(lam)
-    return np.sqrt(2 * n) * np.fft.ifft(z, axis=1).real[:, :n]
+    z = np.empty((len(normals), n + 1), dtype=np.complex128)
+    z.real[:, 0] = normals[:, 0]
+    z.real[:, n] = normals[:, 1]
+    z.real[:, 1:n] = normals[:, 2 : n + 1]
+    z.imag[:, 1:n] = normals[:, n + 1 :]
+    z.imag[:, ::n] = 0.0
+    z *= _spectrum_scale(h, n, grid.dt)
+    return np.fft.irfft(z, n=2 * n, axis=1)[:, :n]
 
 
 def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     """Exact fBm increments through circulant embedding (Davies-Harte).
 
     The 2n x 2n circulant extension of the increment covariance is
-    diagonalized by the FFT; its eigenvalues are cached per (h, grid).
-    Each path then consumes exactly ``2 * steps_n`` standard normals,
-    drawn in one call and assembled into a Hermitian-symmetric spectrum,
-    so the inverse FFT is real up to rounding.
+    diagonalized by the FFT; its n + 1 distinct eigenvalues are cached per
+    (h, grid).  Each path then consumes exactly ``2 * steps_n`` standard
+    normals, drawn in one call and assembled into the non-redundant half
+    of a Hermitian-symmetric spectrum, so the inverse real FFT gives a
+    real path by construction.
     """
     h = _check_hurst(h)
     g = _rng(seed).standard_normal(2 * grid.steps_n)

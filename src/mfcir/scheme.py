@@ -105,7 +105,9 @@ def _require_in_range(z_min: float, z_max: float, sigma: float) -> None:
     step, which then returns 2d / inf = 0 or inf / 2a; a finite z can
     still give an infinite rate.
     """
-    if not (z_min > 0.0 and np.isfinite((sigma * np.float64(z_max) / 2.0) ** 2)):
+    with np.errstate(over="ignore"):
+        rate_max = (sigma * np.float64(z_max) / 2.0) ** 2
+    if not (z_min > 0.0 and np.isfinite(rate_max)):
         raise ValueError("a state left the positive finite range: the implicit step overflowed "
                          "(driver increments too large)")
 
@@ -169,17 +171,20 @@ def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
     disc = np.empty(width)
     neg = np.empty(width, dtype=bool)
     prev = np.full(width, params.z0)
-    for row in rows:
-        np.add(prev, row, out=c)
-        np.multiply(c, c, out=disc)
-        np.add(disc, four_ad, out=disc)
-        np.sqrt(disc, out=disc)
-        np.add(c, disc, out=row)
-        np.divide(row, two_a, out=row)
-        np.less(c, 0.0, out=neg)
-        if neg.any():
-            row[neg] = two_d / (disc[neg] - c[neg])
-        prev = row
+    # An overflowing c * c leaves a state of 0, inf or nan, which the
+    # callers reject through _require_in_range; numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            np.add(prev, row, out=c)
+            np.multiply(c, c, out=disc)
+            np.add(disc, four_ad, out=disc)
+            np.sqrt(disc, out=disc)
+            np.add(c, disc, out=row)
+            np.divide(row, two_a, out=row)
+            np.less(c, 0.0, out=neg)
+            if neg.any():
+                row[neg] = two_d / (disc[neg] - c[neg])
+            prev = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +239,8 @@ def simulate_z(params: CirParams, noise: NoisePath) -> Trajectory:
         zk = (c + disc) / two_a if c >= 0.0 else two_d / (disc - c)
         append(zk)
     z = np.asarray(out)
-    r = (params.sigma * z / 2.0) ** 2
+    with np.errstate(over="ignore"):  # Trajectory rejects an infinite rate
+        r = (params.sigma * z / 2.0) ** 2
     return Trajectory(grid=noise.grid, z_values=z, r_values=r, params=params, seed=noise.seed)
 
 

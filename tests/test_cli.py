@@ -186,29 +186,30 @@ class TestSimulateCommand:
         assert len(records) == 6
         assert set(records[0]) == {"path_id", "t", "z", "r"}
 
-    # Captured from the per-cell format() / json.dumps emitter that the
-    # line templates replaced; any drift in either format shows here.
+    # Checked against the per-cell format() / json.dumps emitter that the
+    # line templates replaced; any drift in either format shows here.  The
+    # values are those of STREAM_VERSION 3 and move with the stream.
     GOLDEN = {
         "csv": (
             "path_id,t,z,r\n"
             "0,0,2,1\n"
             "0,0.33333333333333331,1.1747011583088096,0.34498070283301474\n"
-            "0,0.66666666666666663,1.4556088744368127,0.52969929883480127\n"
+            "0,0.66666666666666663,1.455608874436813,0.52969929883480138\n"
             "0,1,2.0432882905805831,1.0437567596059303\n"
             "1,0,2,1\n"
             "1,0.33333333333333331,1.6013712913411602,0.6410975031829137\n"
-            "1,0.66666666666666663,1.0525087378831568,0.27694366083009891\n"
-            "1,1,1.1683885622496086,0.34128295809892689\n"
+            "1,0.66666666666666663,1.0525087378831566,0.2769436608300988\n"
+            "1,1,1.1683885622496082,0.34128295809892661\n"
         ),
         "json-lines": (
             '{"path_id": 0, "t": 0.0, "z": 2.0, "r": 1.0}\n'
             '{"path_id": 0, "t": 0.3333333333333333, "z": 1.1747011583088096, "r": 0.34498070283301474}\n'
-            '{"path_id": 0, "t": 0.6666666666666666, "z": 1.4556088744368127, "r": 0.5296992988348013}\n'
+            '{"path_id": 0, "t": 0.6666666666666666, "z": 1.455608874436813, "r": 0.5296992988348014}\n'
             '{"path_id": 0, "t": 1.0, "z": 2.043288290580583, "r": 1.0437567596059303}\n'
             '{"path_id": 1, "t": 0.0, "z": 2.0, "r": 1.0}\n'
             '{"path_id": 1, "t": 0.3333333333333333, "z": 1.6013712913411602, "r": 0.6410975031829137}\n'
-            '{"path_id": 1, "t": 0.6666666666666666, "z": 1.0525087378831568, "r": 0.2769436608300989}\n'
-            '{"path_id": 1, "t": 1.0, "z": 1.1683885622496086, "r": 0.3412829580989269}\n'
+            '{"path_id": 1, "t": 0.6666666666666666, "z": 1.0525087378831566, "r": 0.2769436608300988}\n'
+            '{"path_id": 1, "t": 1.0, "z": 1.1683885622496082, "r": 0.3412829580989266}\n'
         ),
     }
 
@@ -327,7 +328,7 @@ _RATE_OVERFLOW_ARGV = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 @pytest.mark.parametrize(
     "argv",
@@ -348,6 +349,46 @@ def test_overflowing_state_is_a_config_error(argv, fmt, tmp_path, capsys):
     assert main(argv[:1] + _OVERFLOW_ARGV + argv[1:] + ["--format", fmt, "--out", str(out)]) == 2
     assert "overflowed" in capsys.readouterr().err
     assert not out.exists()
+
+
+_ALL_COMMANDS = [["simulate"], ["positivity"], ["mcstats"], ["bracket"],
+                 ["convergence", "--n-list", "4,8", "--n-ref", "64"]]
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda argv: argv[0])
+def test_overflow_prints_only_the_error_line(argv, tmp_path):
+    # a fresh interpreter, with Python's default warning filters: numpy's
+    # overflow warning must not reach stderr ahead of the error
+    out = tmp_path / "out"
+    proc = _run_python("-m", "mfcir", *argv[:1], *_OVERFLOW_ARGV, *argv[1:], "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("mfcir: error:") and "overflowed" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda argv: argv[0])
+def test_single_path(argv, tmp_path, capsys):
+    # a standard error needs two paths; every other command runs on one
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--n", "16", "--paths", "1", "--out", str(out)] + argv[1:])
+    err = capsys.readouterr().err
+    if argv[0] == "mcstats":
+        assert code == 2 and "n_paths must be >= 2" in err
+        assert not out.exists()
+    else:
+        assert code == 0, err
+        assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda argv: argv[0])
+def test_largest_seed(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    base = argv[:1] + ["--n", "16", "--paths", "2", "--out", str(out)] + argv[1:]
+    assert main(base + ["--seed", str(2**64 - 1)]) == 0, capsys.readouterr().err
+    assert out.stat().st_size > 0
+    assert main(base + ["--seed", str(2**64)]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
 
 
 class TestReportCommands:

@@ -1,6 +1,7 @@
 """Harness tests: convergence studies, positivity audits, MC statistics."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mfcir.experiments import (
     run_positivity,
 )
 from mfcir.mixed import MixedSpec, build_mixed, ensemble_increments
-from mfcir.noise import GridSpec
+from mfcir.noise import GridSpec, NoisePath
 from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
@@ -249,6 +250,26 @@ class TestBracketEnsemble:
         with pytest.raises(ValueError):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0)
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("n, refinements", [(6, [1, 2, 3, 6]), (2**8, [1, 4, 16])])
+    def test_medians_of_per_path_estimates(self, monkeypatch, rows, n, refinements):
+        # the chunked run on shared rows equals, bit for bit, the estimator
+        # on one NoisePath copy per row of the whole ensemble
+        spec, grid = MixedSpec(), GridSpec(1.0, n)
+        seeds = _path_seeds(11, 7)
+        paths = [
+            NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
+            for row, seed in zip(ensemble_increments(spec, grid, seeds), seeds)
+        ]
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
+        for est, refinement in zip(run_bracket(spec, grid, refinements, 7, 11), refinements, strict=True):
+            per_path = [discrete_ito_iterated(path, refinement) for path in paths]
+            assert est.refinement == refinement
+            assert est.grid == per_path[0].grid
+            for field in ("qv_sum", "iterated_correction", "bracket_value"):
+                assert getattr(est, field) == float(np.median([getattr(e, field) for e in per_path])), field
+
 
 # m = -0.3 and a heavy Brownian weight: many steps take the c < 0 root branch.
 SWEEP_PARAMS = CirParams(1.0, 0.35, 1.0, 0.04)
@@ -309,6 +330,27 @@ class TestSweep:
         assert run_positivity(*args, len(seeds), 5).bound_violations == expected
         assert run_mc_stats(*args, 1.0, len(seeds), 5).bound_violations == expected
 
+    @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket"])
+    def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
+        returned = []
+
+        def spy(spec, grid, seeds):
+            assert all(ref() is None for ref in returned), "the previous chunk is still alive"
+            inc = ensemble_increments(spec, grid, seeds)
+            returned.append(weakref.ref(inc))
+            return inc
+
+        monkeypatch.setattr(experiments, "ensemble_increments", spy)
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
+        args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
+        if run == "positivity":
+            run_positivity(*args, 10, 3)
+        elif run == "mc_stats":
+            run_mc_stats(*args, 0.5, 10, 3)
+        else:
+            run_bracket(SWEEP_SPEC, SWEEP_GRID, [1, 4], 10, 3)
+        assert len(returned) == 4
+
     @pytest.mark.parametrize(
         "argv, chunk",
         [
@@ -329,7 +371,7 @@ class TestSweep:
         assert sum(sizes) == int(argv[-1])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_driver_is_rejected_not_reported():
     # c * c overflows in the step, which then returns 0 or inf; no report
     # may carry those states as a minimum or a mean.
@@ -343,7 +385,7 @@ def test_overflowing_driver_is_rejected_not_reported():
         run_bracket(spec, grid, [1, 2], 3, 42)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_sample_moments_are_rejected():
     # Every state and rate is finite (about 1e-301 to 1e300), but the rates'
     # sum and squared deviations are not.

@@ -13,8 +13,10 @@ from mfcir.noise import (
     FactorizationError,
     GridSpec,
     NoisePath,
+    STREAM_VERSION,
     _circulant_eigenvalues,
     _clamped_eigenvalues,
+    _davies_harte_rows,
     _pcg64_states,
     _spd_factor,
     fbm_covariance,
@@ -199,6 +201,55 @@ class TestDaviesHarte:
             lam = _circulant_eigenvalues(h, n, 1.0 / n)
             assert lam.min() > 0.0, (h, n, lam.min() / lam.max())
 
+    @pytest.mark.parametrize("h", [0.501, 0.75, 0.999])
+    def test_embedding_positive_without_clamp_on_long_grids(self, h):
+        # 2**16 steps is the grid of the benchmark's bracket workload
+        for n in 2 ** np.arange(12, 17):
+            lam = _circulant_eigenvalues(h, int(n), 1.0 / n)
+            assert lam.min() > 0.0, (h, n, lam.min() / lam.max())
+
+    def test_eigenvalues_match_the_full_spectrum(self):
+        # rfft of the symmetric circulant row gives the n + 1 distinct
+        # eigenvalues of its full-length fft, lambda_k = lambda_{2n-k}
+        for h in (0.501, 0.75, 0.999):
+            for n in (1, 2, 3, 1024, 2049, 4096, 65536):
+                gamma = fgn_autocovariance(h, 1.0 / n, np.arange(n + 1.0))
+                full = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+                lam = _circulant_eigenvalues(h, n, 1.0 / n)
+                assert lam.shape == (n + 1,)
+                tol = 1e-13 * lam.max()
+                assert np.abs(full[: n + 1] - lam).max() <= tol, (h, n)
+                assert np.all(np.abs(full[n + 1 :] - lam[n - 1 : 0 : -1]) <= tol), (h, n)
+
+    @staticmethod
+    def _full_spectrum_rows(h, grid, normals):
+        """The transform as a complex ifft of the whole Hermitian spectrum."""
+        n = grid.steps_n
+        lam = _circulant_eigenvalues(h, n, grid.dt)
+        lam = np.concatenate([lam, lam[-2:0:-1]])  # lambda_{2n-k} = lambda_k
+        z = np.empty(normals.shape, dtype=np.complex128)
+        z[:, 0] = normals[:, 0]
+        z[:, n] = normals[:, 1]
+        half = (normals[:, 2 : n + 1] + 1j * normals[:, n + 1 :]) / np.sqrt(2.0)
+        z[:, 1:n] = half
+        z[:, n + 1 :] = half[:, ::-1].conj()
+        z *= np.sqrt(lam)
+        return np.sqrt(2 * n) * np.fft.ifft(z, axis=1).real[:, :n]
+
+    @pytest.mark.parametrize("h", [0.501, 0.75, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 2049, 4096, 65536])
+    def test_half_spectrum_matches_full_spectrum(self, h, n):
+        grid = GridSpec(1.0, n)
+        normals = np.random.default_rng(n).standard_normal((3, 2 * n))
+        got = _davies_harte_rows(h, grid, normals)
+        want = self._full_spectrum_rows(h, grid, normals)
+        assert got.shape == (3, n)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+
+    def test_stream_version(self):
+        # version 3: the transform is a real FFT of the half spectrum
+        assert STREAM_VERSION == 3
+
     def test_eigenvalue_clamp_vs_raise(self):
         lam = np.array([1.0, -5e-9, 0.5])
         cleaned = _clamped_eigenvalues(lam)
@@ -269,6 +320,17 @@ class TestGridAndPathValidation:
             NoisePath(grid=grid, increments=np.zeros(3), kind="levy", seed=0)
         with pytest.raises(ValueError):
             NoisePath(grid=grid, increments=np.zeros(3), kind="fractional", seed=0)  # no hurst
+
+    def test_path_over_a_row_shares_it(self):
+        grid = GridSpec(1.0, 3)
+        rows = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            NoisePath._over(grid, rows[1], "mixed", 9, 0.75)
+        rows.setflags(write=False)
+        path = NoisePath._over(grid, rows[1], "mixed", 9, 0.75)
+        assert np.shares_memory(path.increments, rows)
+        assert (path.grid, path.kind, path.seed, path.hurst) == (grid, "mixed", 9, 0.75)
+        assert np.array_equal(path.path_values(), [0.0, 3.0, 7.0, 12.0])
 
     def test_increments_are_read_only(self):
         path = sample_brownian_increments(GridSpec(1.0, 4), 0)
