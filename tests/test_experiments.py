@@ -13,7 +13,6 @@ from mfcir.experiments import (
     ConvergenceReport,
     McStats,
     PositivityReport,
-    _bound_violations,
     _fit_order,
     _path_seeds,
     _sweep,
@@ -22,12 +21,40 @@ from mfcir.experiments import (
     run_mc_stats,
     run_positivity,
 )
-from mfcir.mixed import MixedSpec, build_mixed, ensemble_increments
+from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
 from mfcir.noise import GridSpec, NoisePath
 from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
 ZERO_NOISE = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=0.0)
+
+
+def _bound_violations(params, grid, increments, z):
+    """Reference envelope count: rows of ``z`` (paths, n + 1) that pierce it."""
+    sup_m = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
+    return experiments._envelope_violations(params, grid, sup_m, z.max(axis=1))
+
+
+def _coupled_solutions(params, spec, n_list, n_ref, seed):
+    """(driver, trajectory) on the fine grid, then on each coarse grid, for one seed."""
+    coupled = derive_coupled(spec, 1.0, n_ref, n_list, seed)
+    noises = [coupled.fine] + [coupled.coarse_views[n] for n in n_list]
+    return [(noise, simulate_z(params, noise)) for noise in noises]
+
+
+def _convergence_reference(params, spec, n_list, n_ref, seeds):
+    """Per-seed errors and envelope count of a convergence study, one seed at a time."""
+    errors = np.empty((len(seeds), len(n_list)))
+    violations = 0
+    for row, seed in enumerate(seeds):
+        solutions = _coupled_solutions(params, spec, n_list, n_ref, seed)
+        ref = solutions[0][1]
+        for noise, traj in solutions:
+            violations += _bound_violations(params, noise.grid, noise.increments[None, :], traj.z_values[None, :])
+        for col, (noise, traj) in enumerate(solutions[1:]):
+            on_fine = np.interp(ref.grid.times, noise.grid.times, traj.z_values)
+            errors[row, col] = np.max(np.abs(on_fine - ref.z_values))
+    return errors, violations
 
 
 class TestConvergence:
@@ -83,6 +110,41 @@ class TestConvergence:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="24"):
             run_convergence(PARAMS, ZERO_NOISE, 1.0, [24], 2**9, [0])
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize(
+        "spec, n_list, n_ref",
+        [
+            (MixedSpec(weight_bm=2.0), [4, 8, 16], 128),  # many steps take the c < 0 root branch
+            (MixedSpec(hurst=0.9, weight_fbm=-1.5), [16, 64], 2**10),
+        ],
+    )
+    def test_matches_per_seed_reference(self, monkeypatch, rows, spec, n_list, n_ref):
+        # the chunked study equals, bit for bit, derive_coupled + simulate_z +
+        # np.interp run one seed at a time
+        seeds = _path_seeds(17, 7)
+        errors, violations = _convergence_reference(PARAMS, spec, n_list, n_ref, seeds)
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
+        report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, seeds)
+        medians = np.median(errors, axis=0)
+        assert np.array_equal(report.errors_per_seed, errors)
+        assert report.sup_errors == tuple(float(e) for e in medians)
+        assert report.fitted_order == _fit_order(n_list, medians)[0]
+        assert report.bound_violations == violations
+
+    def test_brownian_strong_order_band(self):
+        # Brownian driver: strong order 1/2 (Dereich, Neuenkirch & Szpruch
+        # 2012); the sup-norm error carries a log factor, so the fit sits
+        # somewhat below 1/2.
+        params = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=1.0)
+        n_list = [2**j for j in range(6, 11)]
+        seeds = _path_seeds(909, 50)
+        report = run_convergence(params, MixedSpec(weight_fbm=0.0), 1.0, n_list, 2**14, seeds)
+        assert 0.35 <= report.fitted_order <= 0.6
+        assert report.fit_r2 >= 0.99
+        assert all(a > b for a, b in zip(report.sup_errors, report.sup_errors[1:]))
+        assert report.bound_violations == 0
 
 
 class TestFitOrder:
@@ -330,7 +392,28 @@ class TestSweep:
         assert run_positivity(*args, len(seeds), 5).bound_violations == expected
         assert run_mc_stats(*args, 1.0, len(seeds), 5).bound_violations == expected
 
-    @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket"])
+    @pytest.mark.parametrize("shift_slack", [False, True])
+    def test_convergence_bound_violations_match_per_seed_count(self, monkeypatch, shift_slack):
+        # the count is the per-seed reference summed over the fine grid and
+        # every coarse grid
+        spec, n_list, n_ref = MixedSpec(weight_bm=2.0), [4, 8, 16], 128
+        seeds = _path_seeds(5, 20)
+        if shift_slack:
+            z0 = PARAMS.z0
+            limit = z0 + abs(experiments.singular_drift(z0, PARAMS))
+            margins = [
+                limit + 2.0 * np.abs(np.cumsum(noise.increments)).max() - traj.z_values.max()
+                for seed in seeds
+                for noise, traj in _coupled_solutions(PARAMS, spec, n_list, n_ref, seed)
+            ]
+            monkeypatch.setattr(experiments, "_BOUND_SLACK", -float(np.median(margins)))
+        _, expected = _convergence_reference(PARAMS, spec, n_list, n_ref, seeds)
+        total = len(seeds) * (1 + len(n_list))
+        assert (0 < expected < total) if shift_slack else expected == 0
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 7)
+        assert run_convergence(PARAMS, spec, 1.0, n_list, n_ref, seeds).bound_violations == expected
+
+    @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence"])
     def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
         returned = []
 
@@ -347,8 +430,10 @@ class TestSweep:
             run_positivity(*args, 10, 3)
         elif run == "mc_stats":
             run_mc_stats(*args, 0.5, 10, 3)
-        else:
+        elif run == "bracket":
             run_bracket(SWEEP_SPEC, SWEEP_GRID, [1, 4], 10, 3)
+        else:
+            run_convergence(PARAMS, SWEEP_SPEC, 1.0, [4, 8], 64, _path_seeds(3, 10))
         assert len(returned) == 4
 
     @pytest.mark.parametrize(
@@ -356,6 +441,7 @@ class TestSweep:
         [
             (["mcstats", "--weight-fbm", "0", "--n", "1024", "--paths", "1100"], 1024),
             (["positivity", "--weight-fbm", "0", "--n", "8192", "--paths", "600"], 512),
+            (["convergence", "--paths", "300"], 256),  # at the default n_ref = 2**14
         ],
     )
     def test_memory_is_bounded_by_one_chunk(self, monkeypatch, tmp_path, argv, chunk):
@@ -371,7 +457,6 @@ class TestSweep:
         assert sum(sizes) == int(argv[-1])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_driver_is_rejected_not_reported():
     # c * c overflows in the step, which then returns 0 or inf; no report
     # may carry those states as a minimum or a mean.
@@ -383,9 +468,10 @@ def test_overflowing_driver_is_rejected_not_reported():
         run_mc_stats(PARAMS, spec, grid, 1.0, 3, 42)
     with pytest.raises(ValueError, match="overflowed"):
         run_bracket(spec, grid, [1, 2], 3, 42)
+    with pytest.raises(ValueError, match="overflowed"):
+        run_convergence(PARAMS, spec, 1.0, [1, 2], 16, [42])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_sample_moments_are_rejected():
     # Every state and rate is finite (about 1e-301 to 1e300), but the rates'
     # sum and squared deviations are not.

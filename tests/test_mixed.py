@@ -119,7 +119,6 @@ class TestEnsembleIncrements:
     def test_empty_seed_list(self):
         assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weight_is_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             ensemble_increments(MixedSpec(weight_bm=1e308), GridSpec(1e6, 4), [1])
