@@ -393,9 +393,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = parse_config(list(argv))
         _run(config)
-    except ConfigError as exc:
-        print(f"mfcir: error: {exc}", file=sys.stderr)
-        return 2
     except NoiseError as exc:
         print(f"mfcir: numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -27,11 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bracket import BracketEstimate, discrete_ito_iterated
-# build_mixed and simulate_z_batch are not called here; perfbench/spans.py
-# wraps them by these names.
+# build_mixed is not called here; perfbench/spans.py wraps it by this name.
 from .mixed import MixedSpec, _block_sums, _check_divisors, build_mixed, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
-from .scheme import _require_in_range, CirParams, implicit_steps, simulate_z_batch, singular_drift, z_to_r  # noqa: F401
+from .scheme import _require_in_range, CirParams, simulate_z_batch, singular_drift, z_to_r
 
 __all__ = [
     "ConvergenceReport",
@@ -84,11 +83,7 @@ def _step_chunk(params: CirParams, grid: GridSpec, inc: np.ndarray) -> tuple[np.
     bit as :func:`~mfcir.scheme.simulate_z`), their minimum, and the number
     of paths that pierce the envelope.
     """
-    z = np.empty((grid.steps_n + 1, len(inc)))
-    z[0] = params.z0
-    for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
-        z[1:, b : b + 64] = inc[b : b + 64].T
-    implicit_steps(params, grid.dt, z[1:])
+    z = simulate_z_batch(params, grid, inc).T
     np.cumsum(inc, axis=1, out=inc)
     sup_m = np.abs(inc, out=inc).max(axis=1)
     z_max = z.max(axis=0)
@@ -305,7 +300,7 @@ def run_mc_stats(
     index = int(round(t_eval / grid.dt))
     index = min(max(index, 0), grid.steps_n)
     sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), index)
-    r_at = (params.sigma * sweep.z_at / 2.0) ** 2
+    r_at = z_to_r(sweep.z_at, params.sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(r_at.mean())
         se = float(r_at.std(ddof=1) / math.sqrt(n_paths))

@@ -12,6 +12,11 @@ form and stays strictly positive whenever ``m > -1/2``.  Positivity of z
 for every path and every step size is the point of the construction; it
 holds as long as the driver has continuous paths, with no condition on
 the step size.
+
+Each rule of the step has one home: ``_root_coefficients`` (the
+quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
+:func:`implicit_steps` (the root, in scalar and array form, bit for bit
+alike), :func:`simulate_z_batch` (a batch's layout) and :func:`z_to_r`.
 """
 
 from __future__ import annotations
@@ -69,13 +74,13 @@ class CirParams:
     @property
     def z0(self) -> float:
         """Transformed initial state (2 / sigma) * sqrt(r0)."""
-        return 2.0 / self.sigma * math.sqrt(self.r0)
+        return r_to_z(self.r0, self.sigma)
 
 
-def z_to_r(z: float, sigma: float) -> float:
-    """Invert the square-root transform: r = (sigma * z / 2)**2."""
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z}")
+def z_to_r(z: float | np.ndarray, sigma: float) -> float | np.ndarray:
+    """Invert the square-root transform of a state or an array: r = (sigma * z / 2)**2."""
+    if np.min(z) < 0.0:
+        raise ValueError(f"z must be >= 0, got {np.min(z)}")
     return (sigma * z / 2.0) ** 2
 
 
@@ -98,26 +103,16 @@ def singular_drift(z: float, params: CirParams) -> float:
 
 
 def _require_in_range(z_min: float, z_max: float, sigma: float) -> None:
-    """Raise unless the states from ``z_min`` to ``z_max`` are positive and
-    their rates ``(sigma z / 2)**2`` finite.
+    """Raise unless the states from ``z_min`` to ``z_max`` are positive and their rates finite.
 
     A state of 0, inf or nan means c * c left the float range inside the
     step, which then returns 2d / inf = 0 or inf / 2a; a finite z can
     still give an infinite rate.
     """
     with np.errstate(over="ignore"):
-        rate_max = (sigma * np.float64(z_max) / 2.0) ** 2
-    if not (z_min > 0.0 and np.isfinite(rate_max)):
-        raise ValueError("a state left the positive finite range: the implicit step overflowed "
-                         "(driver increments too large)")
-
-
-def _require_step_domain(params: CirParams) -> None:
-    if not params.m > -0.5:
-        raise ValueError(
-            f"implicit step requires m > -1/2, got m = {params.m} "
-            "(increase k * theta or decrease sigma)"
-        )
+        if not (z_min > 0.0 and np.isfinite(z_to_r(np.float64(z_max), sigma))):
+            raise ValueError("a state left the positive finite range: the implicit step overflowed "
+                             "(driver increments too large)")
 
 
 def implicit_step(z_prev: float, dm: float, dt: float, params: CirParams) -> float:
@@ -130,7 +125,8 @@ def implicit_step(z_prev: float, dm: float, dt: float, params: CirParams) -> flo
         z = (c + sqrt(c^2 + 4 a d)) / (2 a)
 
     evaluated in the branch that avoids cancellation, so the result is
-    strictly positive for every finite ``dm`` and every ``dt > 0``.
+    strictly positive for every finite ``dm`` and every ``dt > 0``.  The
+    inputs are checked here; the root is that of ``_scalar_steps``.
     """
     if not z_prev > 0.0:
         raise ValueError(f"z_prev must be > 0, got {z_prev}")
@@ -138,21 +134,35 @@ def implicit_step(z_prev: float, dm: float, dt: float, params: CirParams) -> flo
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(dm):
         raise ValueError(f"dm must be finite, got {dm}")
-    _require_step_domain(params)
-    two_a, two_d, four_ad = _root_coefficients(params, dt)
-    c = z_prev + dm
-    disc = math.sqrt(c * c + four_ad)
-    if c >= 0.0:
-        return (c + disc) / two_a
-    return two_d / (disc - c)
+    return _scalar_steps(params, dt, z_prev, [dm])[-1]
 
 
 def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, float]:
     # 2a, 2d and 4ad of the step quadratic a z^2 - c z - d = 0, shared by
-    # every form of the step so that they agree bit for bit.
+    # every form of the step so that they agree bit for bit.  The step's
+    # domain m > -1/2, that is d > 0, is checked here for all of them.
+    if not params.m > -0.5:
+        raise ValueError(
+            f"implicit step requires m > -1/2, got m = {params.m} "
+            "(increase k * theta or decrease sigma)"
+        )
     a = 1.0 + 0.5 * params.k * dt
     d = (params.m + 0.5) * dt
     return 2.0 * a, 2.0 * d, 4.0 * a * d
+
+
+def _scalar_steps(params: CirParams, dt: float, z: float, increments: list[float]) -> list[float]:
+    """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form."""
+    two_a, two_d, four_ad = _root_coefficients(params, dt)
+    out = [z]
+    append = out.append
+    sqrt = math.sqrt
+    for dm in increments:
+        c = z + dm
+        disc = sqrt(c * c + four_ad)
+        z = (c + disc) / two_a if c >= 0.0 else two_d / (disc - c)
+        append(z)
+    return out
 
 
 def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
@@ -161,10 +171,9 @@ def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
     ``rows`` has shape (steps, paths) and is C-contiguous: on entry row j
     holds every path's driver increment of step j, on exit its state
     z_{j+1}, all paths starting from ``params.z0``.  The arithmetic is
-    that of :func:`implicit_step`, so each path matches :func:`simulate_z`
+    that of ``_scalar_steps``, so each path matches :func:`simulate_z`
     bit for bit.  Scratch is three rows, whatever the number of steps.
     """
-    _require_step_domain(params)
     two_a, two_d, four_ad = _root_coefficients(params, dt)
     width = rows.shape[1]
     c = np.empty(width)
@@ -192,7 +201,7 @@ class Trajectory:
     """One simulated path of the transformed state and of the rate.
 
     ``z_values`` and ``r_values`` have length ``grid.steps_n + 1`` and are
-    linked pointwise by ``r = (sigma * z / 2)**2``.
+    linked pointwise by :func:`z_to_r`.
     """
 
     grid: GridSpec
@@ -210,7 +219,7 @@ class Trajectory:
         _require_in_range(z.min(), z.max(), self.params.sigma)
         if z[0] != self.params.z0:
             raise ValueError("z_values[0] does not match the transformed r0")
-        if not np.array_equal(r, (self.params.sigma * z / 2.0) ** 2):
+        if not np.array_equal(r, z_to_r(z, self.params.sigma)):
             raise ValueError("r_values do not match the transform of z_values")
         z.setflags(write=False)
         r.setflags(write=False)
@@ -221,26 +230,14 @@ class Trajectory:
 def simulate_z(params: CirParams, noise: NoisePath) -> Trajectory:
     """Run the implicit scheme along one driver path.
 
-    Steps sequentially from ``z0 = (2 / sigma) sqrt(r0)`` using the
-    closed-form root of :func:`implicit_step` (inlined for speed; the
-    arithmetic is identical; on one path it beats the array kernel
-    :func:`implicit_steps`).  The resulting path is strictly positive
-    whatever the Feller margin, as long as ``m > -1/2``.
+    Steps from ``z0 = (2 / sigma) sqrt(r0)`` through ``_scalar_steps``,
+    which on one path beats the array kernel :func:`implicit_steps`.  The
+    path is strictly positive whatever the Feller margin, as long as
+    ``m > -1/2``.
     """
-    _require_step_domain(params)
-    two_a, two_d, four_ad = _root_coefficients(params, noise.grid.dt)
-    zk = params.z0
-    out = [zk]
-    append = out.append
-    sqrt = math.sqrt
-    for dm in noise.increments.tolist():
-        c = zk + dm
-        disc = sqrt(c * c + four_ad)
-        zk = (c + disc) / two_a if c >= 0.0 else two_d / (disc - c)
-        append(zk)
-    z = np.asarray(out)
+    z = np.asarray(_scalar_steps(params, noise.grid.dt, params.z0, noise.increments.tolist()))
     with np.errstate(over="ignore"):  # Trajectory rejects an infinite rate
-        r = (params.sigma * z / 2.0) ** 2
+        r = z_to_r(z, params.sigma)
     return Trajectory(grid=noise.grid, z_values=z, r_values=r, params=params, seed=noise.seed)
 
 
@@ -249,14 +246,16 @@ def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) 
 
     ``increments`` has shape (paths, grid.steps_n); the result has shape
     (paths, grid.steps_n + 1) and matches path-by-path what
-    :func:`simulate_z` produces, bit for bit.
+    :func:`simulate_z` produces, bit for bit.  It is the transpose of the
+    step-major matrix, z0 in row 0, that :func:`implicit_steps` fills.
     """
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 2 or inc.shape[1] != grid.steps_n:
         raise ValueError(f"increments must have shape (paths, {grid.steps_n})")
-    z = np.empty((grid.steps_n + 1, inc.shape[0]))
+    z = np.empty((grid.steps_n + 1, len(inc)))
     z[0] = params.z0
-    z[1:] = inc.T
+    for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
+        z[1:, b : b + 64] = inc[b : b + 64].T
     implicit_steps(params, grid.dt, z[1:])
     return z.T
 

@@ -391,6 +391,50 @@ def test_largest_seed(argv, tmp_path, capsys):
 
 
 class TestReportCommands:
+    # Every report's exact bytes at a tiny size, as TestSimulateCommand
+    # pins simulate's: any drift in the numbers, the cells or the line
+    # layout of either format shows here.  The values are those of
+    # STREAM_VERSION 3 and move with the stream.
+    GOLDEN = {
+        "positivity": (
+            ["positivity", "--n", "8", "--paths", "3", "--seed", "5"],
+            "n_paths,min_z,min_r,feller_ok\n3,1.1317680523028903,0.32022473105336946,true\n",
+            '{"n_paths": 3, "min_z": 1.1317680523028903, "min_r": 0.32022473105336946, "feller_ok": true}\n',
+        ),
+        "mcstats": (
+            ["mcstats", "--weight-fbm", "0", "--n", "8", "--paths", "3", "--seed", "5"],
+            "t_eval,sample_mean,sample_se,n_paths,closed_form_mean\n1,1.2321097880780563,0.03254625637482355,3,1\n",
+            '{"t_eval": 1.0, "sample_mean": 1.2321097880780563, "sample_se": 0.03254625637482355, '
+            '"n_paths": 3, "closed_form_mean": 1.0}\n',
+        ),
+        "bracket": (
+            ["bracket", "--n", "16", "--refinements", "1,4", "--paths", "3", "--seed", "5"],
+            "n,refinement,qv,bracket_value\n"
+            "16,1,1.1584323088917543,1.1584323088917543\n"
+            "4,4,1.10410467560216,1.1584323088917543\n",
+            '{"n": 16, "refinement": 1, "qv": 1.1584323088917543, "bracket_value": 1.1584323088917543}\n'
+            '{"n": 4, "refinement": 4, "qv": 1.10410467560216, "bracket_value": 1.1584323088917543}\n',
+        ),
+        "convergence": (
+            ["convergence", "--n-list", "2,4", "--n-ref", "32", "--paths", "3", "--seed", "5"],
+            "n,median_sup_error,q25,q75\n"
+            "2,0.65257957940108779,0.60749320021338682,0.96539472134803939\n"
+            "4,0.52809511941455578,0.52503551745996613,0.59244262806570058\n"
+            "fitted_order=0.30535603487519825,r2=1\n",
+            '{"n": 2, "median_sup_error": 0.6525795794010878, "q25": 0.6074932002133868, "q75": 0.9653947213480394}\n'
+            '{"n": 4, "median_sup_error": 0.5280951194145558, "q25": 0.5250355174599661, "q75": 0.5924426280657006}\n'
+            '{"fitted_order": 0.30535603487519825, "r2": 1.0}\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_golden_bytes(self, command, fmt, tmp_path):
+        argv, csv, json_lines = self.GOLDEN[command]
+        out = tmp_path / "report"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (csv if fmt == "csv" else json_lines).encode("ascii")
+
     def test_convergence_rows_and_footer(self, tmp_path):
         out = tmp_path / "conv.csv"
         argv = [

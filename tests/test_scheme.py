@@ -1,12 +1,15 @@
 """Scheme tests: drift, implicit step (with bisection oracle), trajectories."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcir.cli import main
+from mfcir.experiments import run_positivity
 from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import GridSpec, NoisePath
 from mfcir.scheme import (
@@ -96,6 +99,12 @@ class TestTransforms:
         with pytest.raises(ValueError):
             r_to_z(-0.1, 1.0)
 
+    def test_array_of_states(self):
+        z = np.array([0.0, 0.5, 2.0, 3.0])
+        assert np.array_equal(z_to_r(z, 0.8), np.array([z_to_r(v, 0.8) for v in z.tolist()]))
+        with pytest.raises(ValueError, match="z must be >= 0, got -0.1"):
+            z_to_r(np.array([1.0, -0.1, 2.0]), 1.0)
+
 
 class TestDrift:
     def test_equilibrium_root(self):
@@ -137,6 +146,56 @@ class TestImplicitStep:
             implicit_step(1.0, math.nan, 0.1, PARAMS_M_HALF)
         with pytest.raises(ValueError, match="-1/2"):
             implicit_step(1.0, 0.0, 0.1, CirParams(1.0, 0.1, 1.0, 0.1))  # m = -0.8
+
+
+class TestStepDomainEdge:
+    """k = sigma = r0 = 1, where theta = 1/4 puts m = -1/2 exactly on the edge of the step's domain."""
+
+    EDGE = 0.25
+    INSIDE = math.nextafter(0.25, 1.0)  # m = -1/2 + 2**-53
+    MESSAGE = "implicit step requires m > -1/2, got m = -0.5 (increase k * theta or decrease sigma)"
+    GRID = GridSpec(1.0, 16)
+    SPEC = MixedSpec(weight_bm=4.0, weight_fbm=0.0)  # some steps take the c < 0 branch, where z falls to ~1e-17
+
+    def _states(self, entry, params):
+        grid, spec = self.GRID, self.SPEC
+        noise = build_mixed(spec, grid, 3)
+        if entry == "implicit_step":
+            return np.array([implicit_step(1.0, -3.0, grid.dt, params)])
+        if entry == "simulate_z":
+            return simulate_z(params, noise).z_values
+        if entry == "implicit_steps":
+            rows = np.stack([noise.increments, -noise.increments], axis=1)
+            implicit_steps(params, grid.dt, rows)
+            return rows
+        if entry == "simulate_z_batch":
+            return simulate_z_batch(params, grid, np.stack([noise.increments, -noise.increments]))
+        report = run_positivity(params, spec, grid, 5, 3)
+        return np.array([report.min_z, report.min_r])
+
+    ENTRIES = ["implicit_step", "simulate_z", "implicit_steps", "simulate_z_batch", "run_positivity"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_edge_is_rejected_with_one_message(self, entry):
+        params = CirParams(1.0, self.EDGE, 1.0, 1.0)
+        assert params.m == -0.5
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            self._states(entry, params)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_just_inside_stays_positive(self, entry):
+        params = CirParams(1.0, self.INSIDE, 1.0, 1.0)
+        assert params.m > -0.5
+        states = self._states(entry, params)
+        assert np.all(states > 0.0) and np.all(np.isfinite(states))
+
+    @pytest.mark.parametrize("command", ["simulate", "positivity", "mcstats"])
+    def test_cli(self, command, tmp_path, capsys):
+        argv = [command, "--k", "1", "--sigma", "1", "--r0", "1", "--n", "16", "--paths", "5", "--weight-fbm", "0",
+                "--out", str(tmp_path / "out")]
+        assert main(argv + ["--theta", repr(self.EDGE)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"mfcir: error: {self.MESSAGE}"
+        assert main(argv + ["--theta", repr(self.INSIDE)]) == 0
 
 
 def param_strategy():
