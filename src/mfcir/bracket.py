@@ -53,16 +53,15 @@ def quadratic_variation(noise: NoisePath) -> float:
     return float(np.dot(inc, inc))
 
 
-def _split_blocks(noise: NoisePath, refinement: int) -> int:
+def _split_blocks(steps_n: int, refinement: int) -> int:
+    """The number of outer intervals of ``refinement`` steps in a grid of ``steps_n``."""
     if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)):
         raise TypeError(f"refinement must be an integer, got {refinement!r}")
     if refinement < 1:
         raise ValueError(f"refinement must be >= 1, got {refinement}")
-    if noise.grid.steps_n % refinement != 0:
-        raise ValueError(
-            f"refinement {refinement} does not divide steps_n {noise.grid.steps_n}"
-        )
-    return noise.grid.steps_n // int(refinement)
+    if steps_n % refinement != 0:
+        raise ValueError(f"refinement {refinement} does not divide steps_n {steps_n}")
+    return steps_n // int(refinement)
 
 
 def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:
@@ -74,7 +73,7 @@ def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:
     inner structure, so the correction is zero and the bracket equals the
     plain quadratic variation.
     """
-    n_outer = _split_blocks(noise, refinement)
+    n_outer = _split_blocks(noise.grid.steps_n, refinement)
     blocks = noise.increments.reshape(n_outer, refinement)
     outer_inc = blocks.sum(axis=1)
     qv_sum = float(np.dot(outer_inc, outer_inc))
@@ -117,7 +116,7 @@ def ito_formula_residual(noise: NoisePath, refinement: int = 1, f=None, df=None,
         raise ValueError("f, df and d2f must be supplied together")
     if f is None:
         f, df, d2f = _square, _two_x, _two
-    n_outer = _split_blocks(noise, refinement)
+    n_outer = _split_blocks(noise.grid.steps_n, refinement)
     outer_inc = noise.increments.reshape(n_outer, refinement).sum(axis=1)
     values = np.empty(n_outer + 1)
     values[0] = 0.0

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bracket import BracketEstimate, discrete_ito_iterated
+from .bracket import BracketEstimate, _split_blocks, discrete_ito_iterated
 # build_mixed is not called here; perfbench/spans.py wraps it by this name.
 from .mixed import MixedSpec, _block_sums, _check_divisors, build_mixed, ensemble_increments  # noqa: F401
 from .noise import GridSpec, NoisePath, substream_seed
@@ -46,6 +47,9 @@ _BOUND_SLACK = 1e-9
 
 
 def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
+    """The seeds of paths 0, ..., n_paths - 1; every ensemble has at least one."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     return [substream_seed(master_seed, i) for i in range(n_paths)]
 
 
@@ -141,8 +145,6 @@ def run_positivity(
     regime was audited.  ``min_r`` is the transform of ``min_z``, so the
     two minima always agree.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), grid.steps_n)
     return PositivityReport(
         params=params,
@@ -332,35 +334,28 @@ def run_bracket(
 
     The bracket recovers an almost-sure limit, so ensemble medians (not
     single paths) are the meaningful summary; with ``n_paths = 1`` the
-    medians reduce to the single path's values.  The paths are drawn and
-    estimated one chunk at a time and only their estimates are kept, so
-    memory does not grow with the number of paths.
+    medians reduce to the single path's values.  Every refinement must
+    divide ``grid.steps_n``; that is checked before any path is drawn.  The
+    paths are drawn and estimated one chunk at a time and only their sums
+    are kept, so memory does not grow with the number of paths.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    seeds = _path_seeds(master_seed, n_paths)
     refinements = [int(r) for r in refinements]
+    if not refinements:
+        raise ValueError("refinements must not be empty")
+    grids = [GridSpec(horizon_t=grid.horizon_t, steps_n=_split_blocks(grid.steps_n, r)) for r in refinements]
+    sums_of = attrgetter("qv_sum", "iterated_correction", "bracket_value")  # in BracketEstimate's field order
 
     def reduce(chunk, inc):
         inc.setflags(write=False)  # so that its rows can back NoisePaths without a copy
+        paths = (NoisePath._over(grid, row, "mixed", seed, spec.hurst) for row, seed in zip(inc, chunk))
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
-            return [
-                [discrete_ito_iterated(NoisePath._over(grid, row, "mixed", seed, spec.hurst), r) for r in refinements]
-                for row, seed in zip(inc, chunk)
-            ]
+            return np.array([[sums_of(discrete_ito_iterated(path, r)) for r in refinements] for path in paths])
 
-    chunks = _map_chunks(spec, grid, _path_seeds(master_seed, n_paths), reduce)
-    per_path = [path for chunk in chunks for path in chunk]  # each path: one estimate per refinement
-    out = []
-    for refinement, estimates in zip(refinements, zip(*per_path)):
-        if not all(math.isfinite(e.bracket_value) for e in estimates):  # inf or nan if a sum overflowed
-            raise ValueError("the bracket sums overflowed (driver increments too large)")
-        out.append(
-            BracketEstimate(
-                grid=estimates[0].grid,
-                qv_sum=float(np.median([e.qv_sum for e in estimates])),
-                iterated_correction=float(np.median([e.iterated_correction for e in estimates])),
-                bracket_value=float(np.median([e.bracket_value for e in estimates])),
-                refinement=refinement,
-            )
-        )
-    return out
+    sums = np.concatenate(_map_chunks(spec, grid, seeds, reduce))  # (paths, refinements, 3)
+    if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
+        raise ValueError("the bracket sums overflowed (driver increments too large)")
+    return [
+        BracketEstimate(outer, *medians.tolist(), refinement=r)
+        for outer, r, medians in zip(grids, refinements, np.median(sums, axis=0))
+    ]

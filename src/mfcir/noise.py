@@ -322,13 +322,11 @@ def _clamped_eigenvalues(lam: np.ndarray) -> np.ndarray:
     worst = float(lam.min())
     if worst < floor:
         raise CirculantEmbeddingError(
-            f"circulant embedding eigenvalue {worst:.6g} is below the tolerance "
-            f"{floor:.6g}; the Cholesky generator can serve as a fallback"
+            f"circulant embedding eigenvalue {worst:.6g} is below the tolerance {floor:.6g}"
         )
     return np.where(lam < 0.0, 0.0, lam)
 
 
-@lru_cache(maxsize=8)
 def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
     """The n + 1 distinct eigenvalues of the 2n x 2n circulant embedding.
 
@@ -341,9 +339,7 @@ def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
     e = 2.0 * h
     gamma = 0.5 * dt**e * ((j + 1.0) ** e - 2.0 * j**e + np.abs(j - 1.0) ** e)
     first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant row, length 2n
-    lam = _clamped_eigenvalues(np.fft.rfft(first_row).real)
-    lam.setflags(write=False)
-    return lam
+    return _clamped_eigenvalues(np.fft.rfft(first_row).real)
 
 
 @lru_cache(maxsize=8)
@@ -383,8 +379,8 @@ def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     """Exact fBm increments through circulant embedding (Davies-Harte).
 
     The 2n x 2n circulant extension of the increment covariance is
-    diagonalized by the FFT; its n + 1 distinct eigenvalues are cached per
-    (h, grid).  Each path then consumes exactly ``2 * steps_n`` standard
+    diagonalized by the FFT; the square roots of its n + 1 distinct
+    eigenvalues are cached per (h, grid).  Each path then consumes exactly ``2 * steps_n`` standard
     normals, drawn in one call and assembled into the non-redundant half
     of a Hermitian-symmetric spectrum, so the inverse real FFT gives a
     real path by construction.

@@ -73,10 +73,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="preset"):
             parse_config(["simulate", "--preset", "figure99"])
 
-    def test_feller_warning_not_fatal(self, capsys):
+    def test_writes_nothing(self, capsys):
+        # outside the Feller regime too: the warning belongs to a run (TestFellerWarning)
         config = parse_config(["simulate", "--sigma", "2"])
         assert config.params.sigma == 2.0
-        assert "Feller" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "")
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -496,6 +497,51 @@ class TestReportCommands:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 3
         assert set(lines[-1]) == {"fitted_order", "r2"}
+
+
+def _feller_warning(m):
+    return (
+        f"warning: Feller condition 2*k*theta > sigma^2 fails (m = {m}); "
+        "the scheme stays positive, but the exact rate may touch zero\n"
+    )
+
+
+class TestFellerWarning:
+    """Printed once, after a run that stepped the scheme outside the Feller regime."""
+
+    @pytest.mark.parametrize(
+        "argv, m",
+        [
+            (["positivity", "--theta", "0.4", "--n", "4", "--paths", "2"], "-0.2"),
+            (["simulate", "--sigma", "1.5", "--n", "4"], "-0.111111"),
+            (["mcstats", "--theta", "0.5", "--n", "4", "--paths", "2"], "0"),  # m = 0 exactly
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_after_a_stepping_run(self, argv, m, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out != ""
+        assert err == _feller_warning(m)
+
+    def test_not_for_a_rejected_step(self, capsys):
+        assert main(["positivity", "--theta", "0.25", "--n", "4"]) == 2  # m = -1/2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mfcir: error: implicit step requires m > -1/2")
+
+    def test_not_for_convergence(self, capsys):
+        assert main(["convergence", "--sigma", "3", "--paths", "1"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "mfcir: error: convergence study requires the Feller regime 2 k theta > sigma^2"
+
+    def test_not_for_bracket(self, capsys):
+        assert main(["bracket", "--sigma", "3", "--n", "8"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_not_after_a_failed_write(self, capsys):
+        assert main(["simulate", "--theta", "0.4", "--n", "4", "--out", "/no/such/dir/out.csv"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mfcir: i/o error:")
 
 
 class TestExitCodes:

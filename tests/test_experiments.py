@@ -312,6 +312,17 @@ class TestBracketEnsemble:
         with pytest.raises(ValueError):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0)
 
+    @pytest.mark.parametrize(
+        "refinements, match",
+        [([], "must not be empty"), ([0], "must be >= 1"), ([3], "does not divide"), ([1, 3], "does not divide")],
+    )
+    def test_rejects_refinements_before_any_draw(self, monkeypatch, refinements, match):
+        calls = []
+        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_bracket(MixedSpec(), GridSpec(1.0, 8), refinements, 3, 0)
+        assert calls == []
+
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize("n, refinements", [(6, [1, 2, 3, 6]), (2**8, [1, 4, 16])])
     def test_medians_of_per_path_estimates(self, monkeypatch, rows, n, refinements):
@@ -331,6 +342,20 @@ class TestBracketEnsemble:
             assert est.grid == per_path[0].grid
             for field in ("qv_sum", "iterated_correction", "bracket_value"):
                 assert getattr(est, field) == float(np.median([getattr(e, field) for e in per_path])), field
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: _path_seeds(1, 0),
+        lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0, 0),
+        lambda: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0),
+    ],
+    ids=["path_seeds", "positivity", "bracket"],
+)
+def test_empty_ensemble_is_rejected_by_one_check(run):
+    with pytest.raises(ValueError, match=r"^n_paths must be >= 1, got 0$"):
+        run()
 
 
 # m = -0.3 and a heavy Brownian weight: many steps take the c < 0 root branch.
