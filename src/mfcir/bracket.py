@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import GridSpec, NoisePath
+from .noise import GridSpec, NoisePath, _require_integer
 
 __all__ = [
     "BracketEstimate",
@@ -55,13 +55,12 @@ def quadratic_variation(noise: NoisePath) -> float:
 
 def _split_blocks(steps_n: int, refinement: int) -> int:
     """The number of outer intervals of ``refinement`` steps in a grid of ``steps_n``."""
-    if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)):
-        raise TypeError(f"refinement must be an integer, got {refinement!r}")
+    refinement = _require_integer("refinement", refinement)
     if refinement < 1:
         raise ValueError(f"refinement must be >= 1, got {refinement}")
     if steps_n % refinement != 0:
         raise ValueError(f"refinement {refinement} does not divide steps_n {steps_n}")
-    return steps_n // int(refinement)
+    return steps_n // refinement
 
 
 def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:

@@ -261,27 +261,40 @@ def _sink(path: str):
         raise
 
 
-# One line template per format.  %r of a finite float is the shortest
-# repr that round-trips, which is what json.dumps writes.
-_TRAJECTORY_ROW = {
-    "csv": "%d,%.17g,%.17g,%.17g\n",
-    "json-lines": '{"path_id": %d, "t": %r, "z": %r, "r": %r}\n',
+# Per format: the header, then the cells of one row around its formatted
+# t: the path id's cell, t's format, and the z and r cells.  %r of a
+# finite float is the shortest repr that round-trips, which is what
+# json.dumps writes.
+_TRAJECTORY_CELLS = {
+    "csv": ("path_id,t,z,r\n", "%d,", "%.17g", ",%.17g,%.17g\n"),
+    "json-lines": ("", '{"path_id": %d, "t": ', "%r", ', "z": %r, "r": %r}\n'),
 }
 
 
 def emit_trajectories(trajectories, config: RunConfig) -> None:
     """Write simulated paths, one row per (path, grid point), stable order.
 
-    Each path is written as soon as ``trajectories`` yields it, so a lazy
-    iterable is streamed and only one path is held at a time.
+    Every path lies on ``config.grid``, so the text of one path's rows is
+    built once per run as a template: each row holds its ``t`` already
+    formatted and placeholders for the path id, ``z`` and ``r``.  A path is
+    then one ``%`` call over an argument list refilled by slice assignment,
+    and one write.  Each path is written as soon as ``trajectories``
+    yields it, so a lazy iterable is streamed and only one path, and its
+    text, is held at a time.
     """
-    row = _TRAJECTORY_ROW[config.format]
+    header, id_cell, t_format, value_cells = _TRAJECTORY_CELLS[config.format]
+    template = "".join(id_cell + t_format % t + value_cells for t in config.grid.times.tolist())
+    rows = config.grid.steps_n + 1
+    args = [0] * (3 * rows)  # path id, z, r per row
     with _sink(config.output_path) as out:
-        if config.format == "csv":
-            out.write("path_id,t,z,r\n")
+        out.write(header)
         for pid, traj in enumerate(trajectories):
-            values = zip(traj.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
-            out.writelines(row % (pid, t, z, r) for t, z, r in values)
+            if traj.grid != config.grid:
+                raise ValueError(f"path {pid} lies on {traj.grid}, not on the run's grid {config.grid}")
+            args[0::3] = [pid] * rows
+            args[1::3] = traj.z_values.tolist()
+            args[2::3] = traj.r_values.tolist()
+            out.write(template % tuple(args))
 
 
 def _report_rows(report):

@@ -30,7 +30,7 @@ import numpy as np
 from .bracket import BracketEstimate, _split_blocks, discrete_ito_iterated
 # build_mixed is not called here; perfbench/spans.py wraps it by this name.
 from .mixed import MixedSpec, _block_sums, _check_divisors, build_mixed, ensemble_increments  # noqa: F401
-from .noise import GridSpec, NoisePath, substream_seed
+from .noise import GridSpec, NoisePath, _require_integer, substream_seed
 from .scheme import _require_in_range, CirParams, simulate_z_batch, singular_drift, z_to_r
 
 __all__ = [
@@ -218,7 +218,7 @@ def run_convergence(
         )
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
-    n_list = [int(n) for n in n_list]
+    n_list = [_require_integer("coarse step count", n) for n in n_list]
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
     if len(set(n_list)) != len(n_list):
@@ -340,9 +340,10 @@ def run_bracket(
     are kept, so memory does not grow with the number of paths.
     """
     seeds = _path_seeds(master_seed, n_paths)
-    refinements = [int(r) for r in refinements]
+    refinements = list(refinements)
     if not refinements:
         raise ValueError("refinements must not be empty")
+    # _split_blocks rejects a refinement that is not an integer or not a divisor
     grids = [GridSpec(horizon_t=grid.horizon_t, steps_n=_split_blocks(grid.steps_n, r)) for r in refinements]
     sums_of = attrgetter("qv_sum", "iterated_correction", "bracket_value")  # in BracketEstimate's field order
 
@@ -356,6 +357,6 @@ def run_bracket(
     if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
         raise ValueError("the bracket sums overflowed (driver increments too large)")
     return [
-        BracketEstimate(outer, *medians.tolist(), refinement=r)
+        BracketEstimate(outer, *medians.tolist(), refinement=int(r))
         for outer, r, medians in zip(grids, refinements, np.median(sums, axis=0))
     ]

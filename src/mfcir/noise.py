@@ -152,6 +152,13 @@ def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
     return states
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform partition of [0, horizon_t] into steps_n intervals."""
@@ -161,9 +168,7 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon_t", float(self.horizon_t))
-        if isinstance(self.steps_n, bool) or not isinstance(self.steps_n, (int, np.integer)):
-            raise TypeError(f"steps_n must be an integer, got {self.steps_n!r}")
-        object.__setattr__(self, "steps_n", int(self.steps_n))
+        object.__setattr__(self, "steps_n", _require_integer("steps_n", self.steps_n))
         if not np.isfinite(self.horizon_t) or self.horizon_t <= 0.0:
             raise ValueError(f"horizon_t must be positive and finite, got {self.horizon_t}")
         if self.steps_n < 1:

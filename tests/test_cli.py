@@ -14,7 +14,9 @@ from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir.cli
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
-from mfcir.noise import CirculantEmbeddingError
+from mfcir.mixed import build_mixed
+from mfcir.noise import CirculantEmbeddingError, GridSpec
+from mfcir.scheme import simulate_z
 
 
 class TestParseConfig:
@@ -298,6 +300,43 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 4 * (2 if fail else 5)
         if fail:
             assert "third path" in capsys.readouterr().err
+
+    # One line per (path, grid point), formatted row by row: the reference
+    # for the per-grid template of emit_trajectories.
+    REFERENCE_ROW = {
+        "csv": "%d,%.17g,%.17g,%.17g\n",
+        "json-lines": '{"path_id": %d, "t": %r, "z": %r, "r": %r}\n',
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("n", [1, 3, 4096])
+    @pytest.mark.parametrize("horizon", ["1e-7", "3e5"])  # t cells in exponent and long forms
+    def test_rows_equal_a_per_row_reference(self, fmt, n, horizon, monkeypatch, tmp_path):
+        real = mfcir.cli.simulate_z
+        trajectories = []
+
+        def spy(params, noise):
+            trajectories.append(real(params, noise))
+            return trajectories[-1]
+
+        monkeypatch.setattr(mfcir.cli, "simulate_z", spy)
+        out = tmp_path / "paths"
+        argv = ["simulate", "--n", str(n), "--T", horizon, "--paths", "12", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        row = self.REFERENCE_ROW[fmt]
+        expected = "path_id,t,z,r\n" if fmt == "csv" else ""
+        for pid, traj in enumerate(trajectories):
+            values = zip(traj.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
+            expected += "".join(row % (pid, t, z, r) for t, z, r in values)
+        assert len(trajectories) == 12
+        assert out.read_bytes() == expected.encode("ascii")
+
+    def test_path_off_the_run_grid_is_rejected(self, tmp_path):
+        config = parse_config(["simulate", "--n", "4", "--out", str(tmp_path / "paths")])
+        traj = simulate_z(config.params, build_mixed(config.mixed, GridSpec(2.0, 4), 1))
+        with pytest.raises(ValueError, match="not on the run's grid"):
+            mfcir.cli.emit_trajectories([traj], config)
+        assert os.listdir(tmp_path) == []
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
         real = mfcir.cli.simulate_z

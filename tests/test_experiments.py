@@ -111,6 +111,18 @@ class TestConvergence:
         with pytest.raises(ValueError, match="24"):
             run_convergence(PARAMS, ZERO_NOISE, 1.0, [24], 2**9, [0])
 
+    @pytest.mark.parametrize("n_list", [[8.7, 16], [8.0, 16], [16, np.float64(32)], [True, 16]])
+    def test_rejects_non_integer_grids_before_any_draw(self, monkeypatch, n_list):
+        calls = []
+        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match="coarse step count must be an integer"):
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, n_list, 2**9, [0])
+        assert calls == []
+
+    def test_numpy_integer_grids_are_ints(self):
+        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, np.array([16, 32]), 2**8, [0])
+        assert report.n_list == (16, 32) and all(type(n) is int for n in report.n_list)
+
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize(
         "spec, n_list, n_ref",
@@ -240,6 +252,32 @@ class TestMcStats:
         tol = max(3.0 * stats.sample_se, 2.0 * grid.dt)
         assert abs(stats.sample_mean - stats.closed_form_mean) <= tol
 
+    @pytest.mark.parametrize(
+        "params",
+        [CirParams(1.0, 0.04, 0.2, 0.08), CirParams(1.0, 1.0, 1.0, 1.0)],  # README mcstats, figure1
+        ids=["readme", "figure1"],
+    )
+    def test_classical_variance_recovered(self, params):
+        # With w_bm = 1 and w_fbm = 0 the rate is a CIR process: r_t is
+        # c X with X noncentral chi-square (d degrees of freedom,
+        # noncentrality lam), whose cumulants give the variance and the
+        # standard error of the sample standard deviation,
+        # sqrt(kappa4 + 2 kappa2^2) / (2 sqrt(kappa2 n)).
+        n_paths = 20000
+        stats = run_mc_stats(params, MixedSpec(weight_fbm=0.0), GridSpec(1.0, 2**8), 1.0, n_paths, 4242)
+        k, theta, sigma, r0 = params.k, params.theta, params.sigma, params.r0
+        decay = math.exp(-k * stats.t_used)
+        variance = r0 * sigma**2 / k * (decay - decay**2) + theta * sigma**2 / (2 * k) * (1 - decay) ** 2
+        c = sigma**2 * (1 - decay) / (4 * k)
+        d = 4 * k * theta / sigma**2
+        lam = 4 * k * decay * r0 / (sigma**2 * (1 - decay))
+        kappa2 = c**2 * 2 * (d + 2 * lam)
+        kappa4 = c**4 * 48 * (d + 4 * lam)
+        assert kappa2 == pytest.approx(variance, rel=1e-12)
+        sd_se = math.sqrt(kappa4 + 2 * kappa2**2) / (2 * math.sqrt(kappa2 * n_paths))
+        sample_sd = stats.sample_se * math.sqrt(n_paths)
+        assert abs(sample_sd - math.sqrt(variance)) <= 4.0 * sd_se
+
     def test_closed_form_only_for_brownian_driver(self):
         grid = GridSpec(1.0, 2**5)
         with_fbm = run_mc_stats(PARAMS, MixedSpec(), grid, 0.5, 8, 2)
@@ -322,6 +360,18 @@ class TestBracketEnsemble:
         with pytest.raises(ValueError, match=match):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), refinements, 3, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("refinements", [[2.5], [2.0], [1, 2.5], [True]])
+    def test_rejects_non_integer_refinements_before_any_draw(self, monkeypatch, refinements):
+        calls = []
+        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match="refinement must be an integer"):
+            run_bracket(MixedSpec(), GridSpec(1.0, 8), refinements, 3, 0)
+        assert calls == []
+
+    def test_numpy_integer_refinements_are_ints(self):
+        [est] = run_bracket(MixedSpec(), GridSpec(1.0, 8), np.array([4]), 3, 0)
+        assert type(est.refinement) is int and est.refinement == 4
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize("n, refinements", [(6, [1, 2, 3, 6]), (2**8, [1, 4, 16])])
