@@ -63,20 +63,23 @@ def _split_blocks(steps_n: int, refinement: int) -> int:
     return steps_n // refinement
 
 
-def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:
+def discrete_ito_iterated(noise: NoisePath, refinement: int, values: np.ndarray | None = None) -> BracketEstimate:
     """Bracket estimate of ``noise`` on the grid coarsened by ``refinement``.
 
     The input grid plays the role of the fine grid: each outer interval
     covers ``refinement`` consecutive fine steps, over which the
     left-point iterated sums are accumulated.  ``refinement = 1`` has no
     inner structure, so the correction is zero and the bracket equals the
-    plain quadratic variation.
+    plain quadratic variation.  ``values`` may hold ``noise.path_values()``
+    already, so that estimates at several refinements share one sum.
     """
     n_outer = _split_blocks(noise.grid.steps_n, refinement)
     blocks = noise.increments.reshape(n_outer, refinement)
     outer_inc = blocks.sum(axis=1)
     qv_sum = float(np.dot(outer_inc, outer_inc))
-    left = noise.path_values()[:-1].reshape(n_outer, refinement)
+    if values is None:
+        values = noise.path_values()
+    left = values[:-1].reshape(n_outer, refinement)
     rel = left - left[:, :1]  # path relative to the outer-interval start
     iterated_correction = 2.0 * float(np.sum(rel * blocks))
     return BracketEstimate(

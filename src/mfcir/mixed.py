@@ -38,10 +38,10 @@ __all__ = ["CoupledNoise", "MixedSpec", "build_mixed", "derive_coupled", "ensemb
 _BM_STREAM = 0
 _FBM_STREAM = 1
 
-# Standard normals per chunk of paths, 2n per path: 64 paths at 2**10
-# steps, one at 2**16.  The chunk's normals, half spectra (n + 1 complex
-# values per path) and transform output stay near 3 MB together, whatever
-# the number of paths.
+# Standard normals per block of paths, 2n per path: 64 paths at 2**10
+# steps, one at 2**16.  The block's normals, which the transform output
+# overwrites, and its half spectra (n + 1 complex values per path) stay
+# near 2 MB together, whatever the number of paths.
 _CHUNK_SPECTRUM = 2**17
 
 
@@ -78,8 +78,14 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
     Row i is the path of ``seeds[i]``: its Brownian component comes from
     substream 0 of the seed and its fractional component from substream 1,
     through :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  The
-    paths are generated in chunks of rows, and a row does not depend on the
-    chunking or on the other seeds.
+    paths are generated in blocks of rows, and a row does not depend on the
+    blocking or on the other seeds.
+
+    The fractional part of every block is drawn into one normals buffer of
+    (rows, 2n) values and one complex spectrum buffer of (rows, n + 1),
+    both owned by this call and reused from block to block; the block's
+    fBm rows are a view of the normals, which the inverse transform
+    overwrites.
     """
     n = grid.steps_n
     out = np.zeros((len(seeds), n))
@@ -99,6 +105,9 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
     bm_states = states(_BM_STREAM) if spec.weight_bm != 0.0 else []
     fbm_states = states(_FBM_STREAM) if spec.weight_fbm != 0.0 else []
     rows = max(1, _CHUNK_SPECTRUM // (2 * n))
+    if spec.weight_fbm != 0.0:
+        normals = np.empty((min(rows, len(seeds)), 2 * n))
+        spectrum = np.empty((len(normals), n + 1), dtype=np.complex128)
     for lo in range(0, len(seeds), rows):
         block = out[lo : lo + rows]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
@@ -109,9 +118,9 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
                 block *= np.sqrt(grid.dt)
                 block *= spec.weight_bm
             if spec.weight_fbm != 0.0:
-                g = np.empty((len(block), 2 * n))
+                g = normals[: len(block)]
                 draw(g, fbm_states[lo : lo + rows])
-                fbm = _davies_harte_rows(spec.hurst, grid, g)
+                fbm = _davies_harte_rows(spec.hurst, grid, g, spectrum[: len(block)])
                 fbm *= spec.weight_fbm
                 block += fbm
         if not np.isfinite(block).all():

@@ -358,7 +358,7 @@ def _spectrum_scale(h: float, steps_n: int, dt: float) -> np.ndarray:
     return scale
 
 
-def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray) -> np.ndarray:
+def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """fBm increments, one path per row, from ``normals`` of shape (rows, 2n).
 
     Each row of standard normals fills the n + 1 values of a
@@ -368,16 +368,20 @@ def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray) -> np.ndar
     the square roots of the circulant eigenvalues, they are inverted by one
     row-wise real FFT, so a row's increments do not depend on the other
     rows of the batch.
+
+    The caller owns both buffers, so it can reuse them from block to block:
+    ``spectrum`` is complex scratch of shape (rows, n + 1), and the inverse
+    transform is written back over the consumed ``normals``.  The returned
+    increments are a (rows, n) view of ``normals``.
     """
     n = grid.steps_n
-    z = np.empty((len(normals), n + 1), dtype=np.complex128)
-    z.real[:, 0] = normals[:, 0]
-    z.real[:, n] = normals[:, 1]
-    z.real[:, 1:n] = normals[:, 2 : n + 1]
-    z.imag[:, 1:n] = normals[:, n + 1 :]
-    z.imag[:, ::n] = 0.0
-    z *= _spectrum_scale(h, n, grid.dt)
-    return np.fft.irfft(z, n=2 * n, axis=1)[:, :n]
+    spectrum.real[:, 0] = normals[:, 0]
+    spectrum.real[:, n] = normals[:, 1]
+    spectrum.real[:, 1:n] = normals[:, 2 : n + 1]
+    spectrum.imag[:, 1:n] = normals[:, n + 1 :]
+    spectrum.imag[:, ::n] = 0.0
+    spectrum *= _spectrum_scale(h, n, grid.dt)
+    return np.fft.irfft(spectrum, n=2 * n, axis=1, out=normals)[:, :n]
 
 
 def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
@@ -391,6 +395,7 @@ def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     real path by construction.
     """
     h = _check_hurst(h)
-    g = _rng(seed).standard_normal(2 * grid.steps_n)
-    inc = _davies_harte_rows(h, grid, g[None, :])[0]
+    normals = _rng(seed).standard_normal((1, 2 * grid.steps_n))
+    spectrum = np.empty((1, grid.steps_n + 1), dtype=np.complex128)
+    inc = _davies_harte_rows(h, grid, normals, spectrum)[0]
     return NoisePath(grid=grid, increments=inc, kind="fractional", seed=seed, hurst=h)

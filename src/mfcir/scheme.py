@@ -190,8 +190,11 @@ def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
             np.sqrt(disc, out=disc)
             np.add(c, disc, out=row)
             np.divide(row, two_a, out=row)
-            np.less(c, 0.0, out=neg)
-            if neg.any():
+            # The mask is built only on steps with some c < 0.  A NaN in c
+            # enters too and then changes nothing; the initial value lets a
+            # batch of zero paths through.
+            if not np.minimum.reduce(c, initial=np.inf) >= 0.0:
+                np.less(c, 0.0, out=neg)
                 row[neg] = two_d / (disc[neg] - c[neg])
             prev = row
 

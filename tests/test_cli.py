@@ -652,3 +652,17 @@ def test_cli_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, mfcir.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_bracket_run_does_not_load_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call; the ensemble medians do not use it.
+    out = tmp_path / "bracket.csv"
+    script = (
+        "import sys; from mfcir.cli import main; "
+        f"rc = main(['bracket', '--n', '64', '--refinements', '1,4', '--paths', '4', '--out', {str(out)!r}]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert out.exists()

@@ -374,24 +374,48 @@ class TestBracketEnsemble:
         assert type(est.refinement) is int and est.refinement == 4
 
     @pytest.mark.parametrize("rows", [1, 3, None])
-    @pytest.mark.parametrize("n, refinements", [(6, [1, 2, 3, 6]), (2**8, [1, 4, 16])])
+    @pytest.mark.parametrize("n, refinements", [(6, [1, 2, 3, 6]), (2**8, [1, 4, 16]), (1, [1])])
     def test_medians_of_per_path_estimates(self, monkeypatch, rows, n, refinements):
         # the chunked run on shared rows equals, bit for bit, the estimator
-        # on one NoisePath copy per row of the whole ensemble
+        # on one NoisePath copy per row of the whole ensemble and np.median
+        # of its estimates, at odd and even path counts
         spec, grid = MixedSpec(), GridSpec(1.0, n)
-        seeds = _path_seeds(11, 7)
-        paths = [
-            NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
-            for row, seed in zip(ensemble_increments(spec, grid, seeds), seeds)
-        ]
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
-        for est, refinement in zip(run_bracket(spec, grid, refinements, 7, 11), refinements, strict=True):
-            per_path = [discrete_ito_iterated(path, refinement) for path in paths]
-            assert est.refinement == refinement
-            assert est.grid == per_path[0].grid
-            for field in ("qv_sum", "iterated_correction", "bracket_value"):
-                assert getattr(est, field) == float(np.median([getattr(e, field) for e in per_path])), field
+        for n_paths in (7, 8):
+            seeds = _path_seeds(11, n_paths)
+            paths = [
+                NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
+                for row, seed in zip(ensemble_increments(spec, grid, seeds), seeds)
+            ]
+            for est, refinement in zip(run_bracket(spec, grid, refinements, n_paths, 11), refinements, strict=True):
+                per_path = [discrete_ito_iterated(path, refinement) for path in paths]
+                assert est.refinement == refinement
+                assert est.grid == per_path[0].grid
+                for field in ("qv_sum", "iterated_correction", "bracket_value"):
+                    want = float(np.median([getattr(e, field) for e in per_path]))
+                    assert getattr(est, field) == want, (n_paths, field)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 7, 8])
+def test_median_equals_numpy_median_bitwise(n_paths):
+    # finite values and zeros of both signs, odd and even counts
+    rng = np.random.default_rng(n_paths)
+    a = rng.standard_normal((n_paths, 3, 3)) * 10.0 ** rng.integers(-300, 300, (n_paths, 3, 3))
+    a[:, 0] = rng.choice([-0.0, 0.0], (n_paths, 3))
+    a[:, 1, 0] = rng.choice([-0.0, 0.0, 1.5], n_paths)
+    assert experiments._median(a).tobytes() == np.median(a, axis=0).tobytes()
+
+
+def test_bracket_correction_overflow_alone_is_rejected(monkeypatch):
+    # At refinement 2 the outer increments +x - x cancel, so every qv_sum
+    # is 0, while the iterated correction x * (-x) overflows to -inf.
+    def alternating(spec, grid, seeds):
+        return np.tile([1e160, -1e160], (len(seeds), grid.steps_n // 2))
+
+    monkeypatch.setattr(experiments, "ensemble_increments", alternating)
+    with pytest.raises(ValueError, match="overflowed"):
+        run_bracket(MixedSpec(), GridSpec(1.0, 8), [2, 4], 3, 0)
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,22 @@ class TestEnsembleIncrements:
         alone = np.vstack([ensemble_increments(spec, grid, [seed]) for seed in seeds])
         assert together.tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize(
+        "n, n_seeds",
+        [(2**16, 3), (1024, 70)],
+        ids=["one-row blocks", "partial last block"],
+    )
+    def test_reused_buffers_match_per_path_samplers_bitwise(self, n, n_seeds):
+        # 2**16 steps: every block is one row, so the normals and spectrum
+        # buffers serve each path in turn; 1024 steps: blocks of 64 rows,
+        # the last one of 6, in the first rows of the buffers
+        spec = MixedSpec(0.75, 0.6, 1.4)
+        grid = GridSpec(1.0, n)
+        seeds = [substream_seed(53, i) for i in range(n_seeds)]
+        matrix = ensemble_increments(spec, grid, seeds)
+        for row, seed in zip(matrix, seeds):
+            assert row.tobytes() == reference_row(spec, grid, seed).tobytes()
+
     def test_empty_seed_list(self):
         assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
 

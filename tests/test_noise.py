@@ -18,6 +18,7 @@ from mfcir.noise import (
     _clamped_eigenvalues,
     _davies_harte_rows,
     _pcg64_states,
+    _rng,
     _spd_factor,
     fbm_covariance,
     sample_brownian_increments,
@@ -148,15 +149,23 @@ class TestDaviesHarte:
 
     def test_stationary_increment_moments(self):
         # variance and lag-1 autocovariance of the first two increments,
-        # estimated over 1e4 paths at the stated grid
+        # estimated over 1e4 paths at the stated grid, transformed in blocks
+        # of rows with the per-path sampler's seeds and normals
         h, n = 0.75, 2**14
         grid = GridSpec(1.0, n)
-        n_paths = 10_000
+        n_paths, rows = 10_000, 16
+        normals = np.empty((rows, 2 * n))
+        spectrum = np.empty((rows, n + 1), dtype=np.complex128)
         first = np.empty(n_paths)
         second = np.empty(n_paths)
-        for i in range(n_paths):
+        for lo in range(0, n_paths, rows):
+            for row in range(rows):
+                _rng(substream_seed(41, lo + row)).standard_normal(out=normals[row])
+            inc = _davies_harte_rows(h, grid, normals, spectrum)
+            first[lo : lo + rows], second[lo : lo + rows] = inc[:, 0], inc[:, 1]
+        for i in (0, 1, rows, n_paths - 1):
             inc = sample_fbm_davies_harte(h, grid, substream_seed(41, i)).increments
-            first[i], second[i] = inc[0], inc[1]
+            assert np.array([first[i], second[i]]).tobytes() == inc[:2].tobytes(), i
         g0 = fgn_autocovariance(h, grid.dt, 0)
         g1 = fgn_autocovariance(h, grid.dt, 1)
         assert g0 == pytest.approx(grid.dt**1.5, rel=1e-12)
@@ -241,8 +250,9 @@ class TestDaviesHarte:
     def test_half_spectrum_matches_full_spectrum(self, h, n):
         grid = GridSpec(1.0, n)
         normals = np.random.default_rng(n).standard_normal((3, 2 * n))
-        got = _davies_harte_rows(h, grid, normals)
         want = self._full_spectrum_rows(h, grid, normals)
+        spectrum = np.empty((3, n + 1), dtype=np.complex128)
+        got = _davies_harte_rows(h, grid, normals, spectrum)  # overwrites normals
         assert got.shape == (3, n)
         assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
 

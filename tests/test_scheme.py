@@ -15,6 +15,7 @@ from mfcir.noise import GridSpec, NoisePath
 from mfcir.scheme import (
     CirParams,
     Trajectory,
+    _scalar_steps,
     implicit_step,
     implicit_steps,
     interpolate,
@@ -335,6 +336,20 @@ class TestSimulate:
             for step in range(dm.shape[0]):
                 z = implicit_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
                 assert rows[step, path] == z
+
+    def test_kernel_nan_column_leaves_the_others_alone(self):
+        # a NaN in c takes the masked branch, which must neither touch the
+        # NaN column nor skip a negative c in another one
+        dm = np.array([[math.nan, -5.0, 0.3], [0.1, -0.1, -2.0], [-3.0, 0.0, 4.0]])
+        rows = dm.copy()
+        implicit_steps(PARAMS_M_HALF, 0.01, rows)
+        for path in range(dm.shape[1]):
+            want = _scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, dm[:, path].tolist())[1:]
+            assert np.array_equal(rows[:, path], want, equal_nan=True)
+        assert np.isnan(rows[:, 0]).all() and np.isfinite(rows[:, 1:]).all()
+
+    def test_batch_of_zero_paths(self):
+        assert simulate_z_batch(PARAMS_M_ONE, GridSpec(1.0, 4), np.zeros((0, 4))).shape == (0, 5)
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
