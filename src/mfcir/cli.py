@@ -8,18 +8,24 @@ positivity   minimum-of-the-rate audit over an ensemble
 bracket      quadratic-variation and bracket diagnostics
 mcstats      Monte Carlo mean / SE of the rate at one time point
 
+Each command is one function in ``_COMMANDS``: it calls the library and
+writes its rows through ``emit_report`` (``simulate`` through
+``emit_trajectories``).
+
 Exit codes: 0 success, 2 configuration or validation error (an
 overflowing implicit step included), 3 I/O error, 4 numerical failure in
 the noise generator (a circulant embedding with a significantly negative
 eigenvalue).  CSV floats are written with 17 significant digits and JSON
 floats as their shortest round-trip repr, so equal configurations yield
-byte-identical files and values round-trip through ``float()``.
+byte-identical files and values round-trip through ``float()``.  JSON has
+no NaN or infinity: json-lines reports write such a value as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -29,16 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import (
-    ConvergenceReport,
-    McStats,
-    PositivityReport,
-    _path_seeds,
-    run_bracket,
-    run_convergence,
-    run_mc_stats,
-    run_positivity,
-)
+from .experiments import _path_seeds, run_bracket, run_convergence, run_mc_stats, run_positivity
 from .mixed import MixedSpec, build_mixed
 # substream_seed is not called here; perfbench/spans.py wraps it by this name.
 from .noise import GridSpec, NoiseError, substream_seed  # noqa: F401
@@ -46,13 +43,6 @@ from .scheme import CirParams, simulate_z
 
 __all__ = ["ConfigError", "RunConfig", "emit_report", "emit_trajectories", "main", "parse_config"]
 
-_COMMANDS = {
-    "simulate": "sample trajectories",
-    "convergence": "self-convergence study",
-    "positivity": "minimum-rate audit",
-    "bracket": "bracket diagnostics",
-    "mcstats": "Monte Carlo mean / SE",
-}
 _FORMATS = ("csv", "json-lines")
 
 _PRESETS = {
@@ -167,7 +157,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mfcir")
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
-    for command, summary in _COMMANDS.items():
+    for command, (summary, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
         for option in _OPTIONS:
             if not option.commands or command in option.commands:
@@ -188,11 +178,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     config-file values, explicit command-line flags.
     """
     namespace = _build_parser().parse_args(argv)
-    cli_values = {
-        option.key: getattr(namespace, option.key)
-        for option in _OPTIONS
-        if getattr(namespace, option.key, None) is not None
-    }
+    cli_values = {key: value for key, value in vars(namespace).items() if key in _OPTION_BY_KEY and value is not None}
     file_values = _read_config_file(namespace.config) if namespace.config else {}
     merged = {option.key: option.default for option in _OPTIONS}
     preset = cli_values.get("preset", file_values.get("preset"))
@@ -214,23 +200,21 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     t_eval = merged["t-eval"] if merged["t-eval"] is not None else grid.horizon_t
     if namespace.command == "mcstats":
         _require(0.0 < t_eval <= grid.horizon_t, f"t-eval must lie in (0, {grid.horizon_t}], got {t_eval}")
-    n_list = tuple(int(n) for n in merged["n-list"])
-    refinements = tuple(int(r) for r in merged["refinements"])
-    _require(len(n_list) >= 1, "n-list must not be empty")
-    _require(len(refinements) >= 1, "refinements must not be empty")
+    if namespace.command == "convergence":  # run_bracket rejects empty refinements itself
+        _require(merged["n-list"] != (), "n-list must not be empty")
     return RunConfig(
         command=namespace.command,
         params=params,
         mixed=mixed,
         grid=grid,
-        n_paths=int(merged["paths"]),
-        seed=int(merged["seed"]),
-        output_path=str(merged["out"]),
-        format=str(merged["format"]),
-        n_list=n_list,
-        n_ref=int(merged["n-ref"]),
-        refinements=refinements,
-        t_eval=float(t_eval),
+        n_paths=merged["paths"],
+        seed=merged["seed"],
+        output_path=merged["out"],
+        format=merged["format"],
+        n_list=merged["n-list"],
+        n_ref=merged["n-ref"],
+        refinements=merged["refinements"],
+        t_eval=t_eval,
     )
 
 
@@ -297,54 +281,6 @@ def emit_trajectories(trajectories, config: RunConfig) -> None:
             out.write(template % tuple(args))
 
 
-def _report_rows(report):
-    """(row dicts, footer dict or None) for one report; the keys of a row
-    are the CSV header."""
-    if isinstance(report, ConvergenceReport):
-        rows = []
-        for i, n in enumerate(report.n_list):
-            per_seed = report.errors_per_seed[:, i]
-            rows.append(
-                {
-                    "n": n,
-                    "median_sup_error": report.sup_errors[i],
-                    "q25": float(np.percentile(per_seed, 25)),
-                    "q75": float(np.percentile(per_seed, 75)),
-                }
-            )
-        return rows, {"fitted_order": report.fitted_order, "r2": report.fit_r2}
-    if isinstance(report, PositivityReport):
-        return [
-            {
-                "n_paths": report.n_paths,
-                "min_z": report.min_z,
-                "min_r": report.min_r,
-                "feller_ok": report.feller_ok,
-            }
-        ], None
-    if isinstance(report, McStats):
-        return [
-            {
-                "t_eval": report.t_eval,
-                "sample_mean": report.sample_mean,
-                "sample_se": report.sample_se,
-                "n_paths": report.n_paths,
-                "closed_form_mean": report.closed_form_mean,
-            }
-        ], None
-    # list of bracket estimates
-    rows = [
-        {
-            "n": est.grid.steps_n,
-            "refinement": est.refinement,
-            "qv": est.qv_sum,
-            "bracket_value": est.bracket_value,
-        }
-        for est in report
-    ]
-    return rows, None
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -355,41 +291,75 @@ def _cell(value) -> str:
     return "%.17g" % value
 
 
-def emit_report(report, config: RunConfig) -> None:
-    """Write one summary file for a convergence/positivity/bracket/mcstats run."""
-    rows, footer = _report_rows(report)
+def _json_value(value):
+    """None for a non-finite float: JSON has no NaN or infinity."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def emit_report(rows, footer, config: RunConfig) -> None:
+    """Write one summary file: ``rows`` (dicts whose keys are the CSV
+    header) and an optional ``footer`` dict.  The CSV footer is one line of
+    key=value cells; in json-lines it is one more record, and a non-finite
+    value is written as null (CSV keeps ``nan``)."""
     if config.format == "csv":
         lines = [",".join(rows[0])] + [",".join(_cell(v) for v in row.values()) for row in rows]
         if footer is not None:
             lines.append(",".join(f"{k}={v:.17g}" for k, v in footer.items()))
     else:
-        lines = [json.dumps(row) for row in rows]
-        if footer is not None:
-            lines.append(json.dumps(footer))
+        records = rows if footer is None else rows + [footer]
+        lines = [json.dumps({k: _json_value(v) for k, v in record.items()}) for record in records]
     with _sink(config.output_path) as out:
         out.writelines(line + "\n" for line in lines)
 
 
-def _run(config: RunConfig) -> None:
-    if config.command == "simulate":
-        seeds = _path_seeds(config.seed, config.n_paths)
-        paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
-        emit_trajectories(paths, config)
-        return
-    if config.command == "convergence":
-        seeds = _path_seeds(config.seed, config.n_paths)
-        report = run_convergence(
-            config.params, config.mixed, config.grid.horizon_t, config.n_list, config.n_ref, seeds
-        )
-    elif config.command == "positivity":
-        report = run_positivity(config.params, config.mixed, config.grid, config.n_paths, config.seed)
-    elif config.command == "bracket":
-        report = run_bracket(config.mixed, config.grid, config.refinements, config.n_paths, config.seed)
-    else:
-        report = run_mc_stats(
-            config.params, config.mixed, config.grid, config.t_eval, config.n_paths, config.seed
-        )
-    emit_report(report, config)
+def _simulate(config: RunConfig) -> None:
+    seeds = _path_seeds(config.seed, config.n_paths)
+    paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
+    emit_trajectories(paths, config)
+
+
+def _convergence(config: RunConfig) -> None:
+    seeds = _path_seeds(config.seed, config.n_paths)
+    report = run_convergence(config.params, config.mixed, config.grid.horizon_t, config.n_list, config.n_ref, seeds)
+    q25, q75 = np.percentile(report.errors_per_seed, (25, 75), axis=0).tolist()
+    rows = [
+        {"n": n, "median_sup_error": median, "q25": low, "q75": high}
+        for n, median, low, high in zip(report.n_list, report.sup_errors, q25, q75)
+    ]
+    emit_report(rows, {"fitted_order": report.fitted_order, "r2": report.fit_r2}, config)
+
+
+def _positivity(config: RunConfig) -> None:
+    report = run_positivity(config.params, config.mixed, config.grid, config.n_paths, config.seed)
+    columns = ("n_paths", "min_z", "min_r", "feller_ok")
+    emit_report([{name: getattr(report, name) for name in columns}], None, config)
+
+
+def _bracket(config: RunConfig) -> None:
+    estimates = run_bracket(config.mixed, config.grid, config.refinements, config.n_paths, config.seed)
+    rows = [
+        {"n": est.grid.steps_n, "refinement": est.refinement, "qv": est.qv_sum, "bracket_value": est.bracket_value}
+        for est in estimates
+    ]
+    emit_report(rows, None, config)
+
+
+def _mcstats(config: RunConfig) -> None:
+    report = run_mc_stats(config.params, config.mixed, config.grid, config.t_eval, config.n_paths, config.seed)
+    columns = ("t_eval", "sample_mean", "sample_se", "n_paths", "closed_form_mean")
+    emit_report([{name: getattr(report, name) for name in columns}], None, config)
+
+
+# command name -> (help line, the function that runs it).  Each function
+# calls the library and the emitters by this module's names when it runs,
+# so that a name that perfbench/spans.py replaces here is the one called.
+_COMMANDS = {
+    "simulate": ("sample trajectories", _simulate),
+    "convergence": ("self-convergence study", _convergence),
+    "positivity": ("minimum-rate audit", _positivity),
+    "bracket": ("bracket diagnostics", _bracket),
+    "mcstats": ("Monte Carlo mean / SE", _mcstats),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -398,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_config(list(argv))
-        _run(config)
+        _COMMANDS[config.command][1](config)
     except NoiseError as exc:
         print(f"mfcir: numerical failure: {exc}", file=sys.stderr)
         return 4

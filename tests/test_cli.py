@@ -538,6 +538,107 @@ class TestReportCommands:
         assert set(lines[-1]) == {"fitted_order", "r2"}
 
 
+def _strict_json(line):
+    """json.loads, but NaN and Infinity, which RFC 8259 does not allow, are errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+# One grid, so the order has no fit: fitted_order and r2 are NaN.
+_UNFITTED_CONVERGENCE = ["convergence", "--n-list", "8", "--n-ref", "64", "--paths", "2"]
+
+
+class TestJsonLines:
+    @pytest.mark.parametrize("argv", _ALL_COMMANDS + [_UNFITTED_CONVERGENCE], ids=lambda argv: " ".join(argv))
+    def test_every_line_is_strict_json(self, argv, tmp_path):
+        out = tmp_path / "out"
+        argv = argv[:1] + ["--n", "16", "--paths", "2"] + argv[1:]
+        assert main(argv + ["--format", "json-lines", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines
+        for line in lines:
+            _strict_json(line)
+
+    def test_non_finite_footer_is_null_in_json_and_nan_in_csv(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(_UNFITTED_CONVERGENCE + ["--format", "json-lines", "--out", str(out)]) == 0
+        assert _strict_json(out.read_text().splitlines()[-1]) == {"fitted_order": None, "r2": None}
+        assert main(_UNFITTED_CONVERGENCE + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "fitted_order=nan,r2=nan"
+
+    def test_emit_report_writes_null_for_every_non_finite_value(self, tmp_path):
+        out = tmp_path / "out"
+        rows = [{"a": float("inf"), "b": np.float64("nan"), "c": 1.5, "d": None, "e": 3, "f": True}]
+        footer = {"x": float("-inf"), "y": 0.25}
+        mfcir.cli.emit_report(rows, footer, parse_config(["bracket", "--format", "json-lines", "--out", str(out)]))
+        assert out.read_text() == (
+            '{"a": null, "b": null, "c": 1.5, "d": null, "e": 3, "f": true}\n{"x": null, "y": 0.25}\n'
+        )
+        mfcir.cli.emit_report(rows, footer, parse_config(["bracket", "--out", str(out)]))
+        assert out.read_text() == "a,b,c,d,e,f\ninf,nan,1.5,,3,true\nx=-inf,y=0.25\n"
+
+
+class TestCommandOnlyChecks:
+    """A list flag is checked only by the command that takes it."""
+
+    @pytest.mark.parametrize("command, line", [("simulate", "n-list="), ("positivity", "refinements=,")])
+    def test_another_commands_key_in_a_config_file_is_not_checked(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main([command, "--n", "4", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["convergence", "--n-list", ","], "n-list must not be empty"),
+            (["bracket", "--n", "8", "--refinements", ","], "refinements must not be empty"),
+        ],
+        ids=["convergence", "bracket"],
+    )
+    def test_its_own_command_still_rejects_an_empty_list(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"mfcir: error: {message}\n"
+        assert not out.exists()
+
+
+# The mfcir.cli names through which the commands reach the library and the
+# emitters.  perfbench/spans.py replaces names on mfcir.cli to time a layer,
+# so a command that held on to the functions themselves would go untimed.
+_CLI_NAMES = (
+    "run_convergence", "run_positivity", "run_bracket", "run_mc_stats",
+    "emit_report", "simulate_z", "build_mixed", "emit_trajectories",
+)
+
+
+# Each command line, and the calls it makes through those names.
+_CLI_CALLS = [
+    (["simulate", "--n", "4", "--paths", "3"], {"simulate_z": 3, "build_mixed": 3, "emit_trajectories": 1}),
+    (["convergence", "--n-list", "4,8", "--n-ref", "64", "--paths", "2"], {"run_convergence": 1, "emit_report": 1}),
+    (["positivity", "--n", "4", "--paths", "2"], {"run_positivity": 1, "emit_report": 1}),
+    (["bracket", "--n", "8", "--refinements", "1,2", "--paths", "2"], {"run_bracket": 1, "emit_report": 1}),
+    (["mcstats", "--n", "4", "--paths", "2"], {"run_mc_stats": 1, "emit_report": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _CLI_CALLS, ids=[argv[0] for argv, _ in _CLI_CALLS])
+def test_each_command_calls_the_cli_module_names(argv, expected, monkeypatch, tmp_path):
+    calls = dict.fromkeys(_CLI_NAMES, 0)
+    for name in _CLI_NAMES:
+        def spy(*args, _name=name, _real=getattr(mfcir.cli, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mfcir.cli, name, spy)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    assert calls == {**dict.fromkeys(_CLI_NAMES, 0), **expected}
+
+
 def _feller_warning(m):
     return (
         f"warning: Feller condition 2*k*theta > sigma^2 fails (m = {m}); "
