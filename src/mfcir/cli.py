@@ -233,7 +233,10 @@ def _sink(path: str):
         return
     target = os.path.realpath(path)  # through a symlink, so that the link stays
     temp = f"{target}.{os.getpid()}.part"
-    handle = open(temp, "x", encoding="ascii", newline="")
+    try:
+        handle = open(temp, "x", encoding="ascii", newline="")
+    except OSError as exc:  # name the file asked for, not this run's temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             yield handle

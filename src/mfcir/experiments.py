@@ -2,12 +2,16 @@
 
 Each run* function is a pure function of its arguments: per-path seeds
 are derived from the master seed with :func:`mfcir.noise.substream_seed`,
-and :func:`mfcir.mixed.ensemble_increments` turns them into increments,
-so reruns reproduce results exactly.
+and ``mfcir.mixed._increment_blocks`` turns them into increments, so
+reruns reproduce results exactly.
 
-Every harness streams the ensemble, convergence studies included: chunks
-of paths are drawn and reduced one at a time, and only per-path reductions
-are kept, so memory does not grow with the number of paths.
+Every harness streams the ensemble, convergence studies included, one
+chunk of paths at a time, and keeps only per-path reductions.  A chunk's
+increments arrive one block of rows at a time and are used as they
+arrive: moved into the columns of the chunk's step-major states (after
+block sums onto every coarse grid, for convergence), or estimated row by
+row (bracket).  No (paths, n) increment matrix is held, so memory does
+not grow with the number of paths.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -23,15 +27,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bracket import BracketEstimate, _split_blocks, discrete_ito_iterated
-# build_mixed is not called here; perfbench/spans.py wraps it by this name.
-from .mixed import MixedSpec, _block_sums, _check_divisors, build_mixed, ensemble_increments  # noqa: F401
+# build_mixed and simulate_z_batch are not called here; perfbench/spans.py
+# wraps them by these names.
+from .mixed import MixedSpec, _block_sums, _check_divisors, _increment_blocks, build_mixed  # noqa: F401
 from .noise import GridSpec, NoisePath, _require_integer, substream_seed
-from .scheme import _require_in_range, CirParams, simulate_z_batch, singular_drift, z_to_r
+from .scheme import (  # noqa: F401
+    _put_columns,
+    _require_in_range,
+    CirParams,
+    implicit_steps,
+    simulate_z_batch,
+    singular_drift,
+    z_to_r,
+)
 
 __all__ = [
     "ConvergenceReport",
@@ -54,9 +67,10 @@ def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
 
 
 # A chunk of the ensemble holds at most _SWEEP_ROWS paths, and fewer on
-# long grids, so that its increments hold at most _SWEEP_CELLS values
-# (32 MB); below about a thousand paths per chunk the per-step ufunc
-# overhead of the sweep starts to dominate.
+# long grids, so that its step-major states hold at most about
+# _SWEEP_CELLS values (32 MB); below about a thousand paths per chunk the
+# per-step ufunc overhead of the sweep starts to dominate.  Wider chunks
+# were measured and declined: see CHANGES.md.
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
 
@@ -76,16 +90,9 @@ def _median(a: np.ndarray) -> np.ndarray:
     return (s[k - 1] + s[k] + 0.0) / 2
 
 
-def _map_chunks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], reduce: Callable) -> list:
-    """``reduce(chunk_seeds, increments)`` over the ensemble, one chunk at a time.
-
-    Returns the results in seed order.  Nothing here refers to a chunk's
-    increments once ``reduce`` returns, so the chunk is freed before the
-    next one is drawn, as long as ``reduce`` keeps no view of it.
-    """
-    rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
-    chunks = (seeds[lo : lo + rows] for lo in range(0, len(seeds), rows))
-    return [reduce(chunk, ensemble_increments(spec, grid, chunk)) for chunk in chunks]
+def _chunk_rows(grid: GridSpec) -> int:
+    """Paths per chunk of an ensemble on ``grid``."""
+    return min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
 
 
 def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z_max: np.ndarray) -> int:
@@ -95,20 +102,74 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
-def _step_chunk(params: CirParams, grid: GridSpec, inc: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Step a chunk's (paths, n) increments, overwriting them; reject overflowed states.
+class _States:
+    """One grid's step-major states of a chunk, in buffers reused from chunk to chunk.
 
-    Returns the states, step-major (row j holds every path's z_j, bit for
-    bit as :func:`~mfcir.scheme.simulate_z`), their minimum, and the number
-    of paths that pierce the envelope.
+    Column i of ``z``, shape (n + 1, width), holds path i: z0 in row 0,
+    then its increments until :meth:`step` turns them into its states, bit
+    for bit as :func:`~mfcir.scheme.simulate_z`.  ``sup_m[i]`` is the path's
+    sup |M|, taken as its increments are loaded.
     """
-    z = simulate_z_batch(params, grid, inc).T
-    np.cumsum(inc, axis=1, out=inc)
-    sup_m = np.abs(inc, out=inc).max(axis=1)
-    z_max = z.max(axis=0)
-    z_min = float(z.min())
-    _require_in_range(z_min, z_max.max(), params.sigma)
-    return z, z_min, _envelope_violations(params, grid, sup_m, z_max)
+
+    def __init__(self, params: CirParams, grid: GridSpec, width: int):
+        self.params = params
+        self.grid = grid
+        self.z = np.empty((grid.steps_n + 1, width))
+        self.z[0] = params.z0
+        self.sup_m = np.empty(width)
+
+    def load(self, lo: int, block: np.ndarray) -> None:
+        """Put a block of increments (rows, n) into columns lo, lo + 1, ...; overwrites ``block``."""
+        hi = lo + len(block)
+        _put_columns(self.z[1:, lo:hi], block)
+        np.cumsum(block, axis=1, out=block)
+        np.abs(block, out=block).max(axis=1, out=self.sup_m[lo:hi])
+
+    def step(self, width: int) -> tuple[np.ndarray, float, int]:
+        """Step the first ``width`` columns; reject overflowed states.
+
+        Returns their states (n + 1, width), a view that the next chunk
+        overwrites, their minimum and the number of paths that pierce the
+        envelope.
+        """
+        z = self.z[:, :width]
+        implicit_steps(self.params, self.grid.dt, z[1:])
+        z_max = z.max(axis=0)
+        z_min = float(z.min())
+        _require_in_range(z_min, z_max.max(), self.params.sigma)
+        return z, z_min, _envelope_violations(self.params, self.grid, self.sup_m[:width], z_max)
+
+
+def _load(lanes: list[_States], spec: MixedSpec, chunk: Sequence[int]) -> None:
+    """Draw a chunk block by block into the columns of ``lanes``.
+
+    ``lanes[0]`` is on the driver's grid; every other lane gets the exact
+    block sums of each block, taken before the first lane overwrites it.
+    """
+    fine, *coarse = lanes
+    for lo, block in _increment_blocks(spec, fine.grid, chunk):
+        for lane in coarse:
+            lane.load(lo, _block_sums(block, lane.grid.steps_n))
+        fine.load(lo, block)
+
+
+def _stepped_chunks(
+    params: CirParams, spec: MixedSpec, grids: Sequence[GridSpec], seeds: Sequence[int]
+) -> Iterator[tuple[int, list[tuple[np.ndarray, float, int]]]]:
+    """Run the scheme over the ensemble of ``seeds`` on ``grids``, one chunk of paths at a time.
+
+    The driver is drawn on ``grids[0]`` and block-summed onto the others.
+    Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is the chunk's
+    :meth:`_States.step` on ``grids[g]``.  Every reduction of the states
+    is elementwise or a min/max, so the results equal those of the whole
+    (paths, n + 1) state matrix bit for bit, whatever the chunk size.
+    """
+    rows = _chunk_rows(grids[0])
+    lanes = [_States(params, grid, min(rows, len(seeds))) for grid in grids]
+    for lo in range(0, len(seeds), rows):
+        chunk = seeds[lo : lo + rows]
+        _load(lanes, spec, chunk)
+        yield lo, [lane.step(len(chunk)) for lane in lanes]
 
 
 class _Sweep(NamedTuple):
@@ -118,20 +179,14 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], index: int) -> _Sweep:
-    """Run the scheme over the ensemble of ``seeds``, one chunk of paths at a time.
-
-    Each chunk is drawn, stepped by :func:`_step_chunk`, reduced and
-    dropped.  Every reduction is elementwise or a min/max, so the results
-    equal those of the whole (paths, n + 1) state matrix bit for bit,
-    whatever the chunk size.
-    """
-
-    def reduce(chunk, inc):
-        z, z_min, violations = _step_chunk(params, grid, inc)
-        return z_min, violations, z[index].copy()
-
-    mins, violations, z_at = zip(*_map_chunks(spec, grid, seeds, reduce))
-    return _Sweep(min(mins), sum(violations), np.concatenate(z_at))
+    """Run the scheme over the ensemble of ``seeds`` and reduce it, one chunk of paths at a time."""
+    min_z, violations = math.inf, 0
+    z_at = np.empty(len(seeds))
+    for lo, [(z, chunk_min, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
+        min_z = min(min_z, chunk_min)
+        violations += chunk_violations
+        z_at[lo : lo + z.shape[1]] = z[index]
+    return _Sweep(min_z, violations, z_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,20 +303,15 @@ def run_convergence(
     grids = [GridSpec(horizon_t=horizon_t, steps_n=n) for n in n_list]
     fine_times = fine_grid.times
 
-    def reduce(chunk, inc):
-        coarse = [_block_sums(inc, n) for n in n_list]  # before _step_chunk overwrites inc
-        ref, _, violations = _step_chunk(params, fine_grid, inc)
-        errors = np.empty((len(inc), len(n_list)))
-        for col, (grid, coarse_inc) in enumerate(zip(grids, coarse)):
-            z, _, v = _step_chunk(params, grid, coarse_inc)
+    errors = np.empty((len(seeds), len(n_list)))
+    violations = 0
+    for lo, [(ref, _, v), *coarse] in _stepped_chunks(params, spec, [fine_grid, *grids], seeds):
+        violations += v
+        for col, (grid, (z, _, v)) in enumerate(zip(grids, coarse)):
             violations += v
             times = grid.times
-            for row in range(len(inc)):
-                errors[row, col] = np.max(np.abs(np.interp(fine_times, times, z[:, row]) - ref[:, row]))
-        return errors, violations
-
-    errors, violations = zip(*_map_chunks(spec, fine_grid, seeds, reduce))
-    errors = np.concatenate(errors)
+            for row in range(z.shape[1]):
+                errors[lo + row, col] = np.max(np.abs(np.interp(fine_times, times, z[:, row]) - ref[:, row]))
     medians = _median(errors)
     order, r2, note = _fit_order(n_list, medians)
     return ConvergenceReport(
@@ -272,7 +322,7 @@ def run_convergence(
         n_ref=int(n_ref),
         seeds_used=tuple(int(s) for s in seeds),
         errors_per_seed=errors,
-        bound_violations=sum(violations),
+        bound_violations=violations,
         fit_note=note,
     )
 
@@ -350,9 +400,9 @@ def run_bracket(
     The bracket recovers an almost-sure limit, so ensemble medians (not
     single paths) are the meaningful summary; with ``n_paths = 1`` the
     medians reduce to the single path's values.  Every refinement must
-    divide ``grid.steps_n``; that is checked before any path is drawn.  The
-    paths are drawn and estimated one chunk at a time and only their sums
-    are kept, so memory does not grow with the number of paths.
+    divide ``grid.steps_n``; that is checked before any path is drawn.  Each
+    block of paths is estimated row by row as it is drawn, and only the
+    sums are kept, so memory does not grow with the number of paths.
     """
     seeds = _path_seeds(master_seed, n_paths)
     refinements = list(refinements)
@@ -369,13 +419,18 @@ def run_bracket(
         np.cumsum(path.increments, out=values[1:])  # path.path_values(), into the shared buffer
         return [sums_of(discrete_ito_iterated(path, r, values=values)) for r in refinements]
 
-    def reduce(chunk, inc):
-        inc.setflags(write=False)  # so that its rows can back NoisePaths without a copy
-        paths = (NoisePath._over(grid, row, "mixed", seed, spec.hurst) for row, seed in zip(inc, chunk))
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
-            return np.array([estimates(path) for path in paths])
+    def estimate(lo, chunk):
+        for at, block in _increment_blocks(spec, grid, chunk):
+            shared = block.view()
+            shared.setflags(write=False)  # so that its rows can back NoisePaths without a copy
+            for i, row in enumerate(shared, lo + at):
+                sums[i] = estimates(NoisePath._over(grid, row, "mixed", seeds[i], spec.hurst))
 
-    sums = np.concatenate(_map_chunks(spec, grid, seeds, reduce))  # (paths, refinements, 3)
+    sums = np.empty((len(seeds), len(refinements), 3))
+    rows = _chunk_rows(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
+        for lo in range(0, len(seeds), rows):
+            estimate(lo, seeds[lo : lo + rows])
     if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
         raise ValueError("the bracket sums overflowed (driver increments too large)")
     return [

@@ -3,19 +3,21 @@
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
 fractional part is switched off (and vice versa).
-:func:`ensemble_increments` is the one place where path seeds become
-driver increments; :func:`build_mixed` is its one-path case.  Coarse-grid
-restrictions are exact block sums of fine increments, so that in a
-self-convergence study every grid sees the same driver; the convergence
-harness block-sums whole chunks of paths, and ``derive_coupled`` is its
-one-seed case.
+``_increment_blocks`` is the one place where path seeds become driver
+increments: it yields them one block of paths at a time, in buffers it
+reuses, so the ensemble harnesses never hold a (paths, n) matrix.
+:func:`ensemble_increments` collects its blocks into one, and
+:func:`build_mixed` is its one-path case.  Coarse-grid restrictions are
+exact block sums of fine increments, so that in a self-convergence study
+every grid sees the same driver; the convergence harness block-sums each
+block of paths as it arrives, and ``derive_coupled`` is its one-seed case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,9 +41,9 @@ _BM_STREAM = 0
 _FBM_STREAM = 1
 
 # Standard normals per block of paths, 2n per path: 64 paths at 2**10
-# steps, one at 2**16.  The block's normals, which the transform output
-# overwrites, and its half spectra (n + 1 complex values per path) stay
-# near 2 MB together, whatever the number of paths.
+# steps, one at 2**16.  The block's increments, its normals, which the
+# transform output overwrites, and its half spectra (n + 1 complex values
+# per path) stay near 2.5 MB together, whatever the number of paths.
 _CHUNK_SPECTRUM = 2**17
 
 
@@ -72,23 +74,24 @@ class MixedSpec:
             raise ValueError("component weights must be finite")
 
 
-def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
-    """Mixed-driver increments, shape (len(seeds), steps_n), one path per row.
+def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Mixed-driver increments of ``seeds``, one block of rows at a time.
 
-    Row i is the path of ``seeds[i]``: its Brownian component comes from
-    substream 0 of the seed and its fractional component from substream 1,
-    through :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  The
-    paths are generated in blocks of rows, and a row does not depend on the
-    blocking or on the other seeds.
+    Yields ``(lo, block)``: row i of ``block`` is the path of
+    ``seeds[lo + i]``, its Brownian component from substream 0 of the seed
+    and its fractional component from substream 1, through
+    :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  A row does
+    not depend on the blocking or on the other seeds.
 
-    The fractional part of every block is drawn into one normals buffer of
-    (rows, 2n) values and one complex spectrum buffer of (rows, n + 1),
-    both owned by this call and reused from block to block; the block's
-    fBm rows are a view of the normals, which the inverse transform
-    overwrites.
+    Every block is a view of one (rows, n) buffer, and the fractional part
+    of every block is drawn into one normals buffer of (rows, 2n) values
+    and one complex spectrum buffer of (rows, n + 1); all three are owned
+    by this generator and reused from block to block, so a block is
+    overwritten by the next one, and the caller may overwrite it too.  The
+    block's fBm rows are a view of the normals, which the inverse
+    transform overwrites.
     """
     n = grid.steps_n
-    out = np.zeros((len(seeds), n))
     # One Generator serves every path: each row restores the state that
     # PCG64(substream seed) would start from, derived for all seeds at once.
     gen = _rng(0)
@@ -105,11 +108,12 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
     bm_states = states(_BM_STREAM) if spec.weight_bm != 0.0 else []
     fbm_states = states(_FBM_STREAM) if spec.weight_fbm != 0.0 else []
     rows = max(1, _CHUNK_SPECTRUM // (2 * n))
+    buffer = np.empty((min(rows, len(seeds)), n))
     if spec.weight_fbm != 0.0:
-        normals = np.empty((min(rows, len(seeds)), 2 * n))
-        spectrum = np.empty((len(normals), n + 1), dtype=np.complex128)
+        normals = np.empty((len(buffer), 2 * n))
+        spectrum = np.empty((len(buffer), n + 1), dtype=np.complex128)
     for lo in range(0, len(seeds), rows):
-        block = out[lo : lo + rows]
+        block = buffer[: len(seeds) - lo]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
             if spec.weight_bm != 0.0:
                 draw(block, bm_states[lo : lo + rows])
@@ -117,6 +121,8 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
                 # match sample_brownian_increments bit for bit.
                 block *= np.sqrt(grid.dt)
                 block *= spec.weight_bm
+            else:
+                block.fill(0.0)  # so that 0.0 + fbm turns -0.0 into +0.0
             if spec.weight_fbm != 0.0:
                 g = normals[: len(block)]
                 draw(g, fbm_states[lo : lo + rows])
@@ -125,6 +131,19 @@ def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -
                 block += fbm
         if not np.isfinite(block).all():
             raise ValueError("increments contain NaN or Inf")
+        yield lo, block
+
+
+def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
+    """Mixed-driver increments, shape (len(seeds), steps_n), one path per row.
+
+    Row i is the path of ``seeds[i]``: the blocks of the one draw path,
+    :func:`_increment_blocks`, collected into one array.  The ensemble
+    harnesses consume the blocks directly and never hold this matrix.
+    """
+    out = np.empty((len(seeds), grid.steps_n))
+    for lo, block in _increment_blocks(spec, grid, seeds):
+        out[lo : lo + len(block)] = block
     return out
 
 

@@ -16,7 +16,8 @@ the step size.
 Each rule of the step has one home: ``_root_coefficients`` (the
 quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
-alike), :func:`simulate_z_batch` (a batch's layout) and :func:`z_to_r`.
+alike), :func:`simulate_z_batch` and ``_put_columns`` (a batch's layout)
+and :func:`z_to_r`.
 """
 
 from __future__ import annotations
@@ -257,10 +258,18 @@ def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) 
         raise ValueError(f"increments must have shape (paths, {grid.steps_n})")
     z = np.empty((grid.steps_n + 1, len(inc)))
     z[0] = params.z0
-    for b in range(0, len(inc), 64):  # transposed in blocks, to stay in cache
-        z[1:, b : b + 64] = inc[b : b + 64].T
+    _put_columns(z[1:], inc)
     implicit_steps(params, grid.dt, z[1:])
     return z.T
+
+
+def _put_columns(columns: np.ndarray, rows: np.ndarray) -> None:
+    """Write path-major ``rows`` (paths, steps) into step-major ``columns`` (steps, paths).
+
+    The transpose goes in strips of 64 paths, to stay in cache.
+    """
+    for b in range(0, len(rows), 64):
+        columns[:, b : b + 64] = rows[b : b + 64].T
 
 
 def interpolate(traj: Trajectory, t: float):

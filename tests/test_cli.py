@@ -694,6 +694,15 @@ class TestExitCodes:
         assert code == 3
         assert "i/o" in capsys.readouterr().err
 
+    def test_io_error_names_the_requested_file(self, tmp_path):
+        # two processes write under temporary names with different pids;
+        # the error names the file asked for, so their stderr is equal
+        target = str(tmp_path / "no" / "such" / "x")
+        runs = [_run_python("-m", "mfcir", "simulate", "--n", "4", "--paths", "3", "--out", target) for _ in range(2)]
+        assert [proc.returncode for proc in runs] == [3, 3]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr == f"mfcir: i/o error: [Errno 2] No such file or directory: {target!r}\n"
+
     def test_numerical_failure_is_4(self, monkeypatch, capsys):
         def explode(spec, grid, seed):
             raise CirculantEmbeddingError("synthetic eigenvalue failure")

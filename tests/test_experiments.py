@@ -1,12 +1,14 @@
 """Harness tests: convergence studies, positivity audits, MC statistics."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import mfcir.experiments as experiments
+import mfcir.mixed as mixed
 from mfcir.bracket import discrete_ito_iterated
 from mfcir.cli import main
 from mfcir.experiments import (
@@ -27,6 +29,20 @@ from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
 ZERO_NOISE = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=0.0)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The seeds of every call of the harnesses' block generator, which still draws."""
+    calls = []
+    blocks = experiments._increment_blocks
+
+    def spy(spec, grid, seeds):
+        calls.append(list(seeds))
+        return blocks(spec, grid, seeds)
+
+    monkeypatch.setattr(experiments, "_increment_blocks", spy)
+    return calls
 
 
 def _bound_violations(params, grid, increments, z):
@@ -112,12 +128,10 @@ class TestConvergence:
             run_convergence(PARAMS, ZERO_NOISE, 1.0, [24], 2**9, [0])
 
     @pytest.mark.parametrize("n_list", [[8.7, 16], [8.0, 16], [16, np.float64(32)], [True, 16]])
-    def test_rejects_non_integer_grids_before_any_draw(self, monkeypatch, n_list):
-        calls = []
-        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+    def test_rejects_non_integer_grids_before_any_draw(self, draws, n_list):
         with pytest.raises(TypeError, match="coarse step count must be an integer"):
             run_convergence(PARAMS, ZERO_NOISE, 1.0, n_list, 2**9, [0])
-        assert calls == []
+        assert draws == []
 
     def test_numpy_integer_grids_are_ints(self):
         report = run_convergence(PARAMS, ZERO_NOISE, 1.0, np.array([16, 32]), 2**8, [0])
@@ -354,20 +368,16 @@ class TestBracketEnsemble:
         "refinements, match",
         [([], "must not be empty"), ([0], "must be >= 1"), ([3], "does not divide"), ([1, 3], "does not divide")],
     )
-    def test_rejects_refinements_before_any_draw(self, monkeypatch, refinements, match):
-        calls = []
-        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+    def test_rejects_refinements_before_any_draw(self, draws, refinements, match):
         with pytest.raises(ValueError, match=match):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), refinements, 3, 0)
-        assert calls == []
+        assert draws == []
 
     @pytest.mark.parametrize("refinements", [[2.5], [2.0], [1, 2.5], [True]])
-    def test_rejects_non_integer_refinements_before_any_draw(self, monkeypatch, refinements):
-        calls = []
-        monkeypatch.setattr(experiments, "ensemble_increments", lambda *args: calls.append(args))
+    def test_rejects_non_integer_refinements_before_any_draw(self, draws, refinements):
         with pytest.raises(TypeError, match="refinement must be an integer"):
             run_bracket(MixedSpec(), GridSpec(1.0, 8), refinements, 3, 0)
-        assert calls == []
+        assert draws == []
 
     def test_numpy_integer_refinements_are_ints(self):
         [est] = run_bracket(MixedSpec(), GridSpec(1.0, 8), np.array([4]), 3, 0)
@@ -407,13 +417,29 @@ def test_median_equals_numpy_median_bitwise(n_paths):
     assert experiments._median(a).tobytes() == np.median(a, axis=0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "run, n_paths",
+    [
+        (lambda: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1, 2], 3, 0), 3),
+        (lambda: run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 32], 2**8, [0, 1]), 2),
+        (lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 3, 0), 3),
+        (lambda: run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0.5, 3, 0), 3),
+    ],
+    ids=["bracket", "convergence", "positivity", "mc_stats"],
+)
+def test_valid_runs_reach_the_draw_spy(draws, run, n_paths):
+    # the control of the "before any draw" tests: their spy does see draws
+    run()
+    assert [len(seeds) for seeds in draws] == [n_paths]
+
+
 def test_bracket_correction_overflow_alone_is_rejected(monkeypatch):
     # At refinement 2 the outer increments +x - x cancel, so every qv_sum
     # is 0, while the iterated correction x * (-x) overflows to -inf.
     def alternating(spec, grid, seeds):
-        return np.tile([1e160, -1e160], (len(seeds), grid.steps_n // 2))
+        yield 0, np.tile([1e160, -1e160], (len(seeds), grid.steps_n // 2))
 
-    monkeypatch.setattr(experiments, "ensemble_increments", alternating)
+    monkeypatch.setattr(experiments, "_increment_blocks", alternating)
     with pytest.raises(ValueError, match="overflowed"):
         run_bracket(MixedSpec(), GridSpec(1.0, 8), [2, 4], 3, 0)
 
@@ -515,14 +541,15 @@ class TestSweep:
     @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence"])
     def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
         returned = []
+        blocks = experiments._increment_blocks
 
         def spy(spec, grid, seeds):
             assert all(ref() is None for ref in returned), "the previous chunk is still alive"
-            inc = ensemble_increments(spec, grid, seeds)
-            returned.append(weakref.ref(inc))
-            return inc
+            for lo, block in blocks(spec, grid, seeds):
+                returned.append(weakref.ref(block.base))  # the generator's buffer
+                yield lo, block
 
-        monkeypatch.setattr(experiments, "ensemble_increments", spy)
+        monkeypatch.setattr(experiments, "_increment_blocks", spy)
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
         if run == "positivity":
@@ -543,17 +570,45 @@ class TestSweep:
             (["convergence", "--paths", "300"], 256),  # at the default n_ref = 2**14
         ],
     )
-    def test_memory_is_bounded_by_one_chunk(self, monkeypatch, tmp_path, argv, chunk):
-        sizes = []
-
-        def spy(spec, grid, seeds):
-            sizes.append(len(seeds))
-            return ensemble_increments(spec, grid, seeds)
-
-        monkeypatch.setattr(experiments, "ensemble_increments", spy)
+    def test_memory_is_bounded_by_one_chunk(self, draws, tmp_path, argv, chunk):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        sizes = [len(seeds) for seeds in draws]
         assert max(sizes) == chunk
         assert sum(sizes) == int(argv[-1])
+
+
+def _traced_peak_mb(run) -> float:
+    """Peak of the memory traced while ``run()`` runs, after a first run has warmed every cache."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    # tracemalloc sees numpy's buffers, so these peaks count the arrays a run holds
+
+    def test_bracket_does_not_grow_with_paths(self):
+        # one block of one 2**14-step row at a time: ten times the paths, the same peak
+        grid = GridSpec(1.0, 2**14)
+        peaks = [
+            _traced_peak_mb(lambda: run_bracket(MixedSpec(), grid, [1, 16, 256], n_paths, 5))
+            for n_paths in (4, 40)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 0.5, peaks
+
+    def test_sweep_holds_one_state_buffer_and_the_block_buffers(self):
+        # no (640, 1024) increment matrix beside the (1025, 640) states
+        n, n_paths = 1024, 640
+        rows = mixed._CHUNK_SPECTRUM // (2 * n)
+        states = 8 * (n + 1) * n_paths
+        blocks = 8 * rows * n + 8 * rows * 2 * n + 16 * rows * (n + 1)  # increments, normals, spectrum
+        grid = GridSpec(1.0, n)
+        peak = _traced_peak_mb(lambda: run_mc_stats(PARAMS, MixedSpec(weight_fbm=0.0), grid, 0.5, n_paths, 5))
+        assert peak < (states + blocks) / 1e6, peak
 
 
 def test_overflowing_driver_is_rejected_not_reported():

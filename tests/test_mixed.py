@@ -132,6 +132,14 @@ class TestEnsembleIncrements:
         for row, seed in zip(matrix, seeds):
             assert row.tobytes() == reference_row(spec, grid, seed).tobytes()
 
+    def test_fractional_only_rows_start_from_positive_zero(self):
+        # at the smallest weight every fBm value rounds to zero, about half
+        # of them to -0.0; a fractional-only row is 0.0 + w * fbm, so all
+        # of its bytes are zero, in every block the buffer is reused for
+        spec = MixedSpec(0.75, 0.0, 5e-324)
+        matrix = ensemble_increments(spec, GridSpec(1.0, 1024), [substream_seed(53, i) for i in range(70)])
+        assert matrix.tobytes() == bytes(matrix.nbytes)
+
     def test_empty_seed_list(self):
         assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
 
