@@ -28,6 +28,7 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by the
     _davies_harte_rows,
     _pcg64_states,
     _rng,
+    _spectrum_scale,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -41,9 +42,10 @@ _BM_STREAM = 0
 _FBM_STREAM = 1
 
 # Standard normals per block of paths, 2n per path: 64 paths at 2**10
-# steps, one at 2**16.  The block's increments, its normals, which the
-# transform output overwrites, and its half spectra (n + 1 complex values
-# per path) stay near 2.5 MB together, whatever the number of paths.
+# steps, one at 2**16.  The block's normals, which the transform output
+# and then the block's increments overwrite, and its half spectra (n + 1
+# complex values per path) stay near 2 MB together, whatever the number of
+# paths.
 _CHUNK_SPECTRUM = 2**17
 
 
@@ -83,51 +85,67 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
     :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  A row does
     not depend on the blocking or on the other seeds.
 
-    Every block is a view of one (rows, n) buffer, and the fractional part
-    of every block is drawn into one normals buffer of (rows, 2n) values
-    and one complex spectrum buffer of (rows, n + 1); all three are owned
-    by this generator and reused from block to block, so a block is
-    overwritten by the next one, and the caller may overwrite it too.  The
-    block's fBm rows are a view of the normals, which the inverse
-    transform overwrites.
+    The spectrum scale is looked up once, before any buffer is allocated,
+    and only if there is a fractional row to draw.  The fractional part of
+    every block is drawn into one normals buffer of (rows, 2n) values and
+    one complex spectrum buffer of (rows, n + 1).  The inverse transform
+    writes the fBm rows over the first half of each row of normals, and the
+    block is a (rows, n) view of the second half, which no row uses.  A
+    Brownian-only block is a view of one (rows, n) buffer instead.  The
+    buffers are owned by this generator and reused from block to block, so
+    a block is overwritten by the next one, and the caller may overwrite it
+    too.  The PCG64 states are hashed for all seeds at once but built one
+    row at a time.
     """
     n = grid.steps_n
+    if not len(seeds):
+        return
     # One Generator serves every path: each row restores the state that
-    # PCG64(substream seed) would start from, derived for all seeds at once.
+    # PCG64(substream seed) would start from.
     gen = _rng(0)
     bits = gen.bit_generator
 
-    def draw(rows: np.ndarray, states: list[dict]) -> None:
+    def draw(rows: np.ndarray, states: Iterator[dict]) -> None:
+        # rows come first, so zip takes exactly one state per row
         for row, state in zip(rows, states):
             bits.state = state
             gen.standard_normal(out=row)
 
-    def states(stream: int) -> list[dict]:
+    def states(stream: int) -> Iterator[dict]:
         return _pcg64_states([substream_seed(seed, stream) for seed in seeds])
 
-    bm_states = states(_BM_STREAM) if spec.weight_bm != 0.0 else []
-    fbm_states = states(_FBM_STREAM) if spec.weight_fbm != 0.0 else []
-    rows = max(1, _CHUNK_SPECTRUM // (2 * n))
-    buffer = np.empty((min(rows, len(seeds)), n))
-    if spec.weight_fbm != 0.0:
-        normals = np.empty((len(buffer), 2 * n))
-        spectrum = np.empty((len(buffer), n + 1), dtype=np.complex128)
+    fractional = spec.weight_fbm != 0.0
+    if fractional:
+        scale = _spectrum_scale(spec.hurst, n, grid.dt)
+        fbm_states = states(_FBM_STREAM)
+    if spec.weight_bm != 0.0:
+        bm_states = states(_BM_STREAM)
+    rows = min(len(seeds), max(1, _CHUNK_SPECTRUM // (2 * n)))
+    if fractional:
+        normals = np.empty((rows, 2 * n))
+        spectrum = np.empty((rows, n + 1), dtype=np.complex128)
+    else:
+        buffer = np.empty((rows, n))
     for lo in range(0, len(seeds), rows):
-        block = buffer[: len(seeds) - lo]
+        size = min(rows, len(seeds) - lo)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
+            if fractional:
+                g = normals[:size]
+                draw(g, fbm_states)
+                fbm = _davies_harte_rows(scale, g, spectrum[:size])
+                fbm *= spec.weight_fbm
+                block = g[:, n:]  # the half of the inverse transform that no row uses
+            else:
+                block = buffer[:size]
             if spec.weight_bm != 0.0:
-                draw(block, bm_states[lo : lo + rows])
+                draw(block, bm_states)
                 # Two products in the per-path samplers' order, so that rows
                 # match sample_brownian_increments bit for bit.
                 block *= np.sqrt(grid.dt)
                 block *= spec.weight_bm
             else:
                 block.fill(0.0)  # so that 0.0 + fbm turns -0.0 into +0.0
-            if spec.weight_fbm != 0.0:
-                g = normals[: len(block)]
-                draw(g, fbm_states[lo : lo + rows])
-                fbm = _davies_harte_rows(spec.hurst, grid, g, spectrum[: len(block)])
-                fbm *= spec.weight_fbm
+            if fractional:
                 block += fbm
         if not np.isfinite(block).all():
             raise ValueError("increments contain NaN or Inf")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -114,14 +114,16 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
-    """``np.random.PCG64(s).state`` for every seed, computed at once.
+def _pcg64_states(seeds: Sequence[int]) -> Iterator[dict]:
+    """Yield ``np.random.PCG64(s).state`` for every seed, in order.
 
     Runs SeedSequence's entropy hash and ``generate_state(4, uint64)`` in
-    uint32 arithmetic on all seeds together, then PCG64's seeding (two
-    steps of its 128-bit LCG) per seed, so that one Generator can serve
-    many seeds by state assignment instead of one construction each.
-    Seeds are unsigned 64-bit integers, hashed as two 32-bit words.
+    uint32 arithmetic on all seeds together, on the first ``next``; then
+    PCG64's seeding (two steps of its 128-bit LCG) one seed per ``next``,
+    so that a caller holds only the state dicts it has not used yet, and
+    one Generator can serve many seeds by state assignment instead of one
+    construction each.  Seeds are unsigned 64-bit integers, hashed as two
+    32-bit words.
     """
 
     def hashmix(values, i, j):
@@ -142,14 +144,10 @@ def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
     words *= _HASH_B[1:]
     words = (words ^ (words >> 16)).astype(np.uint64)
     seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | (words[1::2] << 32)).tolist()
-    states = []
     for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
         inc = ((((c << 64) | d) << 1) | 1) & _MASK128
         state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def _require_integer(name: str, value) -> int:
@@ -320,6 +318,7 @@ _EIGENVALUE_CLAMP_REL = 1e-8
 
 
 def _clamped_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """``lam`` with its negative rounding noise set to zero, in place."""
     top = float(lam.max())
     if top <= 0.0:
         raise CirculantEmbeddingError("circulant embedding has no positive eigenvalue")
@@ -329,58 +328,91 @@ def _clamped_eigenvalues(lam: np.ndarray) -> np.ndarray:
         raise CirculantEmbeddingError(
             f"circulant embedding eigenvalue {worst:.6g} is below the tolerance {floor:.6g}"
         )
-    return np.where(lam < 0.0, 0.0, lam)
+    lam[lam < 0.0] = 0.0
+    return lam
+
+
+def _fgn_autocovariance(gamma: np.ndarray, h: float, dt: float) -> None:
+    """Fill ``gamma[j]`` with the autocovariance of the increments at lag j.
+
+    gamma(j) = dt**(2h) * (|j+1|**(2h) - 2|j|**(2h) + |j-1|**(2h)) / 2, for
+    j = 0, ..., len(gamma) - 1.  Each in-place step rounds exactly as the
+    whole-array expression would, with two scratch arrays of its length.
+    """
+    e = 2.0 * h
+    lag = np.arange(len(gamma), dtype=np.float64)
+    np.add(lag, 1.0, out=gamma)
+    gamma **= e
+    term = lag**e
+    term *= 2.0
+    gamma -= term
+    np.subtract(lag, 1.0, out=term)
+    np.abs(term, out=term)
+    term **= e
+    gamma += term
+    gamma *= 0.5 * dt**e
 
 
 def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
     """The n + 1 distinct eigenvalues of the 2n x 2n circulant embedding.
 
     The first row is symmetric, so the spectrum is real and lambda_k equals
-    lambda_{2n-k}; ``rfft`` computes lambda_0, ..., lambda_n only.
+    lambda_{2n-k}; ``rfft`` computes lambda_0, ..., lambda_n only.  The
+    autocovariance is written straight into the first half of that row and
+    mirrored into the second, and no scratch array outlives the fill, so the
+    transform's input and output are the only large buffers at its peak.
     """
-    # Autocovariance of the stationary increment sequence,
-    # gamma(j) = dt**(2h) * (|j+1|**(2h) - 2|j|**(2h) + |j-1|**(2h)) / 2.
-    j = np.arange(steps_n + 1, dtype=np.float64)
-    e = 2.0 * h
-    gamma = 0.5 * dt**e * ((j + 1.0) ** e - 2.0 * j**e + np.abs(j - 1.0) ** e)
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant row, length 2n
-    return _clamped_eigenvalues(np.fft.rfft(first_row).real)
+    row = np.empty(2 * steps_n)  # circulant row: gamma(0..n), then gamma(n-1..1)
+    _fgn_autocovariance(row[: steps_n + 1], h, dt)
+    row[steps_n + 1 :] = row[steps_n - 1 : 0 : -1]
+    spectrum = np.fft.rfft(row)
+    del row
+    return _clamped_eigenvalues(spectrum.real.copy())
 
 
 @lru_cache(maxsize=8)
 def _spectrum_scale(h: float, steps_n: int, dt: float) -> np.ndarray:
-    # sqrt(2n * lambda_k) per frequency k = 0..n, over sqrt(2) where the
-    # spectrum value is complex (0 < k < n): that spreads its unit variance
-    # over a real and an imaginary normal.
-    scale = np.sqrt(2 * steps_n * _circulant_eigenvalues(h, steps_n, dt))
+    """sqrt(2n * lambda_k) for k = 0..n, over sqrt(2) where 0 < k < n.
+
+    The per-frequency factor of :func:`_davies_harte_rows`: where the
+    spectrum value is complex (0 < k < n), its unit variance is spread over
+    a real and an imaginary normal.  Cached per (h, grid), read-only, and
+    computed in place over the eigenvalues.  Callers take it once per draw,
+    before they allocate their block buffers, so that the setup's
+    temporaries never stack on top of them.
+    """
+    scale = _circulant_eigenvalues(h, steps_n, dt)
+    scale *= 2 * steps_n
+    np.sqrt(scale, out=scale)
     scale[1:steps_n] /= np.sqrt(2.0)
     scale.setflags(write=False)
     return scale
 
 
-def _davies_harte_rows(h: float, grid: GridSpec, normals: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+def _davies_harte_rows(scale: np.ndarray, normals: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """fBm increments, one path per row, from ``normals`` of shape (rows, 2n).
 
     Each row of standard normals fills the n + 1 values of a
     Hermitian-symmetric spectrum that are not redundant: real ones at
     frequencies 0 and n (normals 0 and 1), complex ones in between (real
     parts from normals 2..n, imaginary parts from n+1..2n-1).  Scaled by
-    the square roots of the circulant eigenvalues, they are inverted by one
-    row-wise real FFT, so a row's increments do not depend on the other
-    rows of the batch.
+    ``scale``, the grid's :func:`_spectrum_scale` of n + 1 values, they are
+    inverted by one row-wise real FFT, so a row's increments do not depend
+    on the other rows of the batch.  The caller looks the scale up once per
+    draw, not once per block.
 
     The caller owns both buffers, so it can reuse them from block to block:
     ``spectrum`` is complex scratch of shape (rows, n + 1), and the inverse
     transform is written back over the consumed ``normals``.  The returned
     increments are a (rows, n) view of ``normals``.
     """
-    n = grid.steps_n
+    n = len(scale) - 1
     spectrum.real[:, 0] = normals[:, 0]
     spectrum.real[:, n] = normals[:, 1]
     spectrum.real[:, 1:n] = normals[:, 2 : n + 1]
     spectrum.imag[:, 1:n] = normals[:, n + 1 :]
     spectrum.imag[:, ::n] = 0.0
-    spectrum *= _spectrum_scale(h, n, grid.dt)
+    spectrum *= scale
     return np.fft.irfft(spectrum, n=2 * n, axis=1, out=normals)[:, :n]
 
 
@@ -395,7 +427,8 @@ def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     real path by construction.
     """
     h = _check_hurst(h)
+    scale = _spectrum_scale(h, grid.steps_n, grid.dt)
     normals = _rng(seed).standard_normal((1, 2 * grid.steps_n))
     spectrum = np.empty((1, grid.steps_n + 1), dtype=np.complex128)
-    inc = _davies_harte_rows(h, grid, normals, spectrum)[0]
+    inc = _davies_harte_rows(scale, normals, spectrum)[0]
     return NoisePath(grid=grid, increments=inc, kind="fractional", seed=seed, hurst=h)

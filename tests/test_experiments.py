@@ -9,6 +9,7 @@ import pytest
 
 import mfcir.experiments as experiments
 import mfcir.mixed as mixed
+import mfcir.noise as noise
 from mfcir.bracket import discrete_ito_iterated
 from mfcir.cli import main
 from mfcir.experiments import (
@@ -609,6 +610,24 @@ class TestPeakMemory:
         grid = GridSpec(1.0, n)
         peak = _traced_peak_mb(lambda: run_mc_stats(PARAMS, MixedSpec(weight_fbm=0.0), grid, 0.5, n_paths, 5))
         assert peak < (states + blocks) / 1e6, peak
+
+    def test_spectrum_setup_does_not_stack_on_the_block_buffers(self):
+        # one 2**16-step mixed path, the scale computed afresh on each run:
+        # its eigenvalue temporaries (a 2n row and its n + 1 complex
+        # transform, at least) are freed before the block buffers exist,
+        # and the increments take the unused half of the normals
+        n = 2**16
+        states = 8 * (n + 1)
+        blocks = 8 * 2 * n + 16 * (n + 1)  # normals, spectrum
+        scale = 8 * (n + 1)
+        grid = GridSpec(1.0, n)
+
+        def run():
+            noise._spectrum_scale.cache_clear()
+            run_positivity(PARAMS, MixedSpec(), grid, 1, 5)
+
+        peak = _traced_peak_mb(run)
+        assert peak < (states + blocks + scale + 8 * n) / 1e6, peak
 
 
 def test_overflowing_driver_is_rejected_not_reported():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfcir.mixed as mixed
 from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
 from mfcir.noise import (
+    CirculantEmbeddingError,
     GridSpec,
+    _pcg64_states,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -142,6 +145,33 @@ class TestEnsembleIncrements:
 
     def test_empty_seed_list(self):
         assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
+
+    def test_empty_seed_list_sets_up_no_spectrum(self):
+        # this embedding is rejected, so only a draw with no seeds may skip it
+        spec, grid = MixedSpec(hurst=0.999), GridSpec(1.0, 2**18)
+        assert ensemble_increments(spec, grid, []).shape == (0, 2**18)
+        with pytest.raises(CirculantEmbeddingError):
+            ensemble_increments(spec, grid, [1])
+
+    def test_state_dicts_are_built_one_block_at_a_time(self, monkeypatch):
+        # 200 paths at n = 1024 are four blocks of up to 64 rows; when a
+        # block is yielded, each stream has built its rows' states and no more
+        built = []
+
+        def counting(seeds):
+            built.append(0)
+            stream = len(built) - 1
+            for state in _pcg64_states(seeds):
+                built[stream] += 1
+                yield state
+
+        monkeypatch.setattr(mixed, "_pcg64_states", counting)
+        seeds = [substream_seed(5, i) for i in range(200)]
+        ends = []
+        for lo, block in mixed._increment_blocks(MixedSpec(), GridSpec(1.0, 1024), seeds):
+            ends.append(lo + len(block))
+            assert built == [ends[-1]] * 2, (lo, built)
+        assert ends == [64, 128, 192, 200]
 
     def test_overflowing_weight_is_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):

@@ -20,6 +20,7 @@ from mfcir.noise import (
     _pcg64_states,
     _rng,
     _spd_factor,
+    _spectrum_scale,
     fbm_covariance,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -161,7 +162,7 @@ class TestDaviesHarte:
         for lo in range(0, n_paths, rows):
             for row in range(rows):
                 _rng(substream_seed(41, lo + row)).standard_normal(out=normals[row])
-            inc = _davies_harte_rows(h, grid, normals, spectrum)
+            inc = _davies_harte_rows(_spectrum_scale(h, n, grid.dt), normals, spectrum)
             first[lo : lo + rows], second[lo : lo + rows] = inc[:, 0], inc[:, 1]
         for i in (0, 1, rows, n_paths - 1):
             inc = sample_fbm_davies_harte(h, grid, substream_seed(41, i)).increments
@@ -252,9 +253,30 @@ class TestDaviesHarte:
         normals = np.random.default_rng(n).standard_normal((3, 2 * n))
         want = self._full_spectrum_rows(h, grid, normals)
         spectrum = np.empty((3, n + 1), dtype=np.complex128)
-        got = _davies_harte_rows(h, grid, normals, spectrum)  # overwrites normals
+        got = _davies_harte_rows(_spectrum_scale(h, n, grid.dt), normals, spectrum)  # overwrites normals
         assert got.shape == (3, n)
         assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+
+    @staticmethod
+    def _reference_scale(h, n, dt):
+        """The spectrum scale as one whole-array expression per step."""
+        j = np.arange(n + 1, dtype=np.float64)
+        e = 2.0 * h
+        gamma = 0.5 * dt**e * ((j + 1.0) ** e - 2.0 * j**e + np.abs(j - 1.0) ** e)
+        first_row = np.concatenate([gamma, gamma[-2:0:-1]])
+        lam = np.fft.rfft(first_row).real
+        scale = np.sqrt(2 * n * np.where(lam < 0.0, 0.0, lam))
+        scale[1:n] /= np.sqrt(2.0)
+        return scale
+
+    @pytest.mark.parametrize("h", [0.25, 0.5001, 0.75, 0.999, 0.9999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 2**16])
+    def test_in_place_scale_is_byte_equal_to_the_expression(self, h, n):
+        # at h = 0.25 both forms take sqrt for ** 0.5; at h = 0.9999 and
+        # n = 2**16 an eigenvalue is clamped
+        got = _spectrum_scale(h, n, 1.0 / n)
+        assert not got.flags.writeable
+        assert got.tobytes() == self._reference_scale(h, n, 1.0 / n).tobytes()
 
     def test_stream_version(self):
         # version 3: the transform is a real FFT of the half spectrum
@@ -360,7 +382,7 @@ class TestPcg64States:
     ]
 
     def test_states_equal_constructed_generators(self):
-        for seed, state in zip(self.SEEDS, _pcg64_states(self.SEEDS)):
+        for seed, state in zip(self.SEEDS, list(_pcg64_states(self.SEEDS))):
             reference = np.random.PCG64(seed).state
             assert state["state"]["state"] == reference["state"]["state"], seed
             assert state["state"]["inc"] == reference["state"]["inc"], seed
@@ -369,7 +391,7 @@ class TestPcg64States:
     def test_draws_after_state_assignment(self):
         gen = np.random.Generator(np.random.PCG64(0))
         seeds = self.SEEDS[:8]
-        for seed, state in zip(seeds, _pcg64_states(seeds)):
+        for seed, state in zip(seeds, list(_pcg64_states(seeds))):
             gen.bit_generator.state = state
             fresh = np.random.Generator(np.random.PCG64(seed)).standard_normal(257)
             assert np.array_equal(gen.standard_normal(257), fresh), seed
