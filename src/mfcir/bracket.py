@@ -12,7 +12,8 @@ quadratic variation on the fine grid, whatever the path.  For the mixed
 driver (Brownian plus an independent fractional component with hurst
 above 1/2) the fine quadratic variation concentrates on t as the grid is
 refined, since the fractional and cross terms vanish in the limit; the
-bracket therefore recovers the Brownian clock of the mixture.
+bracket therefore recovers the Brownian clock of the mixture.  Outer
+grids are split and summed by the grid rules of :mod:`mfcir.noise`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import GridSpec, NoisePath, _require_integer
+from .noise import GridSpec, NoisePath, _block_sums, _path_values, _split_grid
 
 __all__ = [
     "BracketEstimate",
@@ -53,16 +54,6 @@ def quadratic_variation(noise: NoisePath) -> float:
     return float(np.dot(inc, inc))
 
 
-def _split_blocks(steps_n: int, refinement: int) -> int:
-    """The number of outer intervals of ``refinement`` steps in a grid of ``steps_n``."""
-    refinement = _require_integer("refinement", refinement)
-    if refinement < 1:
-        raise ValueError(f"refinement must be >= 1, got {refinement}")
-    if steps_n % refinement != 0:
-        raise ValueError(f"refinement {refinement} does not divide steps_n {steps_n}")
-    return steps_n // refinement
-
-
 def discrete_ito_iterated(noise: NoisePath, refinement: int, values: np.ndarray | None = None) -> BracketEstimate:
     """Bracket estimate of ``noise`` on the grid coarsened by ``refinement``.
 
@@ -73,9 +64,9 @@ def discrete_ito_iterated(noise: NoisePath, refinement: int, values: np.ndarray 
     plain quadratic variation.  ``values`` may hold ``noise.path_values()``
     already, so that estimates at several refinements share one sum.
     """
-    n_outer = _split_blocks(noise.grid.steps_n, refinement)
+    n_outer = _split_grid(noise.grid.steps_n, refinement, "refinement", "steps_n")
     blocks = noise.increments.reshape(n_outer, refinement)
-    outer_inc = blocks.sum(axis=1)
+    outer_inc = _block_sums(noise.increments, n_outer)
     qv_sum = float(np.dot(outer_inc, outer_inc))
     if values is None:
         values = noise.path_values()
@@ -118,11 +109,9 @@ def ito_formula_residual(noise: NoisePath, refinement: int = 1, f=None, df=None,
         raise ValueError("f, df and d2f must be supplied together")
     if f is None:
         f, df, d2f = _square, _two_x, _two
-    n_outer = _split_blocks(noise.grid.steps_n, refinement)
-    outer_inc = noise.increments.reshape(n_outer, refinement).sum(axis=1)
-    values = np.empty(n_outer + 1)
-    values[0] = 0.0
-    np.cumsum(outer_inc, out=values[1:])
+    n_outer = _split_grid(noise.grid.steps_n, refinement, "refinement", "steps_n")
+    outer_inc = _block_sums(noise.increments, n_outer)
+    values = _path_values(outer_inc)
     left = values[:-1]
     riemann = float(np.sum(df(left) * outer_inc))
     quad = 0.5 * float(np.sum(d2f(left) * outer_inc * outer_inc))

@@ -86,8 +86,8 @@ class RunConfig:
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of integers, got {text!r}") from None
+    except ValueError:  # argparse prints an ArgumentTypeError's own message, not the converter's name
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
 class _Option(NamedTuple):
@@ -144,7 +144,7 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _OPTION_BY_KEY[key].convert(raw)
-        except (ValueError, ConfigError):
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {raw!r}") from None
     return values
 

@@ -11,7 +11,8 @@ increments arrive one block of rows at a time and are used as they
 arrive: moved into the columns of the chunk's step-major states (after
 block sums onto every coarse grid, for convergence), or estimated row by
 row (bracket).  No (paths, n) increment matrix is held, so memory does
-not grow with the number of paths.
+not grow with the number of paths.  ``_chunks`` is the one chunk loop;
+the grid rules come from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -26,16 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bracket import BracketEstimate, _split_blocks, discrete_ito_iterated
+from .bracket import BracketEstimate, discrete_ito_iterated
 # build_mixed and simulate_z_batch are not called here; perfbench/spans.py
 # wraps them by these names.
-from .mixed import MixedSpec, _block_sums, _check_divisors, _increment_blocks, build_mixed  # noqa: F401
-from .noise import GridSpec, NoisePath, _require_integer, substream_seed
+from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
+from .noise import GridSpec, NoisePath, _block_sums, _path_values, _require_integer, _split_grid, substream_seed
 from .scheme import (  # noqa: F401
     _put_columns,
     _require_in_range,
@@ -90,9 +90,11 @@ def _median(a: np.ndarray) -> np.ndarray:
     return (s[k - 1] + s[k] + 0.0) / 2
 
 
-def _chunk_rows(grid: GridSpec) -> int:
-    """Paths per chunk of an ensemble on ``grid``."""
-    return min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
+def _chunks(grid: GridSpec, seeds: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
+    """Yield ``(lo, seeds[lo : lo + rows])`` per chunk of an ensemble on ``grid``; the first is the widest."""
+    rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
+    for lo in range(0, len(seeds), rows):
+        yield lo, seeds[lo : lo + rows]
 
 
 def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z_max: np.ndarray) -> int:
@@ -164,10 +166,9 @@ def _stepped_chunks(
     is elementwise or a min/max, so the results equal those of the whole
     (paths, n + 1) state matrix bit for bit, whatever the chunk size.
     """
-    rows = _chunk_rows(grids[0])
-    lanes = [_States(params, grid, min(rows, len(seeds))) for grid in grids]
-    for lo in range(0, len(seeds), rows):
-        chunk = seeds[lo : lo + rows]
+    lanes = []
+    for lo, chunk in _chunks(grids[0], seeds):
+        lanes = lanes or [_States(params, grid, len(chunk)) for grid in grids]  # sized by the widest chunk
         _load(lanes, spec, chunk)
         yield lo, [lane.step(len(chunk)) for lane in lanes]
 
@@ -299,7 +300,8 @@ def run_convergence(
             f"n_ref {n_ref} is below 8 * max(n_list) = {8 * n_list[-1]}"
         )
     fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_ref)
-    _check_divisors(n_ref, n_list)
+    for n in n_list:
+        _split_grid(n_ref, n, "coarse step count", "n_fine")
     grids = [GridSpec(horizon_t=horizon_t, steps_n=n) for n in n_list]
     fine_times = fine_grid.times
 
@@ -408,29 +410,25 @@ def run_bracket(
     refinements = list(refinements)
     if not refinements:
         raise ValueError("refinements must not be empty")
-    # _split_blocks rejects a refinement that is not an integer or not a divisor
-    grids = [GridSpec(horizon_t=grid.horizon_t, steps_n=_split_blocks(grid.steps_n, r)) for r in refinements]
-    sums_of = attrgetter("qv_sum", "iterated_correction", "bracket_value")  # in BracketEstimate's field order
+    # _split_grid rejects a refinement that is not an integer or not a divisor
+    grids = [GridSpec(grid.horizon_t, _split_grid(grid.steps_n, r, "refinement", "steps_n")) for r in refinements]
+    values = np.empty(grid.steps_n + 1)  # one path's values, in a buffer shared by every path
 
-    values = np.empty(grid.steps_n + 1)  # one path's values, from 0 at t = 0
-    values[0] = 0.0
-
-    def estimates(path):
-        np.cumsum(path.increments, out=values[1:])  # path.path_values(), into the shared buffer
-        return [sums_of(discrete_ito_iterated(path, r, values=values)) for r in refinements]
-
+    # One call per chunk, so that the chunk's last block is freed before the next chunk is drawn.
     def estimate(lo, chunk):
         for at, block in _increment_blocks(spec, grid, chunk):
             shared = block.view()
             shared.setflags(write=False)  # so that its rows can back NoisePaths without a copy
             for i, row in enumerate(shared, lo + at):
-                sums[i] = estimates(NoisePath._over(grid, row, "mixed", seeds[i], spec.hurst))
+                path = NoisePath._over(grid, row, "mixed", seeds[i], spec.hurst)
+                _path_values(row, out=values)  # path.path_values(), into the shared buffer
+                estimates = (discrete_ito_iterated(path, r, values=values) for r in refinements)
+                sums[i] = [(e.qv_sum, e.iterated_correction, e.bracket_value) for e in estimates]
 
-    sums = np.empty((len(seeds), len(refinements), 3))
-    rows = _chunk_rows(grid)
+    sums = np.empty((len(seeds), len(refinements), 3))  # in BracketEstimate's field order
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
-        for lo in range(0, len(seeds), rows):
-            estimate(lo, seeds[lo : lo + rows])
+        for lo, chunk in _chunks(grid, seeds):
+            estimate(lo, chunk)
     if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
         raise ValueError("the bracket sums overflowed (driver increments too large)")
     return [

@@ -11,6 +11,7 @@ reuses, so the ensemble harnesses never hold a (paths, n) matrix.
 exact block sums of fine increments, so that in a self-convergence study
 every grid sees the same driver; the convergence harness block-sums each
 block of paths as it arrives, and ``derive_coupled`` is its one-seed case.
+Both check and sum onto their coarse grids by :mod:`mfcir.noise`'s rules.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ import numpy as np
 from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by these names
     GridSpec,
     NoisePath,
+    _block_sums,
     _check_hurst,
     _davies_harte_rows,
     _pcg64_states,
     _rng,
     _spectrum_scale,
+    _split_grid,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -86,16 +89,15 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
     not depend on the blocking or on the other seeds.
 
     The spectrum scale is looked up once, before any buffer is allocated,
-    and only if there is a fractional row to draw.  The fractional part of
-    every block is drawn into one normals buffer of (rows, 2n) values and
-    one complex spectrum buffer of (rows, n + 1).  The inverse transform
-    writes the fBm rows over the first half of each row of normals, and the
-    block is a (rows, n) view of the second half, which no row uses.  A
-    Brownian-only block is a view of one (rows, n) buffer instead.  The
-    buffers are owned by this generator and reused from block to block, so
-    a block is overwritten by the next one, and the caller may overwrite it
-    too.  The PCG64 states are hashed for all seeds at once but built one
-    row at a time.
+    and only if there is a fractional row to draw.  Each block is drawn
+    into one buffer, (rows, 2n) if fractional and (rows, n) otherwise, and
+    is a view of its last n columns.  Fractional normals fill the whole
+    buffer and their half spectra a complex (rows, n + 1) one; the inverse
+    transform writes the fBm rows over the first half of each row, so the
+    block takes the second half, which no row uses.  The buffers are owned
+    by this generator and reused from block to block, so a block is
+    overwritten by the next one, and the caller may overwrite it too.  The
+    PCG64 states are hashed for all seeds at once but built one row at a time.
     """
     n = grid.steps_n
     if not len(seeds):
@@ -121,22 +123,17 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
     if spec.weight_bm != 0.0:
         bm_states = states(_BM_STREAM)
     rows = min(len(seeds), max(1, _CHUNK_SPECTRUM // (2 * n)))
+    buffer = np.empty((rows, 2 * n if fractional else n))
     if fractional:
-        normals = np.empty((rows, 2 * n))
         spectrum = np.empty((rows, n + 1), dtype=np.complex128)
-    else:
-        buffer = np.empty((rows, n))
     for lo in range(0, len(seeds), rows):
         size = min(rows, len(seeds) - lo)
+        block = buffer[:size, -n:]  # if fractional, the half of the inverse transform that no row uses
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
             if fractional:
-                g = normals[:size]
-                draw(g, fbm_states)
-                fbm = _davies_harte_rows(scale, g, spectrum[:size])
+                draw(buffer[:size], fbm_states)
+                fbm = _davies_harte_rows(scale, buffer[:size], spectrum[:size])
                 fbm *= spec.weight_fbm
-                block = g[:, n:]  # the half of the inverse transform that no row uses
-            else:
-                block = buffer[:size]
             if spec.weight_bm != 0.0:
                 draw(block, bm_states)
                 # Two products in the per-path samplers' order, so that rows
@@ -189,23 +186,6 @@ class CoupledNoise:
     coarse_views: Mapping[int, NoisePath]
 
 
-def _check_divisors(n_fine: int, coarse_list: Sequence[int]) -> None:
-    """Raise unless every entry of ``coarse_list`` divides ``n_fine`` exactly."""
-    for n_coarse in coarse_list:
-        if n_coarse < 1:
-            raise ValueError(f"coarse step count must be >= 1, got {n_coarse}")
-        if n_fine % n_coarse != 0:
-            raise ValueError(
-                f"coarse step count {n_coarse} does not divide n_fine {n_fine}"
-            )
-
-
-def _block_sums(increments: np.ndarray, n_coarse: int) -> np.ndarray:
-    """Block-sum fine increments (last axis; one path or a matrix) onto ``n_coarse`` steps."""
-    *paths, n_fine = increments.shape
-    return increments.reshape(*paths, n_coarse, n_fine // n_coarse).sum(axis=-1)
-
-
 def derive_coupled(
     spec: MixedSpec,
     horizon_t: float,
@@ -216,11 +196,12 @@ def derive_coupled(
     """Build a fine mixed path and block-sum it onto coarser grids.
 
     The one-seed case of :func:`mfcir.experiments.run_convergence`'s
-    coupling.  Every entry of ``coarse_list`` must divide ``n_fine``
-    exactly; otherwise the offending value is named in the error.
+    coupling.  Every entry of ``coarse_list`` must be an integer dividing
+    ``n_fine``; the offending value is named, as there, before any draw.
     """
     fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_fine)
-    _check_divisors(n_fine, coarse_list)
+    for n in coarse_list:
+        _split_grid(n_fine, n, "coarse step count", "n_fine")
     fine = build_mixed(spec, fine_grid, seed)
     views = {
         int(n): NoisePath(grid=GridSpec(horizon_t, int(n)), increments=_block_sums(fine.increments, n),

@@ -14,6 +14,9 @@ generators are available:
 
 Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
+
+The coupled grids and the bracket share one home for their grid rules:
+``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
 """
 
 from __future__ import annotations
@@ -157,6 +160,36 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
+def _split_grid(steps_n: int, k, name: str, whole: str) -> int:
+    """``steps_n // k``, where ``k`` must split a grid of ``steps_n`` steps into equal blocks.
+
+    ``k`` counts blocks or steps per block, and the result the other.  Errors
+    name ``k`` as ``name`` and ``steps_n`` as ``whole``: a TypeError unless
+    ``k`` is an integer, a ValueError unless it is >= 1 and divides ``steps_n``.
+    """
+    k = _require_integer(name, k)
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1, got {k}")
+    if steps_n % k != 0:
+        raise ValueError(f"{name} {k} does not divide {whole} {steps_n}")
+    return steps_n // k
+
+
+def _block_sums(increments: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Sum increments (last axis; one path or a matrix) over ``n_blocks`` equal blocks."""
+    *paths, steps_n = increments.shape
+    return increments.reshape(*paths, n_blocks, steps_n // n_blocks).sum(axis=-1)
+
+
+def _path_values(increments: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Path values at the grid points, 0 and then the running sums of ``increments``; into ``out`` if given."""
+    if out is None:
+        out = np.empty(len(increments) + 1)
+    out[0] = 0.0
+    np.cumsum(increments, out=out[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform partition of [0, horizon_t] into steps_n intervals."""
@@ -233,10 +266,7 @@ class NoisePath:
 
     def path_values(self) -> np.ndarray:
         """Path values at the grid points, starting from 0 (length n + 1)."""
-        values = np.empty(self.grid.steps_n + 1)
-        values[0] = 0.0
-        np.cumsum(self.increments, out=values[1:])
-        return values
+        return _path_values(self.increments)
 
 
 def _check_hurst(h) -> float:

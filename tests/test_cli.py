@@ -605,6 +605,28 @@ class TestCommandOnlyChecks:
         assert not out.exists()
 
 
+class TestIntegerListErrors:
+    """A bad integer list names the form it expects, on the command line and in a config file."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [(["convergence", "--n-list", "4,x"], "n-list", "4,x"), (["bracket", "--refinements", "2.5"], "refinements", "2.5")],
+        ids=["n-list", "refinements"],
+    )
+    def test_flag(self, argv, flag, text, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        expected = f"mfcir: error: argument --{flag}: expected a comma-separated list of integers, got {text!r}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_config_file_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-list=4,x\n", encoding="utf-8")
+        assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"mfcir: error: {cfg}:1: invalid value for n-list: '4,x'\n"
+
+
 # The mfcir.cli names through which the commands reach the library and the
 # emitters.  perfbench/spans.py replaces names on mfcir.cli to time a layer,
 # so a command that held on to the functions themselves would go untimed.
