@@ -35,10 +35,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import _path_seeds, run_bracket, run_convergence, run_mc_stats, run_positivity
+from .experiments import run_bracket, run_convergence, run_mc_stats, run_positivity
 from .mixed import MixedSpec, build_mixed
 # substream_seed is not called here; perfbench/spans.py wraps it by this name.
-from .noise import GridSpec, NoiseError, substream_seed  # noqa: F401
+from .noise import GridSpec, NoiseError, _path_seeds, substream_seed  # noqa: F401
 from .scheme import CirParams, simulate_z
 
 __all__ = ["ConfigError", "RunConfig", "emit_report", "emit_trajectories", "main", "parse_config"]
@@ -154,11 +154,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser for ``argv``: every command, but flags only on the one ``argv[0]`` names (on all if none).
+
+    No other command's parser reads ``argv``, so the help, usage and error
+    texts are those of a parser with every flag on every command.
+    """
     parser = _Parser(prog="mfcir")
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for command, (summary, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
+        if named not in (None, command):
+            continue
         for option in _OPTIONS:
             if not option.commands or command in option.commands:
                 cmd.add_argument("--" + option.key, dest=option.key, type=option.convert, help=option.help)
@@ -177,7 +185,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     Precedence, lowest to highest: built-in defaults, preset values,
     config-file values, explicit command-line flags.
     """
-    namespace = _build_parser().parse_args(argv)
+    namespace = _build_parser(argv).parse_args(argv)
     cli_values = {key: value for key, value in vars(namespace).items() if key in _OPTION_BY_KEY and value is not None}
     file_values = _read_config_file(namespace.config) if namespace.config else {}
     merged = {option.key: option.default for option in _OPTIONS}

@@ -1,8 +1,9 @@
 """Ensemble harnesses: positivity audits, self-convergence, MC statistics.
 
-Each run* function is a pure function of its arguments: per-path seeds
-are derived from the master seed with :func:`mfcir.noise.substream_seed`,
-and ``mfcir.mixed._increment_blocks`` turns them into increments, so
+Each run* function is a pure function of its arguments: path i's seed is
+:func:`mfcir.noise.substream_seed` of the master seed and i, derived for
+the whole ensemble at once by ``mfcir.noise._path_seeds``, and
+``mfcir.mixed._increment_blocks`` turns the seeds into increments, so
 reruns reproduce results exactly.
 
 Every harness streams the ensemble, convergence studies included, one
@@ -32,10 +33,11 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bracket import BracketEstimate, discrete_ito_iterated
-# build_mixed and simulate_z_batch are not called here; perfbench/spans.py
-# wraps them by these names.
+# build_mixed, simulate_z_batch and substream_seed are not called here;
+# perfbench/spans.py wraps them by these names.
 from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
-from .noise import GridSpec, NoisePath, _block_sums, _path_values, _require_integer, _split_grid, substream_seed
+from .noise import GridSpec, NoisePath, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
+from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
     _require_in_range,
@@ -57,13 +59,6 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-9
-
-
-def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
-    """The seeds of paths 0, ..., n_paths - 1; every ensemble has at least one."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    return [substream_seed(master_seed, i) for i in range(n_paths)]
 
 
 # A chunk of the ensemble holds at most _SWEEP_ROWS paths, and fewer on

@@ -2,7 +2,8 @@
 
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
-fractional part is switched off (and vice versa).
+fractional part is switched off (and vice versa); ``mfcir.noise`` derives
+the substream seeds of a whole block of paths in one array pass.
 ``_increment_blocks`` is the one place where path seeds become driver
 increments: it yields them one block of paths at a time, in buffers it
 reuses, so the ensemble harnesses never hold a (paths, n) matrix.
@@ -22,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by these names
+from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and substream_seed by these names
     GridSpec,
     NoisePath,
     _block_sums,
@@ -32,6 +33,7 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers by the
     _rng,
     _spectrum_scale,
     _split_grid,
+    _substream_seeds,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -97,7 +99,9 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
     block takes the second half, which no row uses.  The buffers are owned
     by this generator and reused from block to block, so a block is
     overwritten by the next one, and the caller may overwrite it too.  The
-    PCG64 states are hashed for all seeds at once but built one row at a time.
+    substream seeds of all ``seeds`` are derived and their PCG64 states
+    hashed at once, but the states are built one row at a time.  A weight of
+    exactly 1 is not multiplied by.
     """
     n = grid.steps_n
     if not len(seeds):
@@ -114,7 +118,7 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
             gen.standard_normal(out=row)
 
     def states(stream: int) -> Iterator[dict]:
-        return _pcg64_states([substream_seed(seed, stream) for seed in seeds])
+        return _pcg64_states(_substream_seeds(seeds, stream))
 
     fractional = spec.weight_fbm != 0.0
     if fractional:
@@ -133,13 +137,15 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
             if fractional:
                 draw(buffer[:size], fbm_states)
                 fbm = _davies_harte_rows(scale, buffer[:size], spectrum[:size])
-                fbm *= spec.weight_fbm
+                if spec.weight_fbm != 1.0:  # x * 1.0 is x, bit for bit
+                    fbm *= spec.weight_fbm
             if spec.weight_bm != 0.0:
                 draw(block, bm_states)
                 # Two products in the per-path samplers' order, so that rows
                 # match sample_brownian_increments bit for bit.
                 block *= np.sqrt(grid.dt)
-                block *= spec.weight_bm
+                if spec.weight_bm != 1.0:
+                    block *= spec.weight_bm
             else:
                 block.fill(0.0)  # so that 0.0 + fbm turns -0.0 into +0.0
             if fractional:

@@ -15,12 +15,17 @@ generators are available:
 Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
 
+Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
+(seed, index) pair, which ``_path_seeds`` and ``_substream_seeds`` apply to
+whole arrays of seeds, and ``_pcg64_states`` turns seeds into PCG64 states.
+
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -56,6 +61,7 @@ CHOLESKY_MAX_STEPS = 2048
 STREAM_VERSION = 3
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN64 = 0x9E3779B97F4A7C15
 
 
 class NoiseError(RuntimeError):
@@ -91,6 +97,37 @@ def substream_seed(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """:func:`substream_seed`'s output mix, in place, on a 1-d uint64 array (0-d arithmetic warns as it wraps)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
+    """``[substream_seed(master_seed, i) for i in range(n_paths)]``; every ensemble has a path."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    z = np.arange(1, n_paths + 1, dtype=np.uint64)
+    z *= _GOLDEN64
+    z += operator.index(master_seed) & _MASK64
+    return _splitmix64(z).tolist()
+
+
+def _substream_seeds(seeds: Sequence[int], index: int) -> np.ndarray:
+    """``substream_seed(s, index)`` for every ``s`` in ``seeds``, as a uint64 array.
+
+    Each seed is reduced mod 2**64 first, as there; numpy would reject a
+    negative or wider integer, and truncate a float instead of refusing it.
+    """
+    z = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    z += (index + 1) * _GOLDEN64 & _MASK64
+    return _splitmix64(z)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ import pytest
 from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir.cli
-from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
+from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, _Parser, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
 from mfcir.noise import CirculantEmbeddingError, GridSpec
 from mfcir.scheme import simulate_z
@@ -625,6 +625,84 @@ class TestIntegerListErrors:
         cfg.write_text("n-list=4,x\n", encoding="utf-8")
         assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"mfcir: error: {cfg}:1: invalid value for n-list: '4,x'\n"
+
+
+def _full_parser():
+    """Every flag on every command: the parser whose texts the command line keeps."""
+    parser = _Parser(prog="mfcir")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
+    for command, (summary, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for option in _OPTIONS:
+            if not option.commands or command in option.commands:
+                cmd.add_argument("--" + option.key, dest=option.key, type=option.convert, help=option.help)
+        cmd.add_argument("--config", help="flat key=value config file; its keys are the flags' names")
+    return parser
+
+
+def _texts(run, argv, capsys):
+    """(exit code, stdout, stderr) of ``run(argv)``, which returns a code or exits."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _full_parser_main(argv):
+    """main's exit code and error line, with the full parser in place of the one it builds."""
+    try:
+        _full_parser().parse_args(argv)
+    except ConfigError as exc:
+        print(f"mfcir: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_text.json"), encoding="utf-8") as _handle:
+    _CLI_TEXT = json.load(_handle)
+
+
+class TestCliText:
+    """The parser gives only the command it runs its flags; every text stays that of the full parser.
+
+    ``cli_text.json`` holds stdout, stderr and the exit code of each command
+    line as the full parser printed them.  argparse words and wraps its texts
+    differently from one Python version to another, so those bytes are
+    compared on the version that recorded them; on every version, each
+    command line is compared with the full parser itself.
+    """
+
+    ARGVS = [case["argv"] for case in _CLI_TEXT["cases"]] + [
+        ["-h"], ["positivity", "-h", "--bogus"], ["bracket", "--refinements", "2.5"], ["positivity", "--n"],
+        ["positivity", "--n", "x"], ["positivity", "simulate"], ["simulate", "--n-list", "4"], ["pos"],
+        ["--seed", "3", "simulate"], ["mcstats", "--t-eval"], ["simulate", "--config"],
+        # the command's parser reads the flags after it, though argv[0] names no command
+        ["--bogus", "simulate", "--n", "5"], ["--bogus", "bracket", "--refinements", "x"],
+    ]
+
+    @pytest.mark.parametrize("case", _CLI_TEXT["cases"], ids=lambda case: " ".join(case["argv"]) or "(none)")
+    def test_recorded_bytes(self, case, monkeypatch, capsys):
+        if "%d.%d" % sys.version_info[:2] != _CLI_TEXT["python"]:
+            pytest.skip(f"recorded on Python {_CLI_TEXT['python']}")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _texts(main, case["argv"], capsys) == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_as_the_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = _texts(_full_parser_main, argv, capsys)
+        assert expected[0] in (0, 2) and expected[1] + expected[2]
+        assert _texts(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [["positivity", "--n", "8"], ["convergence", "--n-list", "4,8"], ["--help"]])
+    def test_only_the_named_command_gets_flags(self, argv):
+        parser = mfcir.cli._build_parser(argv)
+        (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+        assert list(commands) == list(_COMMANDS)
+        with_flags = {name for name, cmd in commands.items() if "--config" in cmd._option_string_actions}
+        assert with_flags == ({argv[0]} if argv[0] in _COMMANDS else set(_COMMANDS))
 
 
 # The mfcir.cli names through which the commands reach the library and the

@@ -17,7 +17,6 @@ from mfcir.experiments import (
     McStats,
     PositivityReport,
     _fit_order,
-    _path_seeds,
     _sweep,
     run_bracket,
     run_convergence,
@@ -25,7 +24,7 @@ from mfcir.experiments import (
     run_positivity,
 )
 from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
-from mfcir.noise import GridSpec, NoisePath
+from mfcir.noise import GridSpec, NoisePath, _path_seeds
 from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
@@ -262,6 +261,18 @@ class TestPositivity:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             run_positivity(PARAMS, MixedSpec(), self.GRID, 0, 0)
+
+    @pytest.mark.parametrize("master", [-1, 2**64, 2**70])
+    def test_master_seed_out_of_range_reduces_mod_2_64(self, master):
+        grid = GridSpec(1.0, 64)
+        report = run_positivity(PARAMS, MixedSpec(), grid, 5, master)
+        reduced = run_positivity(PARAMS, MixedSpec(), grid, 5, master % 2**64)
+        assert (report.min_z, report.bound_violations) == (reduced.min_z, reduced.bound_violations)
+
+    def test_float_master_seed_is_a_type_error(self, draws):
+        with pytest.raises(TypeError):
+            run_positivity(PARAMS, MixedSpec(), self.GRID, 5, 7.0)
+        assert draws == []
 
 
 class TestMcStats:

@@ -85,6 +85,20 @@ def test_mixed_path_metadata():
     assert path.seed == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_path_seed_out_of_range_reduces_mod_2_64(seed):
+    spec, grid = MixedSpec(0.75, 0.3, -1.7), GridSpec(1.0, 64)
+    path = build_mixed(spec, grid, seed)
+    assert path.increments.tobytes() == reference_row(spec, grid, seed).tobytes()
+    assert path.increments.tobytes() == build_mixed(spec, grid, seed % 2**64).increments.tobytes()
+    assert path.seed == seed
+
+
+def test_float_path_seed_is_a_type_error():
+    with pytest.raises(TypeError):
+        build_mixed(MixedSpec(), GridSpec(1.0, 4), 1.5)
+
+
 def reference_row(spec, grid, seed):
     """One mixed path assembled by hand from the per-path samplers."""
     inc = np.zeros(grid.steps_n)

@@ -17,10 +17,12 @@ from mfcir.noise import (
     _circulant_eigenvalues,
     _clamped_eigenvalues,
     _davies_harte_rows,
+    _path_seeds,
     _pcg64_states,
     _rng,
     _spd_factor,
     _spectrum_scale,
+    _substream_seeds,
     fbm_covariance,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -151,8 +153,10 @@ class TestDaviesHarte:
     def test_stationary_increment_moments(self):
         # variance and lag-1 autocovariance of the first two increments,
         # estimated over 1e4 paths at the stated grid, transformed in blocks
-        # of rows with the per-path sampler's seeds and normals
-        h, n = 0.75, 2**14
+        # of rows with the per-path sampler's seeds and normals.  Both moments
+        # scale exactly with dt**(2h), so a short grid checks what a long one
+        # would; a spectrum scaled by 1.05 (+10% variance, about 7 SE) fails here.
+        h, n = 0.75, 2**10
         grid = GridSpec(1.0, n)
         n_paths, rows = 10_000, 16
         normals = np.empty((rows, 2 * n))
@@ -326,6 +330,41 @@ class TestSubstreams:
 
     def test_range(self):
         assert 0 <= substream_seed(2**64 - 1, 123) < 2**64
+
+
+class TestArraySeeds:
+    """The array pass that derives an ensemble's seeds equals substream_seed bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    INDICES = [0, 1, 2, 2**32, 10**6]
+    OUT_OF_RANGE = [-1, 2**64, 2**70]  # substream_seed reduces them mod 2**64
+
+    @pytest.mark.parametrize("index", INDICES)
+    def test_substream_seeds_equal_the_scalar_rule(self, index):
+        derived = _substream_seeds(self.SEEDS, index)
+        assert derived.dtype == np.uint64 and derived.shape == (len(self.SEEDS),)
+        assert derived.tolist() == [substream_seed(s, index) for s in self.SEEDS]
+
+    def test_seeds_out_of_range_reduce_as_in_the_scalar_rule(self):
+        for index in self.INDICES:
+            expected = [substream_seed(s, index) for s in self.OUT_OF_RANGE]
+            assert _substream_seeds(self.OUT_OF_RANGE, index).tolist() == expected
+            assert expected == [substream_seed(s % 2**64, index) for s in self.OUT_OF_RANGE]
+        assert _substream_seeds([np.uint64(2**64 - 1), True], 1).tolist() == [
+            substream_seed(2**64 - 1, 1), substream_seed(1, 1)
+        ]
+
+    @pytest.mark.parametrize("master", SEEDS + OUT_OF_RANGE)
+    def test_path_seeds_equal_the_scalar_rule(self, master):
+        assert _path_seeds(master, 70) == [substream_seed(master, i) for i in range(70)]
+
+    def test_path_seeds_of_a_negative_master(self):
+        assert _path_seeds(-1, 2) == [16490336266968443936, 16834447057089888969]
+
+    def test_a_float_seed_is_a_type_error(self):
+        for derive in (lambda: _path_seeds(1.5, 2), lambda: _path_seeds(2.0, 2), lambda: _substream_seeds([3, 1.5], 0)):
+            with pytest.raises(TypeError):
+                derive()
 
 
 class TestGridAndPathValidation:
