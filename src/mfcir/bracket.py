@@ -13,7 +13,9 @@ driver (Brownian plus an independent fractional component with hurst
 above 1/2) the fine quadratic variation concentrates on t as the grid is
 refined, since the fractional and cross terms vanish in the limit; the
 bracket therefore recovers the Brownian clock of the mixture.  Outer
-grids are split and summed by the grid rules of :mod:`mfcir.noise`.
+grids are split and summed by the grid rules of :mod:`mfcir.noise`.  The
+arithmetic works on plain arrays (``_bracket_sums``, which the ensemble
+harness calls on each drawn row); :func:`discrete_ito_iterated` wraps it.
 """
 
 from __future__ import annotations
@@ -54,32 +56,32 @@ def quadratic_variation(noise: NoisePath) -> float:
     return float(np.dot(inc, inc))
 
 
-def discrete_ito_iterated(noise: NoisePath, refinement: int, values: np.ndarray | None = None) -> BracketEstimate:
+def _bracket_sums(increments: np.ndarray, values: np.ndarray, refinement: int) -> tuple[float, float, float]:
+    """``(qv_sum, iterated_correction, bracket_value)`` of one path on the grid coarsened by ``refinement``.
+
+    ``increments`` and ``values`` are the path's on the fine grid; ``refinement`` divides its step count.
+    """
+    n_outer = len(increments) // refinement
+    outer_inc = _block_sums(increments, n_outer)
+    qv_sum = float(np.dot(outer_inc, outer_inc))
+    left = values[:-1].reshape(n_outer, refinement)
+    rel = left - left[:, :1]  # path relative to the outer-interval start
+    iterated_correction = 2.0 * float(np.sum(rel * increments.reshape(n_outer, refinement)))
+    return qv_sum, iterated_correction, qv_sum - iterated_correction
+
+
+def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:
     """Bracket estimate of ``noise`` on the grid coarsened by ``refinement``.
 
     The input grid plays the role of the fine grid: each outer interval
     covers ``refinement`` consecutive fine steps, over which the
     left-point iterated sums are accumulated.  ``refinement = 1`` has no
     inner structure, so the correction is zero and the bracket equals the
-    plain quadratic variation.  ``values`` may hold ``noise.path_values()``
-    already, so that estimates at several refinements share one sum.
+    plain quadratic variation.
     """
     n_outer = _split_grid(noise.grid.steps_n, refinement, "refinement", "steps_n")
-    blocks = noise.increments.reshape(n_outer, refinement)
-    outer_inc = _block_sums(noise.increments, n_outer)
-    qv_sum = float(np.dot(outer_inc, outer_inc))
-    if values is None:
-        values = noise.path_values()
-    left = values[:-1].reshape(n_outer, refinement)
-    rel = left - left[:, :1]  # path relative to the outer-interval start
-    iterated_correction = 2.0 * float(np.sum(rel * blocks))
-    return BracketEstimate(
-        grid=GridSpec(horizon_t=noise.grid.horizon_t, steps_n=n_outer),
-        qv_sum=qv_sum,
-        iterated_correction=iterated_correction,
-        bracket_value=qv_sum - iterated_correction,
-        refinement=int(refinement),
-    )
+    sums = _bracket_sums(noise.increments, noise.path_values(), int(refinement))
+    return BracketEstimate(GridSpec(noise.grid.horizon_t, n_outer), *sums, refinement=int(refinement))
 
 
 def _square(x):

@@ -1,18 +1,19 @@
 """Ensemble harnesses: positivity audits, self-convergence, MC statistics.
 
 Each run* function is a pure function of its arguments: path i's seed is
-:func:`mfcir.noise.substream_seed` of the master seed and i, derived for
-the whole ensemble at once by ``mfcir.noise._path_seeds``, and
+:func:`mfcir.noise.substream_seed` of the master seed and i, derived a
+chunk at a time by ``mfcir.noise._PathSeeds``, and
 ``mfcir.mixed._increment_blocks`` turns the seeds into increments, so
 reruns reproduce results exactly.
 
 Every harness streams the ensemble, convergence studies included, one
-chunk of paths at a time, and keeps only per-path reductions.  A chunk's
-increments arrive one block of rows at a time and are used as they
-arrive: moved into the columns of the chunk's step-major states (after
-block sums onto every coarse grid, for convergence), or estimated row by
-row (bracket).  No (paths, n) increment matrix is held, so memory does
-not grow with the number of paths.  ``_chunks`` is the one chunk loop;
+chunk of paths at a time, and reduces the arrays that ``_stepped_chunks``
+or ``_increment_blocks`` yield, keeping per path only what its summary
+needs.  A chunk's seeds are sliced, and its increments drawn one block of
+rows at a time, as the chunk is reached; a block is moved into the
+columns of the chunk's step-major states (after block sums onto every
+coarse grid, for convergence), or estimated row by row (bracket).  No
+(paths, n) increment matrix is held.  ``_chunks`` is the one chunk loop;
 the grid rules come from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
@@ -28,15 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bracket import BracketEstimate, discrete_ito_iterated
-# build_mixed, simulate_z_batch and substream_seed are not called here;
-# perfbench/spans.py wraps them by these names.
+# build_mixed, discrete_ito_iterated, simulate_z_batch and substream_seed
+# are not called here; perfbench/spans.py wraps them by these names.
+from .bracket import BracketEstimate, _bracket_sums, discrete_ito_iterated  # noqa: F401
 from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
-from .noise import GridSpec, NoisePath, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
+from .noise import GridSpec, _block_sums, _PathSeeds, _path_values, _require_integer, _split_grid
 from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
@@ -86,7 +87,7 @@ def _median(a: np.ndarray) -> np.ndarray:
 
 
 def _chunks(grid: GridSpec, seeds: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield ``(lo, seeds[lo : lo + rows])`` per chunk of an ensemble on ``grid``; the first is the widest."""
+    """Yield ``(lo, seeds[lo : lo + rows])`` per chunk on ``grid``, each sliced when reached; the widest first."""
     rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
     for lo in range(0, len(seeds), rows):
         yield lo, seeds[lo : lo + rows]
@@ -168,23 +169,6 @@ def _stepped_chunks(
         yield lo, [lane.step(len(chunk)) for lane in lanes]
 
 
-class _Sweep(NamedTuple):
-    min_z: float  # over every path and grid point, z0 included
-    bound_violations: int
-    z_at: np.ndarray  # each path's state at the requested grid point
-
-
-def _sweep(params: CirParams, spec: MixedSpec, grid: GridSpec, seeds: Sequence[int], index: int) -> _Sweep:
-    """Run the scheme over the ensemble of ``seeds`` and reduce it, one chunk of paths at a time."""
-    min_z, violations = math.inf, 0
-    z_at = np.empty(len(seeds))
-    for lo, [(z, chunk_min, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
-        min_z = min(min_z, chunk_min)
-        violations += chunk_violations
-        z_at[lo : lo + z.shape[1]] = z[index]
-    return _Sweep(min_z, violations, z_at)
-
-
 @dataclass(frozen=True, eq=False)
 class PositivityReport:
     """Outcome of a minimum-of-the-rate audit over an ensemble."""
@@ -211,15 +195,19 @@ def run_positivity(
     regime was audited.  ``min_r`` is the transform of ``min_z``, so the
     two minima always agree.
     """
-    sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), grid.steps_n)
+    seeds = _PathSeeds(master_seed, n_paths)
+    min_z, violations = math.inf, 0  # min_z over every path and grid point, z0 included
+    for _, [(_, chunk_min, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
+        min_z = min(min_z, chunk_min)
+        violations += chunk_violations
     return PositivityReport(
         params=params,
         grid=grid,
-        n_paths=n_paths,
-        min_z=sweep.min_z,
-        min_r=z_to_r(sweep.min_z, params.sigma),
+        n_paths=len(seeds),
+        min_z=min_z,
+        min_r=z_to_r(min_z, params.sigma),
         feller_ok=params.feller_ok,
-        bound_violations=sweep.bound_violations,
+        bound_violations=violations,
     )
 
 
@@ -359,12 +347,18 @@ def run_mc_stats(
     """
     if not 0.0 < t_eval <= grid.horizon_t:
         raise ValueError(f"t_eval must lie in (0, {grid.horizon_t}], got {t_eval}")
+    n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
+    seeds = _PathSeeds(master_seed, n_paths)
     index = int(round(t_eval / grid.dt))
     index = min(max(index, 0), grid.steps_n)
-    sweep = _sweep(params, spec, grid, _path_seeds(master_seed, n_paths), index)
-    r_at = z_to_r(sweep.z_at, params.sigma)
+    z_at = np.empty(n_paths)  # each path's state at that grid point: the moments sum them in path order
+    violations = 0
+    for lo, [(z, _, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
+        violations += chunk_violations
+        z_at[lo : lo + z.shape[1]] = z[index]
+    r_at = z_to_r(z_at, params.sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(r_at.mean())
         se = float(r_at.std(ddof=1) / math.sqrt(n_paths))
@@ -381,7 +375,7 @@ def run_mc_stats(
         n_paths=n_paths,
         closed_form_mean=closed,
         t_used=t_used,
-        bound_violations=sweep.bound_violations,
+        bound_violations=violations,
     )
 
 
@@ -398,10 +392,10 @@ def run_bracket(
     single paths) are the meaningful summary; with ``n_paths = 1`` the
     medians reduce to the single path's values.  Every refinement must
     divide ``grid.steps_n``; that is checked before any path is drawn.  Each
-    block of paths is estimated row by row as it is drawn, and only the
-    sums are kept, so memory does not grow with the number of paths.
+    block of paths is estimated row by row as it is drawn, and only each
+    path's three sums per refinement are kept, for the medians.
     """
-    seeds = _path_seeds(master_seed, n_paths)
+    seeds = _PathSeeds(master_seed, n_paths)
     refinements = list(refinements)
     if not refinements:
         raise ValueError("refinements must not be empty")
@@ -412,13 +406,9 @@ def run_bracket(
     # One call per chunk, so that the chunk's last block is freed before the next chunk is drawn.
     def estimate(lo, chunk):
         for at, block in _increment_blocks(spec, grid, chunk):
-            shared = block.view()
-            shared.setflags(write=False)  # so that its rows can back NoisePaths without a copy
-            for i, row in enumerate(shared, lo + at):
-                path = NoisePath._over(grid, row, "mixed", seeds[i], spec.hurst)
-                _path_values(row, out=values)  # path.path_values(), into the shared buffer
-                estimates = (discrete_ito_iterated(path, r, values=values) for r in refinements)
-                sums[i] = [(e.qv_sum, e.iterated_correction, e.bracket_value) for e in estimates]
+            for i, row in enumerate(block, lo + at):
+                _path_values(row, out=values)
+                sums[i] = [_bracket_sums(row, values, r) for r in refinements]
 
     sums = np.empty((len(seeds), len(refinements), 3))  # in BracketEstimate's field order
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below

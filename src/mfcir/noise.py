@@ -16,8 +16,9 @@ Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
 
 Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
-(seed, index) pair, which ``_path_seeds`` and ``_substream_seeds`` apply to
-whole arrays of seeds, and ``_pcg64_states`` turns seeds into PCG64 states.
+(seed, index) pair, which ``_PathSeeds`` (a chunk at a time) and
+``_substream_seeds`` apply to arrays of seeds, and ``_pcg64_states`` turns
+seeds into PCG64 states.
 
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
@@ -109,14 +110,32 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+class _PathSeeds:
+    """An ensemble's path seeds: ``seeds[lo:hi]`` is ``[substream_seed(master_seed, i) for i in range(lo, hi)]``.
+
+    A slice is derived in one array pass when it is taken, so an ensemble
+    holds the seeds of the chunk it draws, not all of them.  Both arguments
+    are checked here, before any seed is derived.
+    """
+
+    def __init__(self, master_seed: int, n_paths: int):
+        self.master = operator.index(master_seed) & _MASK64
+        self.n_paths = _require_integer("n_paths", n_paths)
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+
+    def __len__(self) -> int:
+        return self.n_paths
+
+    def __getitem__(self, paths: slice) -> list[int]:
+        r = range(self.n_paths)[paths]
+        z = np.arange(r.start + 1, r.stop + 1, r.step, dtype=np.uint64) * _GOLDEN64 + self.master
+        return _splitmix64(z).tolist()
+
+
 def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
-    """``[substream_seed(master_seed, i) for i in range(n_paths)]``; every ensemble has a path."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    z = np.arange(1, n_paths + 1, dtype=np.uint64)
-    z *= _GOLDEN64
-    z += operator.index(master_seed) & _MASK64
-    return _splitmix64(z).tolist()
+    """``[substream_seed(master_seed, i) for i in range(n_paths)]``, all at once."""
+    return _PathSeeds(master_seed, n_paths)[:]
 
 
 def _substream_seeds(seeds: Sequence[int], index: int) -> np.ndarray:
@@ -286,20 +305,6 @@ class NoisePath:
             _check_hurst(self.hurst)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-
-    @classmethod
-    def _over(cls, grid: GridSpec, row: np.ndarray, kind: str, seed: int, hurst: float | None = None) -> NoisePath:
-        """A path whose increments are ``row`` itself, not a copy of it.
-
-        For increments that are already checked, such as the rows of
-        :func:`~mfcir.mixed.ensemble_increments`; ``row`` must be read-only.
-        """
-        if row.flags.writeable:
-            raise ValueError("a NoisePath can only share a read-only row")
-        path = object.__new__(cls)
-        for name, value in zip(("grid", "increments", "kind", "seed", "hurst"), (grid, row, kind, seed, hurst)):
-            object.__setattr__(path, name, value)
-        return path
 
     def path_values(self) -> np.ndarray:
         """Path values at the grid points, starting from 0 (length n + 1)."""

@@ -17,7 +17,7 @@ from mfcir.experiments import (
     McStats,
     PositivityReport,
     _fit_order,
-    _sweep,
+    _stepped_chunks,
     run_bracket,
     run_convergence,
     run_mc_stats,
@@ -469,6 +469,23 @@ def test_valid_runs_reach_the_draw_spy(draws, run, n_paths):
     assert [len(seeds) for seeds in draws] == [n_paths]
 
 
+@pytest.mark.parametrize("n_paths", [2.5, True])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n_paths: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1, 2], n_paths, 0),
+        lambda n_paths: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), n_paths, 0),
+        lambda n_paths: run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0.5, n_paths, 0),
+    ],
+    ids=["bracket", "positivity", "mc_stats"],
+)
+def test_non_integer_path_count_is_a_type_error_before_any_draw(draws, run, n_paths):
+    # 2.5 used to draw three paths (np.arange(1, 3.5)) and True one
+    with pytest.raises(TypeError, match="n_paths must be an integer"):
+        run(n_paths)
+    assert draws == []
+
+
 def test_bracket_correction_overflow_alone_is_rejected(monkeypatch):
     # At refinement 2 the outer increments +x - x cancel, so every qv_sum
     # is 0, while the iterated correction x * (-x) overflows to -inf.
@@ -523,9 +540,13 @@ class TestSweep:
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         seeds = _path_seeds(3, 7)
         refs = self._references(seeds)
-        sweep = _sweep(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, seeds, index)
-        assert sweep.min_z == min(float(z.min()) for z in refs)
-        assert np.array_equal(sweep.z_at, [z[index] for z in refs])
+        chunks = [
+            (lo, z_min, z[index].copy())  # z is overwritten by the next chunk
+            for lo, [(z, z_min, _)] in _stepped_chunks(SWEEP_PARAMS, SWEEP_SPEC, [SWEEP_GRID], seeds)
+        ]
+        assert [lo for lo, _, _ in chunks] == [0, 3, 6]
+        assert min(z_min for _, z_min, _ in chunks) == min(float(z.min()) for z in refs)
+        assert np.array_equal(np.concatenate([z_at for _, _, z_at in chunks]), [z[index] for z in refs])
 
     def test_mc_stats_reduce_the_reference_states(self):
         refs = self._references(_path_seeds(3, 7))
@@ -650,6 +671,16 @@ class TestPeakMemory:
         grid = GridSpec(1.0, n)
         peak = _traced_peak_mb(lambda: run_mc_stats(PARAMS, MixedSpec(weight_fbm=0.0), grid, 0.5, n_paths, 5))
         assert peak < (states + block + slack) / 1e6, peak
+
+    def test_positivity_does_not_grow_with_paths(self):
+        # ten times the paths, the same peak: every chunk has 1024 paths at
+        # n = 16, and only one chunk's seeds are derived at a time.  Holding
+        # every seed grew the peak by 0.93 MB here, keeping one chunk's by 0.003 MB.
+        grid = GridSpec(1.0, 16)
+        peaks = [
+            _traced_peak_mb(lambda: run_positivity(PARAMS, MixedSpec(), grid, n_paths, 5)) for n_paths in (2000, 20000)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
     def test_spectrum_setup_does_not_stack_on_the_block_buffers(self):
         # one 2**16-step mixed path, the scale computed afresh on each run:

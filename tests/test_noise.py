@@ -17,6 +17,7 @@ from mfcir.noise import (
     _circulant_eigenvalues,
     _clamped_eigenvalues,
     _davies_harte_rows,
+    _PathSeeds,
     _path_seeds,
     _pcg64_states,
     _rng,
@@ -357,6 +358,8 @@ class TestArraySeeds:
     @pytest.mark.parametrize("master", SEEDS + OUT_OF_RANGE)
     def test_path_seeds_equal_the_scalar_rule(self, master):
         assert _path_seeds(master, 70) == [substream_seed(master, i) for i in range(70)]
+        # a chunk's slice, derived on its own
+        assert _PathSeeds(master, 70)[17:40] == [substream_seed(master, i) for i in range(17, 40)]
 
     def test_path_seeds_of_a_negative_master(self):
         assert _path_seeds(-1, 2) == [16490336266968443936, 16834447057089888969]
@@ -391,17 +394,6 @@ class TestGridAndPathValidation:
             NoisePath(grid=grid, increments=np.zeros(3), kind="levy", seed=0)
         with pytest.raises(ValueError):
             NoisePath(grid=grid, increments=np.zeros(3), kind="fractional", seed=0)  # no hurst
-
-    def test_path_over_a_row_shares_it(self):
-        grid = GridSpec(1.0, 3)
-        rows = np.arange(6.0).reshape(2, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            NoisePath._over(grid, rows[1], "mixed", 9, 0.75)
-        rows.setflags(write=False)
-        path = NoisePath._over(grid, rows[1], "mixed", 9, 0.75)
-        assert np.shares_memory(path.increments, rows)
-        assert (path.grid, path.kind, path.seed, path.hurst) == (grid, "mixed", 9, 0.75)
-        assert np.array_equal(path.path_values(), [0.0, 3.0, 7.0, 12.0])
 
     def test_increments_are_read_only(self):
         path = sample_brownian_increments(GridSpec(1.0, 4), 0)
