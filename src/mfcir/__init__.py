@@ -10,12 +10,7 @@ discrete bracket of the driver, audit positivity and pathwise bounds
 over ensembles, and measure the scheme's self-convergence order.
 """
 
-from .bracket import (
-    BracketEstimate,
-    discrete_ito_iterated,
-    ito_formula_residual,
-    quadratic_variation,
-)
+from .bracket import BracketEstimate, discrete_ito_iterated
 from .experiments import (
     ConvergenceReport,
     McStats,
@@ -25,7 +20,7 @@ from .experiments import (
     run_mc_stats,
     run_positivity,
 )
-from .mixed import CoupledNoise, MixedSpec, build_mixed, derive_coupled, ensemble_increments
+from .mixed import MixedSpec, build_mixed
 from .noise import (
     CHOLESKY_MAX_STEPS,
     STREAM_VERSION,
@@ -43,8 +38,6 @@ from .noise import (
 from .scheme import (
     CirParams,
     Trajectory,
-    implicit_step,
-    interpolate,
     r_to_z,
     simulate_z,
     simulate_z_batch,
@@ -60,7 +53,6 @@ __all__ = [
     "CirParams",
     "CirculantEmbeddingError",
     "ConvergenceReport",
-    "CoupledNoise",
     "FactorizationError",
     "GridSpec",
     "McStats",
@@ -71,14 +63,8 @@ __all__ = [
     "STREAM_VERSION",
     "Trajectory",
     "build_mixed",
-    "derive_coupled",
     "discrete_ito_iterated",
-    "ensemble_increments",
     "fbm_covariance",
-    "implicit_step",
-    "interpolate",
-    "ito_formula_residual",
-    "quadratic_variation",
     "r_to_z",
     "run_bracket",
     "run_convergence",

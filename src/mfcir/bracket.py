@@ -24,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import GridSpec, NoisePath, _block_sums, _path_values, _split_grid
+from .noise import GridSpec, NoisePath, _block_sums, _split_grid
 
-__all__ = [
-    "BracketEstimate",
-    "discrete_ito_iterated",
-    "ito_formula_residual",
-    "quadratic_variation",
-]
+__all__ = ["BracketEstimate", "discrete_ito_iterated"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +43,6 @@ class BracketEstimate:
     iterated_correction: float
     bracket_value: float
     refinement: int
-
-
-def quadratic_variation(noise: NoisePath) -> float:
-    """Sum of squared increments of the path on its own grid."""
-    inc = noise.increments
-    return float(np.dot(inc, inc))
 
 
 def _bracket_sums(increments: np.ndarray, values: np.ndarray, refinement: int) -> tuple[float, float, float]:
@@ -82,39 +71,3 @@ def discrete_ito_iterated(noise: NoisePath, refinement: int) -> BracketEstimate:
     n_outer = _split_grid(noise.grid.steps_n, refinement, "refinement", "steps_n")
     sums = _bracket_sums(noise.increments, noise.path_values(), int(refinement))
     return BracketEstimate(GridSpec(noise.grid.horizon_t, n_outer), *sums, refinement=int(refinement))
-
-
-def _square(x):
-    return x * x
-
-
-def _two_x(x):
-    return 2.0 * x
-
-
-def _two(x):
-    return 2.0
-
-
-def ito_formula_residual(noise: NoisePath, refinement: int = 1, f=None, df=None, d2f=None) -> float:
-    """Defect of the second-order chain rule along the coarsened path.
-
-    Returns ``|f(X_T) - f(X_0) - sum df(X_left) dX - 1/2 sum d2f(X_left)
-    (dX)^2|`` on the grid obtained by merging ``refinement`` consecutive
-    steps.  The default triple is f(x) = x^2, for which the identity is
-    exact on any grid and the residual is pure rounding noise.  Custom
-    ``(f, df, d2f)`` must be supplied together and accept ndarrays; for a
-    smooth f the residual shrinks with the mesh at the driver's regularity.
-    """
-    supplied = (f is not None, df is not None, d2f is not None)
-    if any(supplied) and not all(supplied):
-        raise ValueError("f, df and d2f must be supplied together")
-    if f is None:
-        f, df, d2f = _square, _two_x, _two
-    n_outer = _split_grid(noise.grid.steps_n, refinement, "refinement", "steps_n")
-    outer_inc = _block_sums(noise.increments, n_outer)
-    values = _path_values(outer_inc)
-    left = values[:-1]
-    riemann = float(np.sum(df(left) * outer_inc))
-    quad = 0.5 * float(np.sum(d2f(left) * outer_inc * outer_inc))
-    return float(abs(float(f(values[-1])) - float(f(values[0])) - riemann - quad))

@@ -35,10 +35,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import run_bracket, run_convergence, run_mc_stats, run_positivity
+from .experiments import _chunks, run_bracket, run_convergence, run_mc_stats, run_positivity
 from .mixed import MixedSpec, build_mixed
 # substream_seed is not called here; perfbench/spans.py wraps it by this name.
-from .noise import GridSpec, NoiseError, _path_seeds, substream_seed  # noqa: F401
+from .noise import GridSpec, NoiseError, _PathSeeds, substream_seed  # noqa: F401
 from .scheme import CirParams, simulate_z
 
 __all__ = ["ConfigError", "RunConfig", "emit_report", "emit_trajectories", "main", "parse_config"]
@@ -324,13 +324,14 @@ def emit_report(rows, footer, config: RunConfig) -> None:
 
 
 def _simulate(config: RunConfig) -> None:
-    seeds = _path_seeds(config.seed, config.n_paths)
+    # one chunk's seeds are derived at a time, when the chunk is reached
+    seeds = (seed for _, chunk in _chunks(config.grid, _PathSeeds(config.seed, config.n_paths)) for seed in chunk)
     paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
     emit_trajectories(paths, config)
 
 
 def _convergence(config: RunConfig) -> None:
-    seeds = _path_seeds(config.seed, config.n_paths)
+    seeds = _PathSeeds(config.seed, config.n_paths)[:]  # the report keeps every seed
     report = run_convergence(config.params, config.mixed, config.grid.horizon_t, config.n_list, config.n_ref, seeds)
     q25, q75 = np.percentile(report.errors_per_seed, (25, 75), axis=0).tolist()
     rows = [

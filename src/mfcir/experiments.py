@@ -13,8 +13,9 @@ needs.  A chunk's seeds are sliced, and its increments drawn one block of
 rows at a time, as the chunk is reached; a block is moved into the
 columns of the chunk's step-major states (after block sums onto every
 coarse grid, for convergence), or estimated row by row (bracket).  No
-(paths, n) increment matrix is held.  ``_chunks`` is the one chunk loop;
-the grid rules come from :mod:`mfcir.noise`.
+(paths, n) increment matrix is held.  ``_chunks`` is the one chunk loop,
+which the CLI's ``simulate`` walks too; the grid rules come from
+:mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -256,15 +257,16 @@ def run_convergence(
     """Estimate the scheme's self-convergence order on coupled grids.
 
     For each seed one fine driver path at ``n_ref`` steps is block-summed
-    onto every grid in ``n_list`` (:func:`~mfcir.mixed.derive_coupled` is
-    the one-seed case); the scheme runs on all of them, one chunk of seeds
-    at a time.  Each coarse solution is extended to every reference grid
-    point by linear interpolation (the convention under which the scheme is
-    defined for all t), so the sup distance to the fine solution also sees
-    the driver's oscillation within coarse intervals.  The order is fitted
-    on medians across seeds.  Requires the Feller regime (the study targets
-    the positive-rate setting) and ``n_ref`` at least 8 times the largest
-    requested grid so the reference is meaningfully finer.
+    onto every grid in ``n_list`` (:func:`~mfcir.mixed.build_mixed` and
+    ``mfcir.noise._block_sums`` give one seed's views); the scheme runs on
+    all of them, one chunk of seeds at a time.  Each coarse solution is
+    extended to every reference grid point by linear interpolation (the
+    convention under which the scheme is defined for all t), so the sup
+    distance to the fine solution also sees the driver's oscillation within
+    coarse intervals.  The order is fitted on medians across seeds.
+    Requires the Feller regime (the study targets the positive-rate
+    setting) and ``n_ref`` at least 8 times the largest requested grid so
+    the reference is meaningfully finer.
     """
     if not params.feller_ok:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Mixed driver M = w_bm * B + w_fbm * B^H and grid-coupled views of it.
+"""Mixed driver M = w_bm * B + w_fbm * B^H.
 
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
@@ -6,33 +6,27 @@ fractional part is switched off (and vice versa); ``mfcir.noise`` derives
 the substream seeds of a whole block of paths in one array pass.
 ``_increment_blocks`` is the one place where path seeds become driver
 increments: it yields them one block of paths at a time, in buffers it
-reuses, so the ensemble harnesses never hold a (paths, n) matrix.
-:func:`ensemble_increments` collects its blocks into one, and
-:func:`build_mixed` is its one-path case.  Coarse-grid restrictions are
-exact block sums of fine increments, so that in a self-convergence study
-every grid sees the same driver; the convergence harness block-sums each
-block of paths as it arrives, and ``derive_coupled`` is its one-seed case.
-Both check and sum onto their coarse grids by :mod:`mfcir.noise`'s rules.
+reuses, so the ensemble harnesses never hold a (paths, n) matrix, and
+:func:`build_mixed` is its one-path case.  Coarse-grid restrictions of a
+driver are exact block sums of its increments (``mfcir.noise._block_sums``),
+which the convergence harness takes of each block of paths as it arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and substream_seed by these names
     GridSpec,
     NoisePath,
-    _block_sums,
     _check_hurst,
     _davies_harte_rows,
     _pcg64_states,
     _rng,
     _spectrum_scale,
-    _split_grid,
     _substream_seeds,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -40,7 +34,7 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and su
     substream_seed,
 )
 
-__all__ = ["CoupledNoise", "MixedSpec", "build_mixed", "derive_coupled", "ensemble_increments"]
+__all__ = ["MixedSpec", "build_mixed"]
 
 # Fixed substream indices of a path seed; part of the seeding contract.
 _BM_STREAM = 0
@@ -155,63 +149,13 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
         yield lo, block
 
 
-def ensemble_increments(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
-    """Mixed-driver increments, shape (len(seeds), steps_n), one path per row.
-
-    Row i is the path of ``seeds[i]``: the blocks of the one draw path,
-    :func:`_increment_blocks`, collected into one array.  The ensemble
-    harnesses consume the blocks directly and never hold this matrix.
-    """
-    out = np.empty((len(seeds), grid.steps_n))
-    for lo, block in _increment_blocks(spec, grid, seeds):
-        out[lo : lo + len(block)] = block
-    return out
-
-
 def build_mixed(spec: MixedSpec, grid: GridSpec, seed: int) -> NoisePath:
     """Sample one mixed-driver path on ``grid`` from a path seed.
 
-    The one-path case of :func:`ensemble_increments`: the Brownian and
+    The one-path case of ``_increment_blocks``: the Brownian and
     fractional components come from substreams 0 and 1 of ``seed``, the
     fractional one through circulant embedding at every grid size.
+    NoisePath copies the one row out of the generator's buffer.
     """
-    inc = ensemble_increments(spec, grid, [seed])[0]
-    return NoisePath(grid=grid, increments=inc, kind="mixed", seed=seed, hurst=spec.hurst)
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledNoise:
-    """One fine driver realization plus coarse restrictions of it.
-
-    ``coarse_views[n]`` lives on an n-step grid over the same horizon and
-    its k-th increment is the sum of the fine increments it covers, so all
-    views share terminal value and, at common grid points, path values.
-    """
-
-    fine: NoisePath
-    coarse_views: Mapping[int, NoisePath]
-
-
-def derive_coupled(
-    spec: MixedSpec,
-    horizon_t: float,
-    n_fine: int,
-    coarse_list: Sequence[int],
-    seed: int,
-) -> CoupledNoise:
-    """Build a fine mixed path and block-sum it onto coarser grids.
-
-    The one-seed case of :func:`mfcir.experiments.run_convergence`'s
-    coupling.  Every entry of ``coarse_list`` must be an integer dividing
-    ``n_fine``; the offending value is named, as there, before any draw.
-    """
-    fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_fine)
-    for n in coarse_list:
-        _split_grid(n_fine, n, "coarse step count", "n_fine")
-    fine = build_mixed(spec, fine_grid, seed)
-    views = {
-        int(n): NoisePath(grid=GridSpec(horizon_t, int(n)), increments=_block_sums(fine.increments, n),
-                          kind="mixed", seed=seed, hurst=spec.hurst)
-        for n in coarse_list
-    }
-    return CoupledNoise(fine=fine, coarse_views=MappingProxyType(views))
+    [(_, block)] = _increment_blocks(spec, grid, [seed])
+    return NoisePath(grid=grid, increments=block[0], kind="mixed", seed=seed, hurst=spec.hurst)

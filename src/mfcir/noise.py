@@ -10,15 +10,15 @@ generators are available:
   serves the batched ensemble engine of :mod:`mfcir.mixed`.
 * ``sample_fbm_cholesky`` factors the covariance of the path values and
   is the O(n^3) ground truth for small grids, kept as a cross-check
-  oracle.  It is the only user of SciPy, imported on first use.
+  oracle.
 
 Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
 
 Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
-(seed, index) pair, which ``_PathSeeds`` (a chunk at a time) and
-``_substream_seeds`` apply to arrays of seeds, and ``_pcg64_states`` turns
-seeds into PCG64 states.
+(seed, index) pair, which ``_PathSeeds`` (an ensemble's path seeds, a
+chunk at a time when sliced) and ``_substream_seeds`` apply to arrays of
+seeds, and ``_pcg64_states`` turns seeds into PCG64 states.
 
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
@@ -70,14 +70,7 @@ class NoiseError(RuntimeError):
 
 
 class FactorizationError(NoiseError):
-    """Covariance matrix is not numerically positive definite.
-
-    ``pivot`` is the 1-based index of the leading minor that failed.
-    """
-
-    def __init__(self, message: str, pivot: int):
-        super().__init__(message)
-        self.pivot = pivot
+    """Covariance matrix is not numerically positive definite."""
 
 
 class CirculantEmbeddingError(NoiseError):
@@ -131,11 +124,6 @@ class _PathSeeds:
         r = range(self.n_paths)[paths]
         z = np.arange(r.start + 1, r.stop + 1, r.step, dtype=np.uint64) * _GOLDEN64 + self.master
         return _splitmix64(z).tolist()
-
-
-def _path_seeds(master_seed: int, n_paths: int) -> list[int]:
-    """``[substream_seed(master_seed, i) for i in range(n_paths)]``, all at once."""
-    return _PathSeeds(master_seed, n_paths)[:]
 
 
 def _substream_seeds(seeds: Sequence[int], index: int) -> np.ndarray:
@@ -349,15 +337,10 @@ def _cholesky_factor(h: float, steps_n: int, horizon_t: float) -> np.ndarray:
 
 def _spd_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, raising :class:`FactorizationError` if not SPD."""
-    from scipy.linalg.lapack import dpotrf
-
-    factor, info = dpotrf(cov, lower=1, clean=1)
-    if info != 0:
-        raise FactorizationError(
-            f"covariance factorization failed at pivot {info}; "
-            "the matrix is not numerically positive definite",
-            pivot=int(info),
-        )
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise FactorizationError("the covariance matrix is not numerically positive definite") from None
     factor.setflags(write=False)
     return factor
 

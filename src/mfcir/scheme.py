@@ -32,9 +32,7 @@ from .noise import GridSpec, NoisePath
 __all__ = [
     "CirParams",
     "Trajectory",
-    "implicit_step",
     "implicit_steps",
-    "interpolate",
     "r_to_z",
     "simulate_z",
     "simulate_z_batch",
@@ -116,28 +114,6 @@ def _require_in_range(z_min: float, z_max: float, sigma: float) -> None:
                              "(driver increments too large)")
 
 
-def implicit_step(z_prev: float, dm: float, dt: float, params: CirParams) -> float:
-    """One drift-implicit Euler step of the transformed state.
-
-    Solves ``z = z_prev + b(z) * dt + dm`` for z > 0.  With
-    ``a = 1 + k dt / 2``, ``c = z_prev + dm`` and ``d = (m + 1/2) dt``
-    the step is the positive root of ``a z^2 - c z - d = 0``:
-
-        z = (c + sqrt(c^2 + 4 a d)) / (2 a)
-
-    evaluated in the branch that avoids cancellation, so the result is
-    strictly positive for every finite ``dm`` and every ``dt > 0``.  The
-    inputs are checked here; the root is that of ``_scalar_steps``.
-    """
-    if not z_prev > 0.0:
-        raise ValueError(f"z_prev must be > 0, got {z_prev}")
-    if not dt > 0.0 or not math.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(dm):
-        raise ValueError(f"dm must be finite, got {dm}")
-    return _scalar_steps(params, dt, z_prev, [dm])[-1]
-
-
 def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, float]:
     # 2a, 2d and 4ad of the step quadratic a z^2 - c z - d = 0, shared by
     # every form of the step so that they agree bit for bit.  The step's
@@ -153,7 +129,13 @@ def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, floa
 
 
 def _scalar_steps(params: CirParams, dt: float, z: float, increments: list[float]) -> list[float]:
-    """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form."""
+    """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form.
+
+    With ``a = 1 + k dt / 2``, ``c = z_prev + dm`` and ``d = (m + 1/2) dt``
+    each step is the positive root ``(c + sqrt(c^2 + 4 a d)) / (2 a)`` of
+    ``a z^2 - c z - d = 0``, evaluated in the branch that avoids
+    cancellation, so it is strictly positive for every finite ``dm``.
+    """
     two_a, two_d, four_ad = _root_coefficients(params, dt)
     out = [z]
     append = out.append
@@ -270,16 +252,3 @@ def _put_columns(columns: np.ndarray, rows: np.ndarray) -> None:
     """
     for b in range(0, len(rows), 64):
         columns[:, b : b + 64] = rows[b : b + 64].T
-
-
-def interpolate(traj: Trajectory, t: float):
-    """Piecewise-linear value of the transformed state at time ``t``.
-
-    Exact at grid points; ``t`` must lie in [0, horizon_t].
-    """
-    t = float(t)
-    if not 0.0 <= t <= traj.grid.horizon_t:
-        raise ValueError(
-            f"t must lie in [0, {traj.grid.horizon_t}], got {t}"
-        )
-    return float(np.interp(t, traj.grid.times, traj.z_values))

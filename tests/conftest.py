@@ -1,12 +1,35 @@
-"""Shared test helpers: CSV round-trip readers and the acceptance summary.
+"""Shared test helpers: CSV round-trip readers, driver references and the acceptance summary.
 
 The readers parse exactly what the CLI emits, so any format drift breaks
-the suite.  After a run that touched tests/test_acceptance.py, one
-PASS/FAIL line per acceptance criterion is printed in the terminal
-summary.
+the suite.  The driver references collect the rows that the ensemble
+harnesses consume one block at a time.  After a run that touched
+tests/test_acceptance.py, one PASS/FAIL line per acceptance criterion is
+printed in the terminal summary.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from mfcir.mixed import _increment_blocks, build_mixed
+from mfcir.noise import GridSpec, NoisePath, _block_sums
+
+
+def increment_matrix(spec, grid, seeds):
+    """Mixed-driver increments of ``seeds``, one row per seed, copied out of ``_increment_blocks``'s reused buffers."""
+    out = np.empty((len(seeds), grid.steps_n))
+    for lo, block in _increment_blocks(spec, grid, seeds):
+        out[lo : lo + len(block)] = block
+    return out
+
+
+def coupled_paths(spec, horizon_t, n_fine, coarse_list, seed):
+    """One seed's driver on ``n_fine`` steps, then its block sums onto each coarse grid: run_convergence's views."""
+    fine = build_mixed(spec, GridSpec(horizon_t, n_fine), seed)
+    return [fine] + [
+        NoisePath(GridSpec(horizon_t, n), _block_sums(fine.increments, n), kind="mixed", seed=seed, hurst=spec.hurst)
+        for n in coarse_list
+    ]
 
 
 def read_csv_rows(path):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mfcir.bracket import ito_formula_residual, quadratic_variation
+from mfcir.bracket import discrete_ito_iterated
 from mfcir.cli import main
 from mfcir.experiments import run_convergence, run_mc_stats, run_positivity
 from mfcir.mixed import MixedSpec, build_mixed
@@ -22,7 +22,7 @@ from mfcir.noise import (
     sample_fbm_davies_harte,
     substream_seed,
 )
-from mfcir.scheme import CirParams, implicit_step
+from mfcir.scheme import CirParams, _scalar_steps
 
 UNIT_PARAMS = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=1.0)  # Feller margin m = 1
 
@@ -59,16 +59,17 @@ def test_criterion_1_bracket_identity():
     mixed_qv = []
     fbm_qv = []
     for seed in range(100):
-        mixed_qv.append(quadratic_variation(build_mixed(MixedSpec(hurst=0.75), grid, seed)))
+        mixed_qv.append(discrete_ito_iterated(build_mixed(MixedSpec(hurst=0.75), grid, seed), 1).qv_sum)
         fbm_only = build_mixed(MixedSpec(hurst=0.75, weight_bm=0.0), grid, seed)
-        fbm_qv.append(quadratic_variation(fbm_only))
+        fbm_qv.append(discrete_ito_iterated(fbm_only, 1).qv_sum)
     assert 0.95 <= float(np.median(mixed_qv)) <= 1.05
     assert float(np.median(fbm_qv)) <= 0.01
 
 
 def test_criterion_2_telescoping_identity():
     # vectorized replica of the residual computation over 1e6 random paths,
-    # plus API spot checks on 1e3 of them.
+    # plus API spot checks on 1e3 of them: over one outer interval the
+    # bracket is X_T^2 - 2 sum X_left dX, which telescopes to the fine QV.
     rng = np.random.Generator(np.random.PCG64(20240822))
     steps = 16
     spot_paths = None
@@ -90,7 +91,8 @@ def test_criterion_2_telescoping_identity():
     for row in spot_paths:
         path = NoisePath(grid, row, kind="mixed", seed=0, hurst=0.75)
         end = path.path_values()[-1]
-        assert ito_formula_residual(path) <= 1e-9 * max(1.0, end * end)
+        residual = discrete_ito_iterated(path, steps).bracket_value - discrete_ito_iterated(path, 1).qv_sum
+        assert abs(residual) <= 1e-9 * max(1.0, end * end)
 
 
 def test_criterion_3_implicit_step_vs_bisection():
@@ -105,7 +107,7 @@ def test_criterion_3_implicit_step_vs_bisection():
     params = [CirParams(k[i], (m_target[i] + 1.0) / (2.0 * k[i]), 1.0, 1.0) for i in range(n_cases)]
     m = np.array([p.m for p in params])
     closed = np.array(
-        [implicit_step(z_prev[i], dm[i], dt[i], params[i]) for i in range(n_cases)]
+        [_scalar_steps(params[i], dt[i], z_prev[i], [dm[i]])[-1] for i in range(n_cases)]
     )
     assert np.all(closed > 0.0)
 

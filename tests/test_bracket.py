@@ -1,20 +1,14 @@
 """Bracket and chain-rule diagnostics: exact identities plus statistical limits."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import coupled_paths
 
-from mfcir.bracket import (
-    BracketEstimate,
-    discrete_ito_iterated,
-    ito_formula_residual,
-    quadratic_variation,
-)
-from mfcir.mixed import MixedSpec, build_mixed, derive_coupled
-from mfcir.noise import GridSpec, NoisePath, sample_brownian_increments, substream_seed
+from mfcir.bracket import BracketEstimate, discrete_ito_iterated
+from mfcir.mixed import MixedSpec, build_mixed
+from mfcir.noise import GridSpec, NoisePath, _block_sums, _path_values, sample_brownian_increments
 
 
 def deterministic_path(n: int, horizon: float = 1.0) -> NoisePath:
@@ -23,27 +17,41 @@ def deterministic_path(n: int, horizon: float = 1.0) -> NoisePath:
     return NoisePath(grid, np.full(n, grid.dt), kind="mixed", seed=0, hurst=0.75)
 
 
+def chain_rule_residual(path: NoisePath, refinement: int = 1, f=np.square, df=lambda x: 2.0 * x, d2f=lambda x: 2.0):
+    """Defect of the second-order chain rule on the grid that merges ``refinement`` steps.
+
+    ``|f(X_T) - f(X_0) - sum df(X_left) dX - 1/2 sum d2f(X_left) dX^2|``;
+    for the default f(x) = x^2 the rule is exact on any grid.
+    """
+    outer = _block_sums(path.increments, path.grid.steps_n // refinement)
+    values = _path_values(outer)
+    left = values[:-1]
+    riemann = float(np.sum(df(left) * outer))
+    quad = 0.5 * float(np.sum(d2f(left) * outer * outer))
+    return abs(float(f(values[-1])) - float(f(values[0])) - riemann - quad)
+
+
 class TestQuadraticVariation:
     def test_smooth_proxy_scales_like_dt(self):
         for n in (4, 16, 64):
-            qv = quadratic_variation(deterministic_path(n))
+            qv = discrete_ito_iterated(deterministic_path(n), 1).qv_sum
             assert qv == pytest.approx(n * (1.0 / n) ** 2, rel=1e-12)
-        assert quadratic_variation(deterministic_path(4096)) < 1e-3
+        assert discrete_ito_iterated(deterministic_path(4096), 1).qv_sum < 1e-3
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_brownian_clock(self, seed):
         path = sample_brownian_increments(GridSpec(1.0, 2**16), seed)
-        assert abs(quadratic_variation(path) - 1.0) <= 0.05
+        assert abs(discrete_ito_iterated(path, 1).qv_sum - 1.0) <= 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_mixed_clock(self, seed):
         path = build_mixed(MixedSpec(hurst=0.75), GridSpec(1.0, 2**16), seed)
-        assert abs(quadratic_variation(path) - 1.0) <= 0.05
+        assert abs(discrete_ito_iterated(path, 1).qv_sum - 1.0) <= 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fractional_only_vanishes(self, seed):
         path = build_mixed(MixedSpec(hurst=0.75, weight_bm=0.0), GridSpec(1.0, 2**16), seed)
-        assert quadratic_variation(path) <= 0.01
+        assert discrete_ito_iterated(path, 1).qv_sum <= 0.01
 
     def test_median_error_decreases_with_refinement(self):
         # one fine driver per seed, coarsened consistently: the deviation
@@ -51,10 +59,8 @@ class TestQuadraticVariation:
         n_levels = [2**10, 2**12, 2**14, 2**16]
         deviations = {n: [] for n in n_levels}
         for seed in range(100):
-            coupled = derive_coupled(MixedSpec(), 1.0, 2**16, n_levels[:-1], seed)
-            for n in n_levels[:-1]:
-                deviations[n].append(abs(quadratic_variation(coupled.coarse_views[n]) - 1.0))
-            deviations[2**16].append(abs(quadratic_variation(coupled.fine) - 1.0))
+            for path in coupled_paths(MixedSpec(), 1.0, 2**16, n_levels[:-1], seed):
+                deviations[path.grid.steps_n].append(abs(discrete_ito_iterated(path, 1).qv_sum - 1.0))
         medians = [np.median(deviations[n]) for n in n_levels]
         assert all(a > b for a, b in zip(medians, medians[1:]))
 
@@ -65,12 +71,12 @@ class TestDiscreteIterated:
         est = discrete_ito_iterated(path, 1)
         assert est.iterated_correction == 0.0
         assert est.bracket_value == est.qv_sum
-        assert est.qv_sum == quadratic_variation(path)
+        assert est.qv_sum == float(np.dot(path.increments, path.increments))
 
     def test_telescopes_to_fine_qv(self):
         path = build_mixed(MixedSpec(), GridSpec(1.0, 2**14), 2024)
         est = discrete_ito_iterated(path, 2**8)
-        fine_qv = quadratic_variation(path)
+        fine_qv = discrete_ito_iterated(path, 1).qv_sum
         assert est.grid.steps_n == 2**6
         assert abs(est.bracket_value - fine_qv) <= 1e-12 * max(1.0, fine_qv)
         assert abs(est.bracket_value - 1.0) <= 0.05
@@ -114,7 +120,7 @@ class TestDiscreteIterated:
     def test_telescoping_for_arbitrary_paths(self, increments, refinement):
         path = NoisePath(GridSpec(1.0, 16), np.asarray(increments), kind="mixed", seed=0, hurst=0.6)
         est = discrete_ito_iterated(path, refinement)
-        fine_qv = quadratic_variation(path)
+        fine_qv = discrete_ito_iterated(path, 1).qv_sum
         assert abs(est.bracket_value - fine_qv) <= 1e-9 * max(1.0, fine_qv)
 
 
@@ -127,17 +133,17 @@ class TestChainRuleResidual:
     def test_square_is_exact(self, builder):
         path = builder()
         end = path.path_values()[-1]
-        assert ito_formula_residual(path) <= 1e-9 * max(1.0, end * end)
+        assert chain_rule_residual(path) <= 1e-9 * max(1.0, end * end)
 
     def test_square_exact_on_coarsened_grid(self):
         path = build_mixed(MixedSpec(), GridSpec(1.0, 2**12), 11)
         end = path.path_values()[-1]
         for refinement in (1, 4, 64):
-            assert ito_formula_residual(path, refinement) <= 1e-9 * max(1.0, end * end)
+            assert chain_rule_residual(path, refinement) <= 1e-9 * max(1.0, end * end)
 
     def test_linear_path_calculus_identity(self):
         for n in (2**4, 2**8, 2**12):
-            assert ito_formula_residual(deterministic_path(n)) <= 1e-12
+            assert chain_rule_residual(deterministic_path(n)) <= 1e-12
 
     def test_sine_converges_on_mixed_paths(self):
         # non-polynomial f: the remainder is cubic in the increments, so
@@ -147,17 +153,10 @@ class TestChainRuleResidual:
         for seed in range(20):
             path = build_mixed(MixedSpec(), GridSpec(1.0, 2**16), seed)
             kwargs = dict(f=np.sin, df=np.cos, d2f=lambda x: -np.sin(x))
-            coarse.append(ito_formula_residual(path, 2**8, **kwargs))
-            fine.append(ito_formula_residual(path, 1, **kwargs))
+            coarse.append(chain_rule_residual(path, 2**8, **kwargs))
+            fine.append(chain_rule_residual(path, 1, **kwargs))
         assert np.median(fine) < np.median(coarse)
         assert max(fine) <= 1e-2
-
-    def test_partial_function_triple_rejected(self):
-        path = deterministic_path(8)
-        with pytest.raises(ValueError, match="together"):
-            ito_formula_residual(path, 1, f=np.sin)
-        with pytest.raises(ValueError, match="together"):
-            ito_formula_residual(path, 1, df=np.cos, d2f=np.sin)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -13,6 +13,7 @@ import pytest
 from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir.cli
+import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, _Parser, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
 from mfcir.noise import CirculantEmbeddingError, GridSpec
@@ -356,6 +357,23 @@ class TestSimulateCommand:
             assert main(argv) == 0
             assert len(alive) == 6
         assert max(most) <= 2
+
+    def test_seeds_are_derived_one_chunk_at_a_time(self, monkeypatch):
+        # a million paths, of which three are drawn: no seed array beyond the first chunk's 1024
+        real = mfcir.noise._splitmix64
+        lengths = []
+
+        def spy(z):
+            lengths.append(len(z))
+            return real(z)
+
+        def take_three(trajectories, config):
+            [next(trajectories) for _ in range(3)]
+
+        monkeypatch.setattr(mfcir.noise, "_splitmix64", spy)
+        monkeypatch.setattr(mfcir.cli, "emit_trajectories", take_three)
+        assert main(["simulate", "--n", "1", "--paths", "1000000"]) == 0
+        assert lengths and max(lengths) <= 1024
 
 
 # Weights so large that c * c overflows inside the implicit step.
@@ -857,11 +875,18 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "hurst" in proc.stderr
 
 
-def test_cli_import_does_not_load_scipy():
-    # SciPy serves only the Cholesky cross-check oracle, loaded on first use.
-    proc = _run_python("-c", "import sys, mfcir.cli; print('scipy' in sys.modules)")
+def test_the_package_runs_without_scipy():
+    # numpy is the one runtime dependency: with every import of SciPy refused,
+    # the Cholesky oracle draws and a command runs
+    script = (
+        "import os, sys; sys.modules['scipy'] = None; "
+        "from mfcir import GridSpec, sample_fbm_cholesky; from mfcir.cli import main; "
+        "sample_fbm_cholesky(0.75, GridSpec(1.0, 64), 1); "
+        "print(main(['positivity', '--n', '64', '--paths', '4', '--out', os.devnull]))"
+    )
+    proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0"
 
 
 def test_bracket_run_does_not_load_numpy_ma(tmp_path):

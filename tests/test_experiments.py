@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import coupled_paths, increment_matrix
 
 import mfcir.experiments as experiments
 import mfcir.mixed as mixed
@@ -23,8 +24,8 @@ from mfcir.experiments import (
     run_mc_stats,
     run_positivity,
 )
-from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
-from mfcir.noise import GridSpec, NoisePath, _path_seeds
+from mfcir.mixed import MixedSpec, build_mixed
+from mfcir.noise import GridSpec, NoisePath, _PathSeeds
 from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
@@ -54,9 +55,7 @@ def _bound_violations(params, grid, increments, z):
 
 def _coupled_solutions(params, spec, n_list, n_ref, seed):
     """(driver, trajectory) on the fine grid, then on each coarse grid, for one seed."""
-    coupled = derive_coupled(spec, 1.0, n_ref, n_list, seed)
-    noises = [coupled.fine] + [coupled.coarse_views[n] for n in n_list]
-    return [(noise, simulate_z(params, noise)) for noise in noises]
+    return [(noise, simulate_z(params, noise)) for noise in coupled_paths(spec, 1.0, n_ref, n_list, seed)]
 
 
 def _convergence_reference(params, spec, n_list, n_ref, seeds):
@@ -146,14 +145,10 @@ class TestConvergence:
         ids=["float", "bool", "fraction", "zero", "non-divisor"],
     )
     def test_derive_coupled_rejects_grids_as_the_harness_does_before_any_draw(self, draws, coarse, error, message):
-        runs = [
-            lambda: derive_coupled(MixedSpec(), 1.0, 32, coarse, 0),
-            lambda: run_convergence(PARAMS, MixedSpec(), 1.0, coarse, 32, [0]),
-        ]
-        for run in runs:
-            with pytest.raises(error) as info:
-                run()
-            assert str(info.value) == message
+        # the coupled grids are derived by the harness alone, which names a rejected grid before any draw
+        with pytest.raises(error) as info:
+            run_convergence(PARAMS, MixedSpec(), 1.0, coarse, 32, [0])
+        assert str(info.value) == message
         assert draws == []
 
     def test_numpy_integer_grids_are_ints(self):
@@ -169,9 +164,9 @@ class TestConvergence:
         ],
     )
     def test_matches_per_seed_reference(self, monkeypatch, rows, spec, n_list, n_ref):
-        # the chunked study equals, bit for bit, derive_coupled + simulate_z +
-        # np.interp run one seed at a time
-        seeds = _path_seeds(17, 7)
+        # the chunked study equals, bit for bit, build_mixed + block sums +
+        # simulate_z + np.interp run one seed at a time
+        seeds = _PathSeeds(17, 7)[:]
         errors, violations = _convergence_reference(PARAMS, spec, n_list, n_ref, seeds)
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
@@ -188,7 +183,7 @@ class TestConvergence:
         # somewhat below 1/2.
         params = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=1.0)
         n_list = [2**j for j in range(6, 11)]
-        seeds = _path_seeds(909, 50)
+        seeds = _PathSeeds(909, 50)[:]
         report = run_convergence(params, MixedSpec(weight_fbm=0.0), 1.0, n_list, 2**14, seeds)
         assert 0.35 <= report.fitted_order <= 0.6
         assert report.fit_r2 >= 0.99
@@ -428,10 +423,10 @@ class TestBracketEnsemble:
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
         for n_paths in (7, 8):
-            seeds = _path_seeds(11, n_paths)
+            seeds = _PathSeeds(11, n_paths)[:]
             paths = [
                 NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
-                for row, seed in zip(ensemble_increments(spec, grid, seeds), seeds)
+                for row, seed in zip(increment_matrix(spec, grid, seeds), seeds)
             ]
             for est, refinement in zip(run_bracket(spec, grid, refinements, n_paths, 11), refinements, strict=True):
                 per_path = [discrete_ito_iterated(path, refinement) for path in paths]
@@ -459,9 +454,8 @@ def test_median_equals_numpy_median_bitwise(n_paths):
         (lambda: run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 32], 2**8, [0, 1]), 2),
         (lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 3, 0), 3),
         (lambda: run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0.5, 3, 0), 3),
-        (lambda: derive_coupled(MixedSpec(), 1.0, 32, [4], 0), 1),
     ],
-    ids=["bracket", "convergence", "positivity", "mc_stats", "derive_coupled"],
+    ids=["bracket", "convergence", "positivity", "mc_stats"],
 )
 def test_valid_runs_reach_the_draw_spy(draws, run, n_paths):
     # the control of the "before any draw" tests: their spy does see draws
@@ -500,7 +494,7 @@ def test_bracket_correction_overflow_alone_is_rejected(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: _path_seeds(1, 0),
+        lambda: _PathSeeds(1, 0),
         lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0, 0),
         lambda: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0),
     ],
@@ -538,7 +532,7 @@ class TestSweep:
     @pytest.mark.parametrize("index", [0, 1, 40, 64])
     def test_matches_per_path_reference(self, monkeypatch, index):
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
-        seeds = _path_seeds(3, 7)
+        seeds = _PathSeeds(3, 7)[:]
         refs = self._references(seeds)
         chunks = [
             (lo, z_min, z[index].copy())  # z is overwritten by the next chunk
@@ -549,7 +543,7 @@ class TestSweep:
         assert np.array_equal(np.concatenate([z_at for _, _, z_at in chunks]), [z[index] for z in refs])
 
     def test_mc_stats_reduce_the_reference_states(self):
-        refs = self._references(_path_seeds(3, 7))
+        refs = self._references(_PathSeeds(3, 7)[:])
         stats = run_mc_stats(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, 0.5, 7, 3)
         r_at = (SWEEP_PARAMS.sigma * np.array([z[32] for z in refs]) / 2.0) ** 2
         assert stats.sample_mean == float(r_at.mean())
@@ -557,8 +551,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("shift_slack", [False, True])
     def test_bound_violations_match_matrix_count(self, monkeypatch, shift_slack):
-        seeds = _path_seeds(5, 40)
-        inc = ensemble_increments(SWEEP_SPEC, SWEEP_GRID, seeds)
+        seeds = _PathSeeds(5, 40)[:]
+        inc = increment_matrix(SWEEP_SPEC, SWEEP_GRID, seeds)
         z = simulate_z_batch(SWEEP_PARAMS, SWEEP_GRID, inc)
         if shift_slack:
             # a negative slack half-way into the margins, so about half the
@@ -579,7 +573,7 @@ class TestSweep:
         # the count is the per-seed reference summed over the fine grid and
         # every coarse grid
         spec, n_list, n_ref = MixedSpec(weight_bm=2.0), [4, 8, 16], 128
-        seeds = _path_seeds(5, 20)
+        seeds = _PathSeeds(5, 20)[:]
         if shift_slack:
             z0 = PARAMS.z0
             limit = z0 + abs(experiments.singular_drift(z0, PARAMS))
@@ -616,7 +610,7 @@ class TestSweep:
         elif run == "bracket":
             run_bracket(SWEEP_SPEC, SWEEP_GRID, [1, 4], 10, 3)
         else:
-            run_convergence(PARAMS, SWEEP_SPEC, 1.0, [4, 8], 64, _path_seeds(3, 10))
+            run_convergence(PARAMS, SWEEP_SPEC, 1.0, [4, 8], 64, _PathSeeds(3, 10)[:])
         assert len(returned) == 4
 
     @pytest.mark.parametrize(

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import coupled_paths, increment_matrix
 
 import mfcir.mixed as mixed
-from mfcir.mixed import MixedSpec, build_mixed, derive_coupled, ensemble_increments
+from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import (
     CirculantEmbeddingError,
     GridSpec,
+    _block_sums,
     _pcg64_states,
+    _split_grid,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -49,7 +52,7 @@ def test_fbm_only_variance_at_horizon():
     spec = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=1.0)
     n_paths = 10_000
     seeds = [substream_seed(5, i) for i in range(n_paths)]
-    ends = np.cumsum(ensemble_increments(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
+    ends = np.cumsum(increment_matrix(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
     assert abs(ends.var(ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / n_paths)
 
 
@@ -59,7 +62,7 @@ def test_default_mix_variance_is_sum_of_components():
     spec = MixedSpec(hurst=0.75)
     n_paths = 10_000
     seeds = [substream_seed(6, i) for i in range(n_paths)]
-    ends = np.cumsum(ensemble_increments(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
+    ends = np.cumsum(increment_matrix(spec, grid, seeds), axis=1)[:, -1]  # = build_mixed's path_values()[-1]
     assert abs(ends.var(ddof=1) - 2.0) <= 3 * 2.0 * math.sqrt(2.0 / n_paths)
 
 
@@ -112,13 +115,15 @@ def reference_row(spec, grid, seed):
 
 
 class TestEnsembleIncrements:
+    """Rows of the one draw path, ``_increment_blocks``, collected by ``increment_matrix``."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 1024, 2048, 2049, 4096])
     @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.3, -1.7), (0.0, 0.0)])
     def test_rows_match_per_path_samplers_bitwise(self, n, weights):
         spec = MixedSpec(0.75, *weights)
         grid = GridSpec(1.0, n)
         seeds = [0, 2**64 - 1] + [substream_seed(31, i) for i in range(3)]
-        matrix = ensemble_increments(spec, grid, seeds)
+        matrix = increment_matrix(spec, grid, seeds)
         assert matrix.shape == (len(seeds), n)
         for row, seed in zip(matrix, seeds):
             assert row.tobytes() == reference_row(spec, grid, seed).tobytes()
@@ -129,8 +134,8 @@ class TestEnsembleIncrements:
         spec = MixedSpec(0.7, 0.4, 1.3)
         grid = GridSpec(2.0, 1024)
         seeds = [substream_seed(77, i) for i in range(200)]
-        together = ensemble_increments(spec, grid, seeds)
-        alone = np.vstack([ensemble_increments(spec, grid, [seed]) for seed in seeds])
+        together = increment_matrix(spec, grid, seeds)
+        alone = np.vstack([increment_matrix(spec, grid, [seed]) for seed in seeds])
         assert together.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
@@ -145,7 +150,7 @@ class TestEnsembleIncrements:
         spec = MixedSpec(0.75, 0.6, 1.4)
         grid = GridSpec(1.0, n)
         seeds = [substream_seed(53, i) for i in range(n_seeds)]
-        matrix = ensemble_increments(spec, grid, seeds)
+        matrix = increment_matrix(spec, grid, seeds)
         for row, seed in zip(matrix, seeds):
             assert row.tobytes() == reference_row(spec, grid, seed).tobytes()
 
@@ -154,18 +159,18 @@ class TestEnsembleIncrements:
         # of them to -0.0; a fractional-only row is 0.0 + w * fbm, so all
         # of its bytes are zero, in every block the buffer is reused for
         spec = MixedSpec(0.75, 0.0, 5e-324)
-        matrix = ensemble_increments(spec, GridSpec(1.0, 1024), [substream_seed(53, i) for i in range(70)])
+        matrix = increment_matrix(spec, GridSpec(1.0, 1024), [substream_seed(53, i) for i in range(70)])
         assert matrix.tobytes() == bytes(matrix.nbytes)
 
     def test_empty_seed_list(self):
-        assert ensemble_increments(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
+        assert increment_matrix(MixedSpec(), GridSpec(1.0, 8), []).shape == (0, 8)
 
     def test_empty_seed_list_sets_up_no_spectrum(self):
         # this embedding is rejected, so only a draw with no seeds may skip it
         spec, grid = MixedSpec(hurst=0.999), GridSpec(1.0, 2**18)
-        assert ensemble_increments(spec, grid, []).shape == (0, 2**18)
+        assert increment_matrix(spec, grid, []).shape == (0, 2**18)
         with pytest.raises(CirculantEmbeddingError):
-            ensemble_increments(spec, grid, [1])
+            increment_matrix(spec, grid, [1])
 
     def test_state_dicts_are_built_one_block_at_a_time(self, monkeypatch):
         # 200 paths at n = 1024 are four blocks of up to 64 rows; when a
@@ -189,22 +194,20 @@ class TestEnsembleIncrements:
 
     def test_overflowing_weight_is_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
-            ensemble_increments(MixedSpec(weight_bm=1e308), GridSpec(1e6, 4), [1])
+            increment_matrix(MixedSpec(weight_bm=1e308), GridSpec(1e6, 4), [1])
 
 
 class TestDeriveCoupled:
+    """Coarse views of one driver path by block sums, as the convergence harness derives them."""
+
     def test_pairwise_block_sum(self):
-        coupled = derive_coupled(MixedSpec(), 1.0, 8, [4], 2)
-        fine = coupled.fine.increments
-        coarse = coupled.coarse_views[4].increments
+        fine, coarse = (path.increments for path in coupled_paths(MixedSpec(), 1.0, 8, [4], 2))
         for k in range(4):
             assert coarse[k] == fine[2 * k] + fine[2 * k + 1]
 
     def test_block_sums_within_ulps(self):
         # block sums against exact (fsum) summation: <= 8 ulp of the summands
-        coupled = derive_coupled(MixedSpec(), 1.0, 2**10, [2**5], 3)
-        fine = coupled.fine.increments
-        coarse = coupled.coarse_views[2**5].increments
+        fine, coarse = (path.increments for path in coupled_paths(MixedSpec(), 1.0, 2**10, [2**5], 3))
         ratio = 2**5
         for k in range(2**5):
             block = fine[k * ratio : (k + 1) * ratio]
@@ -214,27 +217,28 @@ class TestDeriveCoupled:
 
     def test_terminal_value_shared_across_views(self):
         coarse_list = [2**j for j in range(6, 12)]
-        coupled = derive_coupled(MixedSpec(), 1.0, 2**14, coarse_list, 11)
-        reference = coupled.fine.path_values()[-1]
-        for n in coarse_list:
-            end = coupled.coarse_views[n].path_values()[-1]
+        fine, *views = coupled_paths(MixedSpec(), 1.0, 2**14, coarse_list, 11)
+        reference = fine.path_values()[-1]
+        for view in views:
+            end = view.path_values()[-1]
             assert abs(end - reference) <= 1e-10 * max(1.0, abs(reference))
 
     def test_non_divisor_is_named(self):
         with pytest.raises(ValueError, match="3"):
-            derive_coupled(MixedSpec(), 1.0, 8, [3], 0)
+            _split_grid(8, 3, "coarse step count", "n_fine")
 
     def test_deterministic(self):
-        a = derive_coupled(MixedSpec(), 1.0, 64, [8, 16], 5)
-        b = derive_coupled(MixedSpec(), 1.0, 64, [8, 16], 5)
-        assert np.array_equal(a.fine.increments, b.fine.increments)
-        for n in (8, 16):
-            assert np.array_equal(a.coarse_views[n].increments, b.coarse_views[n].increments)
+        a = coupled_paths(MixedSpec(), 1.0, 64, [8, 16], 5)
+        b = coupled_paths(MixedSpec(), 1.0, 64, [8, 16], 5)
+        for path_a, path_b in zip(a, b, strict=True):
+            assert np.array_equal(path_a.increments, path_b.increments)
 
     def test_views_share_seed_lineage(self):
-        coupled = derive_coupled(MixedSpec(), 1.0, 64, [8], 5)
-        direct = build_mixed(MixedSpec(), GridSpec(1.0, 64), 5)
-        assert np.array_equal(coupled.fine.increments, direct.increments)
+        # every view comes from the path seed's own substreams
+        fine, coarse = coupled_paths(MixedSpec(), 1.0, 64, [8], 5)
+        direct = reference_row(MixedSpec(), GridSpec(1.0, 64), 5)
+        assert fine.increments.tobytes() == direct.tobytes()
+        assert coarse.increments.tobytes() == _block_sums(direct, 8).tobytes()
 
 
 @given(

@@ -18,7 +18,6 @@ from mfcir.noise import (
     _clamped_eigenvalues,
     _davies_harte_rows,
     _PathSeeds,
-    _path_seeds,
     _pcg64_states,
     _rng,
     _spd_factor,
@@ -139,9 +138,8 @@ class TestCholesky:
         assert path.increments.shape == (CHOLESKY_MAX_STEPS,)
 
     def test_non_spd_matrix_reports_pivot(self):
-        with pytest.raises(FactorizationError) as err:
+        with pytest.raises(FactorizationError, match="not numerically positive definite"):
             _spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert err.value.pivot == 2
 
 
 class TestDaviesHarte:
@@ -357,15 +355,15 @@ class TestArraySeeds:
 
     @pytest.mark.parametrize("master", SEEDS + OUT_OF_RANGE)
     def test_path_seeds_equal_the_scalar_rule(self, master):
-        assert _path_seeds(master, 70) == [substream_seed(master, i) for i in range(70)]
+        assert _PathSeeds(master, 70)[:] == [substream_seed(master, i) for i in range(70)]
         # a chunk's slice, derived on its own
         assert _PathSeeds(master, 70)[17:40] == [substream_seed(master, i) for i in range(17, 40)]
 
     def test_path_seeds_of_a_negative_master(self):
-        assert _path_seeds(-1, 2) == [16490336266968443936, 16834447057089888969]
+        assert _PathSeeds(-1, 2)[:] == [16490336266968443936, 16834447057089888969]
 
     def test_a_float_seed_is_a_type_error(self):
-        for derive in (lambda: _path_seeds(1.5, 2), lambda: _path_seeds(2.0, 2), lambda: _substream_seeds([3, 1.5], 0)):
+        for derive in (lambda: _PathSeeds(1.5, 2), lambda: _PathSeeds(2.0, 2), lambda: _substream_seeds([3, 1.5], 0)):
             with pytest.raises(TypeError):
                 derive()
 

