@@ -1,21 +1,21 @@
 """Ensemble harnesses: positivity audits, self-convergence, MC statistics.
 
-Each run* function is a pure function of its arguments: path i's seed is
-:func:`mfcir.noise.substream_seed` of the master seed and i, derived a
-chunk at a time by ``mfcir.noise._PathSeeds``, and
+Each run* function is a pure function of its arguments.  An ensemble is
+named by ``(n_paths, master_seed)``: path i's seed is
+:func:`mfcir.noise.substream_seed` of the master seed and i, and
 ``mfcir.mixed._increment_blocks`` turns the seeds into increments, so
 reruns reproduce results exactly.
 
-Every harness streams the ensemble, convergence studies included, one
-chunk of paths at a time, and reduces the arrays that ``_stepped_chunks``
-or ``_increment_blocks`` yield, keeping per path only what its summary
-needs.  A chunk's seeds are sliced, and its increments drawn one block of
-rows at a time, as the chunk is reached; a block is moved into the
-columns of the chunk's step-major states (after block sums onto every
-coarse grid, for convergence), or estimated row by row (bracket).  No
-(paths, n) increment matrix is held.  ``_chunks`` is the one chunk loop,
-which the CLI's ``simulate`` walks too; the grid rules come from
-:mod:`mfcir.noise`.
+``_chunks`` is the one ensemble entry, for every harness and the CLI's
+``simulate``: it checks both names, then yields the ensemble one chunk of
+paths at a time, deriving a chunk's seeds (``mfcir.noise._path_seeds``)
+when it is reached.  Each harness reduces the arrays that
+``_stepped_chunks`` or ``_increment_blocks`` yield, keeping per path only
+what its summary needs.  A chunk's increments are drawn a block of rows at
+a time and moved into the columns of its step-major states (after block
+sums onto every coarse grid, for convergence), or estimated row by row
+(bracket).  No (paths, n) increment matrix is held.  The grid rules come
+from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -29,6 +29,7 @@ violations, expected to be zero always.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 # are not called here; perfbench/spans.py wraps them by these names.
 from .bracket import BracketEstimate, _bracket_sums, discrete_ito_iterated  # noqa: F401
 from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
-from .noise import GridSpec, _block_sums, _PathSeeds, _path_values, _require_integer, _split_grid
+from .noise import GridSpec, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
 from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
@@ -87,11 +88,14 @@ def _median(a: np.ndarray) -> np.ndarray:
     return (s[k - 1] + s[k] + 0.0) / 2
 
 
-def _chunks(grid: GridSpec, seeds: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield ``(lo, seeds[lo : lo + rows])`` per chunk on ``grid``, each sliced when reached; the widest first."""
+def _chunks(grid: GridSpec, n_paths: int, master_seed: int) -> Iterator[tuple[int, list[int]]]:
+    """Lazy ``(lo, seeds)`` chunks of the ensemble on ``grid``, the widest first; both names are checked now."""
+    n_paths = _require_integer("n_paths", n_paths)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    master_seed = operator.index(master_seed)  # a TypeError unless it is an integer
     rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
-    for lo in range(0, len(seeds), rows):
-        yield lo, seeds[lo : lo + rows]
+    return ((lo, _path_seeds(master_seed, lo, min(lo + rows, n_paths))) for lo in range(0, n_paths, rows))
 
 
 def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z_max: np.ndarray) -> int:
@@ -153,9 +157,9 @@ def _load(lanes: list[_States], spec: MixedSpec, chunk: Sequence[int]) -> None:
 
 
 def _stepped_chunks(
-    params: CirParams, spec: MixedSpec, grids: Sequence[GridSpec], seeds: Sequence[int]
+    params: CirParams, spec: MixedSpec, grids: Sequence[GridSpec], chunks: Iterator[tuple[int, list[int]]]
 ) -> Iterator[tuple[int, list[tuple[np.ndarray, float, int]]]]:
-    """Run the scheme over the ensemble of ``seeds`` on ``grids``, one chunk of paths at a time.
+    """Run the scheme over the ensemble's ``chunks`` (``_chunks`` on ``grids[0]``) on ``grids``.
 
     The driver is drawn on ``grids[0]`` and block-summed onto the others.
     Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is the chunk's
@@ -164,7 +168,7 @@ def _stepped_chunks(
     (paths, n + 1) state matrix bit for bit, whatever the chunk size.
     """
     lanes = []
-    for lo, chunk in _chunks(grids[0], seeds):
+    for lo, chunk in chunks:
         lanes = lanes or [_States(params, grid, len(chunk)) for grid in grids]  # sized by the widest chunk
         _load(lanes, spec, chunk)
         yield lo, [lane.step(len(chunk)) for lane in lanes]
@@ -196,15 +200,15 @@ def run_positivity(
     regime was audited.  ``min_r`` is the transform of ``min_z``, so the
     two minima always agree.
     """
-    seeds = _PathSeeds(master_seed, n_paths)
+    chunks = _chunks(grid, n_paths, master_seed)
     min_z, violations = math.inf, 0  # min_z over every path and grid point, z0 included
-    for _, [(_, chunk_min, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
+    for _, [(_, chunk_min, chunk_violations)] in _stepped_chunks(params, spec, [grid], chunks):
         min_z = min(min_z, chunk_min)
         violations += chunk_violations
     return PositivityReport(
         params=params,
         grid=grid,
-        n_paths=len(seeds),
+        n_paths=int(n_paths),
         min_z=min_z,
         min_r=z_to_r(min_z, params.sigma),
         feller_ok=params.feller_ok,
@@ -221,8 +225,8 @@ class ConvergenceReport:
     fitted_order: float
     fit_r2: float
     n_ref: int
-    seeds_used: tuple[int, ...]
-    errors_per_seed: np.ndarray  # shape (len(seeds_used), len(n_list))
+    n_paths: int
+    errors_per_seed: np.ndarray  # shape (n_paths, len(n_list))
     bound_violations: int
     fit_note: str = ""
 
@@ -252,14 +256,16 @@ def run_convergence(
     horizon_t: float,
     n_list: Sequence[int],
     n_ref: int,
-    seeds: Sequence[int],
+    n_paths: int,
+    master_seed: int,
 ) -> ConvergenceReport:
     """Estimate the scheme's self-convergence order on coupled grids.
 
-    For each seed one fine driver path at ``n_ref`` steps is block-summed
-    onto every grid in ``n_list`` (:func:`~mfcir.mixed.build_mixed` and
+    For each path of the ensemble ``(n_paths, master_seed)`` one fine
+    driver path at ``n_ref`` steps is block-summed onto every grid in
+    ``n_list`` (:func:`~mfcir.mixed.build_mixed` and
     ``mfcir.noise._block_sums`` give one seed's views); the scheme runs on
-    all of them, one chunk of seeds at a time.  Each coarse solution is
+    all of them, one chunk of paths at a time.  Each coarse solution is
     extended to every reference grid point by linear interpolation (the
     convention under which the scheme is defined for all t), so the sup
     distance to the fine solution also sees the driver's oscillation within
@@ -272,8 +278,6 @@ def run_convergence(
         raise ValueError(
             "convergence study requires the Feller regime 2 k theta > sigma^2"
         )
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
     n_list = [_require_integer("coarse step count", n) for n in n_list]
     if len(n_list) < 1:
         raise ValueError("n_list must not be empty")
@@ -285,14 +289,15 @@ def run_convergence(
             f"n_ref {n_ref} is below 8 * max(n_list) = {8 * n_list[-1]}"
         )
     fine_grid = GridSpec(horizon_t=horizon_t, steps_n=n_ref)
+    chunks = _chunks(fine_grid, n_paths, master_seed)
     for n in n_list:
         _split_grid(n_ref, n, "coarse step count", "n_fine")
     grids = [GridSpec(horizon_t=horizon_t, steps_n=n) for n in n_list]
     fine_times = fine_grid.times
 
-    errors = np.empty((len(seeds), len(n_list)))
+    errors = np.empty((n_paths, len(n_list)))
     violations = 0
-    for lo, [(ref, _, v), *coarse] in _stepped_chunks(params, spec, [fine_grid, *grids], seeds):
+    for lo, [(ref, _, v), *coarse] in _stepped_chunks(params, spec, [fine_grid, *grids], chunks):
         violations += v
         for col, (grid, (z, _, v)) in enumerate(zip(grids, coarse)):
             violations += v
@@ -307,7 +312,7 @@ def run_convergence(
         fitted_order=order,
         fit_r2=r2,
         n_ref=int(n_ref),
-        seeds_used=tuple(int(s) for s in seeds),
+        n_paths=int(n_paths),
         errors_per_seed=errors,
         bound_violations=violations,
         fit_note=note,
@@ -352,12 +357,12 @@ def run_mc_stats(
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
-    seeds = _PathSeeds(master_seed, n_paths)
+    chunks = _chunks(grid, n_paths, master_seed)
     index = int(round(t_eval / grid.dt))
     index = min(max(index, 0), grid.steps_n)
     z_at = np.empty(n_paths)  # each path's state at that grid point: the moments sum them in path order
     violations = 0
-    for lo, [(z, _, chunk_violations)] in _stepped_chunks(params, spec, [grid], seeds):
+    for lo, [(z, _, chunk_violations)] in _stepped_chunks(params, spec, [grid], chunks):
         violations += chunk_violations
         z_at[lo : lo + z.shape[1]] = z[index]
     r_at = z_to_r(z_at, params.sigma)
@@ -397,7 +402,7 @@ def run_bracket(
     block of paths is estimated row by row as it is drawn, and only each
     path's three sums per refinement are kept, for the medians.
     """
-    seeds = _PathSeeds(master_seed, n_paths)
+    chunks = _chunks(grid, n_paths, master_seed)
     refinements = list(refinements)
     if not refinements:
         raise ValueError("refinements must not be empty")
@@ -412,9 +417,9 @@ def run_bracket(
                 _path_values(row, out=values)
                 sums[i] = [_bracket_sums(row, values, r) for r in refinements]
 
-    sums = np.empty((len(seeds), len(refinements), 3))  # in BracketEstimate's field order
+    sums = np.empty((n_paths, len(refinements), 3))  # in BracketEstimate's field order
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
-        for lo, chunk in _chunks(grid, seeds):
+        for lo, chunk in chunks:
             estimate(lo, chunk)
     if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
         raise ValueError("the bracket sums overflowed (driver increments too large)")

@@ -158,4 +158,4 @@ def build_mixed(spec: MixedSpec, grid: GridSpec, seed: int) -> NoisePath:
     NoisePath copies the one row out of the generator's buffer.
     """
     [(_, block)] = _increment_blocks(spec, grid, [seed])
-    return NoisePath(grid=grid, increments=block[0], kind="mixed", seed=seed, hurst=spec.hurst)
+    return NoisePath(grid=grid, increments=block[0], seed=seed)

@@ -16,9 +16,9 @@ Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
 
 Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
-(seed, index) pair, which ``_PathSeeds`` (an ensemble's path seeds, a
-chunk at a time when sliced) and ``_substream_seeds`` apply to arrays of
-seeds, and ``_pcg64_states`` turns seeds into PCG64 states.
+(seed, index) pair, which ``_path_seeds`` (a range of an ensemble's path
+seeds, one chunk at a time) and ``_substream_seeds`` apply in one array
+pass, and ``_pcg64_states`` turns seeds into PCG64 states.
 
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
@@ -103,27 +103,10 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-class _PathSeeds:
-    """An ensemble's path seeds: ``seeds[lo:hi]`` is ``[substream_seed(master_seed, i) for i in range(lo, hi)]``.
-
-    A slice is derived in one array pass when it is taken, so an ensemble
-    holds the seeds of the chunk it draws, not all of them.  Both arguments
-    are checked here, before any seed is derived.
-    """
-
-    def __init__(self, master_seed: int, n_paths: int):
-        self.master = operator.index(master_seed) & _MASK64
-        self.n_paths = _require_integer("n_paths", n_paths)
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-
-    def __len__(self) -> int:
-        return self.n_paths
-
-    def __getitem__(self, paths: slice) -> list[int]:
-        r = range(self.n_paths)[paths]
-        z = np.arange(r.start + 1, r.stop + 1, r.step, dtype=np.uint64) * _GOLDEN64 + self.master
-        return _splitmix64(z).tolist()
+def _path_seeds(master_seed: int, lo: int, hi: int) -> list[int]:
+    """``[substream_seed(master_seed, i) for i in range(lo, hi)]``, in one uint64 array pass."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN64 + (operator.index(master_seed) & _MASK64)
+    return _splitmix64(z).tolist()
 
 
 def _substream_seeds(seeds: Sequence[int], index: int) -> np.ndarray:
@@ -259,9 +242,6 @@ class GridSpec:
         return np.linspace(0.0, self.horizon_t, self.steps_n + 1)
 
 
-_PATH_KINDS = ("brownian", "fractional", "mixed")
-
-
 @dataclass(frozen=True, eq=False)
 class NoisePath:
     """Increments of one driver realization on a uniform grid.
@@ -272,9 +252,7 @@ class NoisePath:
 
     grid: GridSpec
     increments: np.ndarray
-    kind: str
     seed: int
-    hurst: float | None = None
 
     def __post_init__(self):
         inc = np.array(self.increments, dtype=np.float64, copy=True)
@@ -284,13 +262,6 @@ class NoisePath:
             )
         if not np.all(np.isfinite(inc)):
             raise ValueError("increments contain NaN or Inf")
-        if self.kind not in _PATH_KINDS:
-            raise ValueError(f"kind must be one of {_PATH_KINDS}, got {self.kind!r}")
-        if self.kind == "brownian":
-            if self.hurst is not None:
-                raise ValueError("brownian paths carry no hurst parameter")
-        else:
-            _check_hurst(self.hurst)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -300,8 +271,6 @@ class NoisePath:
 
 
 def _check_hurst(h) -> float:
-    if h is None:
-        raise ValueError("a hurst exponent is required for fractional and mixed paths")
     h = float(h)
     if not np.isfinite(h) or not 0.0 < h < 1.0:
         raise ValueError(f"hurst exponent must lie in (0, 1), got {h}")
@@ -325,7 +294,7 @@ def fbm_covariance(h: float, s, t):
 def sample_brownian_increments(grid: GridSpec, seed: int) -> NoisePath:
     """Draw i.i.d. N(0, dt) Brownian increments on ``grid``."""
     inc = _rng(seed).standard_normal(grid.steps_n) * np.sqrt(grid.dt)
-    return NoisePath(grid=grid, increments=inc, kind="brownian", seed=seed)
+    return NoisePath(grid=grid, increments=inc, seed=seed)
 
 
 @lru_cache(maxsize=4)
@@ -363,7 +332,7 @@ def sample_fbm_cholesky(h: float, grid: GridSpec, seed: int) -> NoisePath:
     factor = _cholesky_factor(h, grid.steps_n, grid.horizon_t)
     values = factor @ _rng(seed).standard_normal(grid.steps_n)
     inc = np.diff(values, prepend=0.0)
-    return NoisePath(grid=grid, increments=inc, kind="fractional", seed=seed, hurst=h)
+    return NoisePath(grid=grid, increments=inc, seed=seed)
 
 
 #: Eigenvalues of the circulant embedding more negative than this fraction
@@ -393,6 +362,7 @@ def _fgn_autocovariance(gamma: np.ndarray, h: float, dt: float) -> None:
     gamma(j) = dt**(2h) * (|j+1|**(2h) - 2|j|**(2h) + |j-1|**(2h)) / 2, for
     j = 0, ..., len(gamma) - 1.  Each in-place step rounds exactly as the
     whole-array expression would, with two scratch arrays of its length.
+    A ``dt**(2h)`` past the float range is a ValueError.
     """
     e = 2.0 * h
     lag = np.arange(len(gamma), dtype=np.float64)
@@ -405,7 +375,10 @@ def _fgn_autocovariance(gamma: np.ndarray, h: float, dt: float) -> None:
     np.abs(term, out=term)
     term **= e
     gamma += term
-    gamma *= 0.5 * dt**e
+    try:
+        gamma *= 0.5 * dt**e
+    except OverflowError:  # a float power raises where numpy would return inf
+        raise ValueError(f"the fractional increment variance dt**(2H) overflowed (dt = {dt:g})") from None
 
 
 def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:
@@ -486,4 +459,4 @@ def sample_fbm_davies_harte(h: float, grid: GridSpec, seed: int) -> NoisePath:
     normals = _rng(seed).standard_normal((1, 2 * grid.steps_n))
     spectrum = np.empty((1, grid.steps_n + 1), dtype=np.complex128)
     inc = _davies_harte_rows(scale, normals, spectrum)[0]
-    return NoisePath(grid=grid, increments=inc, kind="fractional", seed=seed, hurst=h)
+    return NoisePath(grid=grid, increments=inc, seed=seed)

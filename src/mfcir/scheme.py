@@ -17,7 +17,8 @@ Each rule of the step has one home: ``_root_coefficients`` (the
 quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
 alike), :func:`simulate_z_batch` and ``_put_columns`` (a batch's layout)
-and :func:`z_to_r`.
+and :func:`z_to_r`, which :class:`Trajectory` applies to derive a path's
+rates from its states.
 """
 
 from __future__ import annotations
@@ -186,27 +187,25 @@ def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
 class Trajectory:
     """One simulated path of the transformed state and of the rate.
 
-    ``z_values`` and ``r_values`` have length ``grid.steps_n + 1`` and are
-    linked pointwise by :func:`z_to_r`.
+    ``z_values`` has length ``grid.steps_n + 1``; ``r_values`` is derived
+    from it pointwise by :func:`z_to_r`.
     """
 
     grid: GridSpec
     z_values: np.ndarray
-    r_values: np.ndarray
     params: CirParams
     seed: int
+    r_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         z = np.array(self.z_values, dtype=np.float64, copy=True)
-        r = np.array(self.r_values, dtype=np.float64, copy=True)
         n = self.grid.steps_n
-        if z.shape != (n + 1,) or r.shape != (n + 1,):
-            raise ValueError(f"trajectory arrays must have shape ({n + 1},)")
+        if z.shape != (n + 1,):
+            raise ValueError(f"z_values must have shape ({n + 1},), got {z.shape}")
         _require_in_range(z.min(), z.max(), self.params.sigma)
         if z[0] != self.params.z0:
             raise ValueError("z_values[0] does not match the transformed r0")
-        if not np.array_equal(r, z_to_r(z, self.params.sigma)):
-            raise ValueError("r_values do not match the transform of z_values")
+        r = z_to_r(z, self.params.sigma)  # finite: checked above
         z.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "z_values", z)
@@ -221,10 +220,8 @@ def simulate_z(params: CirParams, noise: NoisePath) -> Trajectory:
     path is strictly positive whatever the Feller margin, as long as
     ``m > -1/2``.
     """
-    z = np.asarray(_scalar_steps(params, noise.grid.dt, params.z0, noise.increments.tolist()))
-    with np.errstate(over="ignore"):  # Trajectory rejects an infinite rate
-        r = z_to_r(z, params.sigma)
-    return Trajectory(grid=noise.grid, z_values=z, r_values=r, params=params, seed=noise.seed)
+    z = _scalar_steps(params, noise.grid.dt, params.z0, noise.increments.tolist())
+    return Trajectory(grid=noise.grid, z_values=z, params=params, seed=noise.seed)
 
 
 def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ def coupled_paths(spec, horizon_t, n_fine, coarse_list, seed):
     """One seed's driver on ``n_fine`` steps, then its block sums onto each coarse grid: run_convergence's views."""
     fine = build_mixed(spec, GridSpec(horizon_t, n_fine), seed)
     return [fine] + [
-        NoisePath(GridSpec(horizon_t, n), _block_sums(fine.increments, n), kind="mixed", seed=seed, hurst=spec.hurst)
+        NoisePath(GridSpec(horizon_t, n), _block_sums(fine.increments, n), seed=seed)
         for n in coarse_list
     ]
 

@@ -41,14 +41,14 @@ def positivity_reports():
 @pytest.fixture(scope="module")
 def convergence_report():
     """Order study shared by criteria 5 and 8."""
-    seeds = [substream_seed(909, i) for i in range(50)]
     return run_convergence(
         UNIT_PARAMS,
         MixedSpec(hurst=0.75),
         1.0,
         [2**6, 2**7, 2**8, 2**9, 2**10],
         2**14,
-        seeds,
+        50,
+        909,
     )
 
 
@@ -89,7 +89,7 @@ def test_criterion_2_telescoping_identity():
 
     grid = GridSpec(1.0, steps)
     for row in spot_paths:
-        path = NoisePath(grid, row, kind="mixed", seed=0, hurst=0.75)
+        path = NoisePath(grid, row, seed=0)
         end = path.path_values()[-1]
         residual = discrete_ito_iterated(path, steps).bracket_value - discrete_ito_iterated(path, 1).qv_sum
         assert abs(residual) <= 1e-9 * max(1.0, end * end)

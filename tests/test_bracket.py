@@ -14,7 +14,7 @@ from mfcir.noise import GridSpec, NoisePath, _block_sums, _path_values, sample_b
 def deterministic_path(n: int, horizon: float = 1.0) -> NoisePath:
     """The linear path X_t = t seen on n uniform steps."""
     grid = GridSpec(horizon, n)
-    return NoisePath(grid, np.full(n, grid.dt), kind="mixed", seed=0, hurst=0.75)
+    return NoisePath(grid, np.full(n, grid.dt), seed=0)
 
 
 def chain_rule_residual(path: NoisePath, refinement: int = 1, f=np.square, df=lambda x: 2.0 * x, d2f=lambda x: 2.0):
@@ -118,7 +118,7 @@ class TestDiscreteIterated:
     )
     @settings(max_examples=100, deadline=None)
     def test_telescoping_for_arbitrary_paths(self, increments, refinement):
-        path = NoisePath(GridSpec(1.0, 16), np.asarray(increments), kind="mixed", seed=0, hurst=0.6)
+        path = NoisePath(GridSpec(1.0, 16), np.asarray(increments), seed=0)
         est = discrete_ito_iterated(path, refinement)
         fine_qv = discrete_ito_iterated(path, 1).qv_sum
         assert abs(est.bracket_value - fine_qv) <= 1e-9 * max(1.0, fine_qv)

@@ -412,12 +412,20 @@ _ALL_COMMANDS = [["simulate"], ["positivity"], ["mcstats"], ["bracket"],
                  ["convergence", "--n-list", "4,8", "--n-ref", "64"]]
 
 
-@pytest.mark.parametrize("argv", _ALL_COMMANDS, ids=lambda argv: argv[0])
-def test_overflow_prints_only_the_error_line(argv, tmp_path):
+# A horizon whose fractional increment variance dt**(2H) is past the float range.
+_HORIZON_OVERFLOW_ARGV = ["--n", "4", "--paths", "2", "--T", "1e300"]
+
+
+@pytest.mark.parametrize(
+    "argv, overflow",
+    [(argv, _OVERFLOW_ARGV) for argv in _ALL_COMMANDS] + [(argv, _HORIZON_OVERFLOW_ARGV) for argv in _ALL_COMMANDS],
+    ids=[argv[0] for argv in _ALL_COMMANDS] + [argv[0] + "-horizon" for argv in _ALL_COMMANDS],
+)
+def test_overflow_prints_only_the_error_line(argv, overflow, tmp_path):
     # a fresh interpreter, with Python's default warning filters: numpy's
     # overflow warning must not reach stderr ahead of the error
     out = tmp_path / "out"
-    proc = _run_python("-m", "mfcir", *argv[:1], *_OVERFLOW_ARGV, *argv[1:], "--out", str(out))
+    proc = _run_python("-m", "mfcir", *argv[:1], *overflow, *argv[1:], "--out", str(out))
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith("mfcir: error:") and "overflowed" in line

@@ -17,6 +17,7 @@ from mfcir.experiments import (
     ConvergenceReport,
     McStats,
     PositivityReport,
+    _chunks,
     _fit_order,
     _stepped_chunks,
     run_bracket,
@@ -25,7 +26,7 @@ from mfcir.experiments import (
     run_positivity,
 )
 from mfcir.mixed import MixedSpec, build_mixed
-from mfcir.noise import GridSpec, NoisePath, _PathSeeds
+from mfcir.noise import GridSpec, NoisePath, _path_seeds
 from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
@@ -77,60 +78,59 @@ class TestConvergence:
     def test_zero_noise_recovers_ode_order(self):
         # with the driver switched off the scheme is implicit Euler on an
         # ODE, and the fitted order must sit near the classical 1.
-        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**4, 2**5, 2**6], 2**9, [0])
+        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**4, 2**5, 2**6], 2**9, 1, 0)
         assert 0.85 <= report.fitted_order <= 1.2
         assert report.fit_r2 > 0.99
         assert report.bound_violations == 0
         assert report.fit_note == ""
 
     def test_mixed_driver_smoke(self):
-        seeds = list(range(8))
-        report = run_convergence(PARAMS, MixedSpec(), 1.0, [2**5, 2**6, 2**7], 2**11, seeds)
+        report = run_convergence(PARAMS, MixedSpec(), 1.0, [2**5, 2**6, 2**7], 2**11, 8, 0)
         assert isinstance(report, ConvergenceReport)
         assert 0.2 <= report.fitted_order <= 0.9
         assert report.fit_r2 > 0.9
         assert all(e > 0.0 for e in report.sup_errors)
         assert all(a > b for a, b in zip(report.sup_errors, report.sup_errors[1:]))
-        assert report.errors_per_seed.shape == (len(seeds), 3)
-        assert report.seeds_used == tuple(seeds)
+        assert report.errors_per_seed.shape == (8, 3)
+        assert report.n_paths == 8
         assert report.n_ref == 2**11
 
     def test_deterministic(self):
-        a = run_convergence(PARAMS, MixedSpec(), 1.0, [2**4, 2**5], 2**8, [3, 5])
-        b = run_convergence(PARAMS, MixedSpec(), 1.0, [2**4, 2**5], 2**8, [3, 5])
+        a = run_convergence(PARAMS, MixedSpec(), 1.0, [2**4, 2**5], 2**8, 2, 3)
+        b = run_convergence(PARAMS, MixedSpec(), 1.0, [2**4, 2**5], 2**8, 2, 3)
         assert a.sup_errors == b.sup_errors
         assert np.array_equal(a.errors_per_seed, b.errors_per_seed)
         assert a.fitted_order == b.fitted_order
 
     def test_unsorted_n_list_is_sorted(self):
-        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**5, 2**4], 2**8, [0])
+        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**5, 2**4], 2**8, 1, 0)
         assert report.n_list == (2**4, 2**5)
 
     def test_refuses_non_feller(self):
         bad = CirParams(1.0, 0.505, 1.01, 0.04)  # 2 k theta = 1.01 < sigma^2
         with pytest.raises(ValueError, match="Feller"):
-            run_convergence(bad, MixedSpec(), 1.0, [2**4], 2**8, [0])
+            run_convergence(bad, MixedSpec(), 1.0, [2**4], 2**8, 1, 0)
 
     def test_reference_grid_guard(self):
         with pytest.raises(ValueError, match="8"):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**6], 2**8, [0])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, [2**6], 2**8, 1, 0)
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError, match="duplicates"):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 16], 2**9, [0])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 16], 2**9, 1, 0)
         with pytest.raises(ValueError):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, [], 2**9, [0])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, [], 2**9, 1, 0)
         with pytest.raises(ValueError):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, [16], 2**9, [])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, [16], 2**9, 0, 0)
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="24"):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, [24], 2**9, [0])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, [24], 2**9, 1, 0)
 
     @pytest.mark.parametrize("n_list", [[8.7, 16], [8.0, 16], [16, np.float64(32)], [True, 16]])
     def test_rejects_non_integer_grids_before_any_draw(self, draws, n_list):
         with pytest.raises(TypeError, match="coarse step count must be an integer"):
-            run_convergence(PARAMS, ZERO_NOISE, 1.0, n_list, 2**9, [0])
+            run_convergence(PARAMS, ZERO_NOISE, 1.0, n_list, 2**9, 1, 0)
         assert draws == []
 
     @pytest.mark.parametrize(
@@ -147,12 +147,12 @@ class TestConvergence:
     def test_derive_coupled_rejects_grids_as_the_harness_does_before_any_draw(self, draws, coarse, error, message):
         # the coupled grids are derived by the harness alone, which names a rejected grid before any draw
         with pytest.raises(error) as info:
-            run_convergence(PARAMS, MixedSpec(), 1.0, coarse, 32, [0])
+            run_convergence(PARAMS, MixedSpec(), 1.0, coarse, 32, 1, 0)
         assert str(info.value) == message
         assert draws == []
 
     def test_numpy_integer_grids_are_ints(self):
-        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, np.array([16, 32]), 2**8, [0])
+        report = run_convergence(PARAMS, ZERO_NOISE, 1.0, np.array([16, 32]), 2**8, 1, 0)
         assert report.n_list == (16, 32) and all(type(n) is int for n in report.n_list)
 
     @pytest.mark.parametrize("rows", [1, 3, None])
@@ -166,11 +166,10 @@ class TestConvergence:
     def test_matches_per_seed_reference(self, monkeypatch, rows, spec, n_list, n_ref):
         # the chunked study equals, bit for bit, build_mixed + block sums +
         # simulate_z + np.interp run one seed at a time
-        seeds = _PathSeeds(17, 7)[:]
-        errors, violations = _convergence_reference(PARAMS, spec, n_list, n_ref, seeds)
+        errors, violations = _convergence_reference(PARAMS, spec, n_list, n_ref, _path_seeds(17, 0, 7))
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
-        report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, seeds)
+        report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, 7, 17)
         medians = np.median(errors, axis=0)
         assert np.array_equal(report.errors_per_seed, errors)
         assert report.sup_errors == tuple(float(e) for e in medians)
@@ -183,8 +182,7 @@ class TestConvergence:
         # somewhat below 1/2.
         params = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=1.0)
         n_list = [2**j for j in range(6, 11)]
-        seeds = _PathSeeds(909, 50)[:]
-        report = run_convergence(params, MixedSpec(weight_fbm=0.0), 1.0, n_list, 2**14, seeds)
+        report = run_convergence(params, MixedSpec(weight_fbm=0.0), 1.0, n_list, 2**14, 50, 909)
         assert 0.35 <= report.fitted_order <= 0.6
         assert report.fit_r2 >= 0.99
         assert all(a > b for a, b in zip(report.sup_errors, report.sup_errors[1:]))
@@ -423,9 +421,9 @@ class TestBracketEnsemble:
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
         for n_paths in (7, 8):
-            seeds = _PathSeeds(11, n_paths)[:]
+            seeds = _path_seeds(11, 0, n_paths)
             paths = [
-                NoisePath(grid=grid, increments=row, kind="mixed", seed=seed, hurst=spec.hurst)
+                NoisePath(grid=grid, increments=row, seed=seed)
                 for row, seed in zip(increment_matrix(spec, grid, seeds), seeds)
             ]
             for est, refinement in zip(run_bracket(spec, grid, refinements, n_paths, 11), refinements, strict=True):
@@ -451,7 +449,7 @@ def test_median_equals_numpy_median_bitwise(n_paths):
     "run, n_paths",
     [
         (lambda: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1, 2], 3, 0), 3),
-        (lambda: run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 32], 2**8, [0, 1]), 2),
+        (lambda: run_convergence(PARAMS, ZERO_NOISE, 1.0, [16, 32], 2**8, 2, 0), 2),
         (lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 3, 0), 3),
         (lambda: run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0.5, 3, 0), 3),
     ],
@@ -470,8 +468,9 @@ def test_valid_runs_reach_the_draw_spy(draws, run, n_paths):
         lambda n_paths: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1, 2], n_paths, 0),
         lambda n_paths: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), n_paths, 0),
         lambda n_paths: run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0.5, n_paths, 0),
+        lambda n_paths: run_convergence(PARAMS, MixedSpec(), 1.0, [4, 8], 64, n_paths, 0),
     ],
-    ids=["bracket", "positivity", "mc_stats"],
+    ids=["bracket", "positivity", "mc_stats", "convergence"],
 )
 def test_non_integer_path_count_is_a_type_error_before_any_draw(draws, run, n_paths):
     # 2.5 used to draw three paths (np.arange(1, 3.5)) and True one
@@ -494,11 +493,12 @@ def test_bracket_correction_overflow_alone_is_rejected(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: _PathSeeds(1, 0),
+        lambda: _chunks(GridSpec(1.0, 8), 0, 1),
         lambda: run_positivity(PARAMS, MixedSpec(), GridSpec(1.0, 8), 0, 0),
         lambda: run_bracket(MixedSpec(), GridSpec(1.0, 8), [1], 0, 0),
+        lambda: run_convergence(PARAMS, MixedSpec(), 1.0, [4, 8], 64, 0, 0),
     ],
-    ids=["path_seeds", "positivity", "bracket"],
+    ids=["path_seeds", "positivity", "bracket", "convergence"],
 )
 def test_empty_ensemble_is_rejected_by_one_check(run):
     with pytest.raises(ValueError, match=r"^n_paths must be >= 1, got 0$"):
@@ -532,18 +532,17 @@ class TestSweep:
     @pytest.mark.parametrize("index", [0, 1, 40, 64])
     def test_matches_per_path_reference(self, monkeypatch, index):
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
-        seeds = _PathSeeds(3, 7)[:]
-        refs = self._references(seeds)
+        refs = self._references(_path_seeds(3, 0, 7))
         chunks = [
             (lo, z_min, z[index].copy())  # z is overwritten by the next chunk
-            for lo, [(z, z_min, _)] in _stepped_chunks(SWEEP_PARAMS, SWEEP_SPEC, [SWEEP_GRID], seeds)
+            for lo, [(z, z_min, _)] in _stepped_chunks(SWEEP_PARAMS, SWEEP_SPEC, [SWEEP_GRID], _chunks(SWEEP_GRID, 7, 3))
         ]
         assert [lo for lo, _, _ in chunks] == [0, 3, 6]
         assert min(z_min for _, z_min, _ in chunks) == min(float(z.min()) for z in refs)
         assert np.array_equal(np.concatenate([z_at for _, _, z_at in chunks]), [z[index] for z in refs])
 
     def test_mc_stats_reduce_the_reference_states(self):
-        refs = self._references(_PathSeeds(3, 7)[:])
+        refs = self._references(_path_seeds(3, 0, 7))
         stats = run_mc_stats(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, 0.5, 7, 3)
         r_at = (SWEEP_PARAMS.sigma * np.array([z[32] for z in refs]) / 2.0) ** 2
         assert stats.sample_mean == float(r_at.mean())
@@ -551,7 +550,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("shift_slack", [False, True])
     def test_bound_violations_match_matrix_count(self, monkeypatch, shift_slack):
-        seeds = _PathSeeds(5, 40)[:]
+        seeds = _path_seeds(5, 0, 40)
         inc = increment_matrix(SWEEP_SPEC, SWEEP_GRID, seeds)
         z = simulate_z_batch(SWEEP_PARAMS, SWEEP_GRID, inc)
         if shift_slack:
@@ -573,7 +572,7 @@ class TestSweep:
         # the count is the per-seed reference summed over the fine grid and
         # every coarse grid
         spec, n_list, n_ref = MixedSpec(weight_bm=2.0), [4, 8, 16], 128
-        seeds = _PathSeeds(5, 20)[:]
+        seeds = _path_seeds(5, 0, 20)
         if shift_slack:
             z0 = PARAMS.z0
             limit = z0 + abs(experiments.singular_drift(z0, PARAMS))
@@ -587,7 +586,7 @@ class TestSweep:
         total = len(seeds) * (1 + len(n_list))
         assert (0 < expected < total) if shift_slack else expected == 0
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 7)
-        assert run_convergence(PARAMS, spec, 1.0, n_list, n_ref, seeds).bound_violations == expected
+        assert run_convergence(PARAMS, spec, 1.0, n_list, n_ref, len(seeds), 5).bound_violations == expected
 
     @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence"])
     def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
@@ -610,7 +609,7 @@ class TestSweep:
         elif run == "bracket":
             run_bracket(SWEEP_SPEC, SWEEP_GRID, [1, 4], 10, 3)
         else:
-            run_convergence(PARAMS, SWEEP_SPEC, 1.0, [4, 8], 64, _PathSeeds(3, 10)[:])
+            run_convergence(PARAMS, SWEEP_SPEC, 1.0, [4, 8], 64, 10, 3)
         assert len(returned) == 4
 
     @pytest.mark.parametrize(
@@ -707,7 +706,7 @@ def test_overflowing_driver_is_rejected_not_reported():
     with pytest.raises(ValueError, match="overflowed"):
         run_bracket(spec, grid, [1, 2], 3, 42)
     with pytest.raises(ValueError, match="overflowed"):
-        run_convergence(PARAMS, spec, 1.0, [1, 2], 16, [42])
+        run_convergence(PARAMS, spec, 1.0, [1, 2], 16, 1, 42)
 
 
 def test_overflowing_sample_moments_are_rejected():

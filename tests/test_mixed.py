@@ -83,8 +83,6 @@ def test_components_are_uncorrelated():
 def test_mixed_path_metadata():
     grid = GridSpec(2.0, 8)
     path = build_mixed(MixedSpec(hurst=0.8), grid, 1)
-    assert path.kind == "mixed"
-    assert path.hurst == 0.8
     assert path.seed == 1
 
 

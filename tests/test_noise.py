@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcir.experiments import _chunks
 from mfcir.noise import (
     CHOLESKY_MAX_STEPS,
     CirculantEmbeddingError,
@@ -17,7 +18,7 @@ from mfcir.noise import (
     _circulant_eigenvalues,
     _clamped_eigenvalues,
     _davies_harte_rows,
-    _PathSeeds,
+    _path_seeds,
     _pcg64_states,
     _rng,
     _spd_factor,
@@ -294,6 +295,11 @@ class TestDaviesHarte:
         with pytest.raises(CirculantEmbeddingError):
             _clamped_eigenvalues(np.array([-1.0, -2.0]))
 
+    def test_overflowing_increment_variance_is_a_value_error(self):
+        # dt = 2.5e299, so dt**(2H) = dt**1.5 is past the float range
+        with pytest.raises(ValueError, match="overflowed"):
+            sample_fbm_davies_harte(0.75, GridSpec(1e300, 4), 0)
+
 
 @given(
     kind=st.sampled_from(["brownian", "cholesky", "davies_harte"]),
@@ -355,15 +361,20 @@ class TestArraySeeds:
 
     @pytest.mark.parametrize("master", SEEDS + OUT_OF_RANGE)
     def test_path_seeds_equal_the_scalar_rule(self, master):
-        assert _PathSeeds(master, 70)[:] == [substream_seed(master, i) for i in range(70)]
-        # a chunk's slice, derived on its own
-        assert _PathSeeds(master, 70)[17:40] == [substream_seed(master, i) for i in range(17, 40)]
+        assert _path_seeds(master, 0, 70) == [substream_seed(master, i) for i in range(70)]
+        # a chunk's range, derived on its own
+        assert _path_seeds(master, 17, 40) == [substream_seed(master, i) for i in range(17, 40)]
 
     def test_path_seeds_of_a_negative_master(self):
-        assert _PathSeeds(-1, 2)[:] == [16490336266968443936, 16834447057089888969]
+        assert _path_seeds(-1, 0, 2) == [16490336266968443936, 16834447057089888969]
 
     def test_a_float_seed_is_a_type_error(self):
-        for derive in (lambda: _PathSeeds(1.5, 2), lambda: _PathSeeds(2.0, 2), lambda: _substream_seeds([3, 1.5], 0)):
+        for derive in (
+            lambda: _path_seeds(1.5, 0, 2),
+            lambda: _path_seeds(2.0, 0, 2),
+            lambda: _substream_seeds([3, 1.5], 0),
+            lambda: _chunks(GridSpec(1.0, 8), 2, 1.5),  # checked when the ensemble is named
+        ):
             with pytest.raises(TypeError):
                 derive()
 
@@ -385,13 +396,9 @@ class TestGridAndPathValidation:
     def test_noise_path_validation(self):
         grid = GridSpec(1.0, 3)
         with pytest.raises(ValueError, match="shape"):
-            NoisePath(grid=grid, increments=np.zeros(4), kind="brownian", seed=0)
+            NoisePath(grid=grid, increments=np.zeros(4), seed=0)
         with pytest.raises(ValueError, match="NaN"):
-            NoisePath(grid=grid, increments=np.array([0.0, np.nan, 0.0]), kind="brownian", seed=0)
-        with pytest.raises(ValueError, match="kind"):
-            NoisePath(grid=grid, increments=np.zeros(3), kind="levy", seed=0)
-        with pytest.raises(ValueError):
-            NoisePath(grid=grid, increments=np.zeros(3), kind="fractional", seed=0)  # no hurst
+            NoisePath(grid=grid, increments=np.array([0.0, np.nan, 0.0]), seed=0)
 
     def test_increments_are_read_only(self):
         path = sample_brownian_increments(GridSpec(1.0, 4), 0)

@@ -246,7 +246,7 @@ class TestStepProperties:
 
 
 def zero_noise(grid: GridSpec) -> NoisePath:
-    return NoisePath(grid, np.zeros(grid.steps_n), kind="mixed", seed=0, hurst=0.75)
+    return NoisePath(grid, np.zeros(grid.steps_n), seed=0)
 
 
 class TestSimulate:
@@ -356,9 +356,8 @@ class TestSimulate:
 class TestTrajectoryValidation:
     def _mk(self, z):
         z = np.asarray(z, dtype=float)
-        r = (2.0 * z / 2.0) ** 2
         params = CirParams(1.0, 1.0, 2.0, 1.0)  # z0 = 1
-        return Trajectory(GridSpec(1.0, len(z) - 1), z, r, params, 0)
+        return Trajectory(GridSpec(1.0, len(z) - 1), z, params, 0)
 
     def test_valid_roundtrip(self):
         traj = self._mk([1.0, 3.0])
@@ -368,7 +367,7 @@ class TestTrajectoryValidation:
     def test_rejects_bad_shape(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError, match="shape"):
-            Trajectory(GridSpec(1.0, 2), np.ones(2), np.ones(2), params, 0)
+            Trajectory(GridSpec(1.0, 2), np.ones(2), params, 0)
 
     def test_rejects_nonpositive_state(self):
         with pytest.raises(ValueError, match="positive"):
@@ -384,18 +383,13 @@ class TestTrajectoryValidation:
         params = CirParams(1.0, 10.0, 3.0, 1.0)
         z = np.array([params.z0, 1e154])  # (3 * 1e154 / 2)**2 is past the float range
         with pytest.raises(ValueError, match="overflowed"):
-            Trajectory(GridSpec(1.0, 1), z, (params.sigma * z / 2.0) ** 2, params, 0)
+            Trajectory(GridSpec(1.0, 1), z, params, 0)
 
     def test_rejects_initial_mismatch(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         z = np.array([2.0, 3.0])
         with pytest.raises(ValueError, match="r0"):
-            Trajectory(GridSpec(1.0, 1), z, z**2, params, 0)
-
-    def test_rejects_transform_mismatch(self):
-        params = CirParams(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError, match="transform"):
-            Trajectory(GridSpec(1.0, 1), np.array([1.0, 3.0]), np.array([1.0, 8.0]), params, 0)
+            Trajectory(GridSpec(1.0, 1), z, params, 0)
 
     def test_arrays_read_only(self):
         traj = self._mk([1.0, 3.0])
@@ -409,7 +403,7 @@ class TestInterpolate:
     def _two_node(self):
         params = CirParams(1.0, 1.0, 2.0, 1.0)
         z = np.array([1.0, 3.0])
-        return Trajectory(GridSpec(1.0, 1), z, z**2, params, 0)
+        return Trajectory(GridSpec(1.0, 1), z, params, 0)
 
     def test_nodes_exact(self):
         noise = build_mixed(MixedSpec(), GridSpec(1.0, 16), 3)
