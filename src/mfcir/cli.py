@@ -325,7 +325,7 @@ def emit_report(rows, footer, config: RunConfig) -> None:
 
 def _simulate(config: RunConfig) -> None:
     # one chunk's seeds are derived at a time, when the chunk is reached
-    seeds = (seed for _, chunk in _chunks(config.grid, config.n_paths, config.seed) for seed in chunk)
+    seeds = (seed for _, chunk in _chunks(config.grid, config.n_paths, config.seed) for seed in chunk.tolist())
     paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
     emit_trajectories(paths, config)
 

@@ -39,7 +39,7 @@ import numpy as np
 # are not called here; perfbench/spans.py wraps them by these names.
 from .bracket import BracketEstimate, _bracket_sums, discrete_ito_iterated  # noqa: F401
 from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
-from .noise import GridSpec, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
+from .noise import _MASK64, GridSpec, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
 from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
@@ -88,12 +88,12 @@ def _median(a: np.ndarray) -> np.ndarray:
     return (s[k - 1] + s[k] + 0.0) / 2
 
 
-def _chunks(grid: GridSpec, n_paths: int, master_seed: int) -> Iterator[tuple[int, list[int]]]:
+def _chunks(grid: GridSpec, n_paths: int, master_seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """Lazy ``(lo, seeds)`` chunks of the ensemble on ``grid``, the widest first; both names are checked now."""
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    master_seed = operator.index(master_seed)  # a TypeError unless it is an integer
+    master_seed = operator.index(master_seed) & _MASK64  # a TypeError unless it is an integer
     rows = min(_SWEEP_ROWS, max(1, _SWEEP_CELLS // grid.steps_n))
     return ((lo, _path_seeds(master_seed, lo, min(lo + rows, n_paths))) for lo in range(0, n_paths, rows))
 
@@ -136,14 +136,14 @@ class _States:
         envelope.
         """
         z = self.z[:, :width]
-        implicit_steps(self.params, self.grid.dt, z[1:])
+        implicit_steps(self.params, self.grid.dt, z)
         z_max = z.max(axis=0)
         z_min = float(z.min())
         _require_in_range(z_min, z_max.max(), self.params.sigma)
         return z, z_min, _envelope_violations(self.params, self.grid, self.sup_m[:width], z_max)
 
 
-def _load(lanes: list[_States], spec: MixedSpec, chunk: Sequence[int]) -> None:
+def _load(lanes: list[_States], spec: MixedSpec, chunk: np.ndarray) -> None:
     """Draw a chunk block by block into the columns of ``lanes``.
 
     ``lanes[0]`` is on the driver's grid; every other lane gets the exact
@@ -157,7 +157,7 @@ def _load(lanes: list[_States], spec: MixedSpec, chunk: Sequence[int]) -> None:
 
 
 def _stepped_chunks(
-    params: CirParams, spec: MixedSpec, grids: Sequence[GridSpec], chunks: Iterator[tuple[int, list[int]]]
+    params: CirParams, spec: MixedSpec, grids: Sequence[GridSpec], chunks: Iterator[tuple[int, np.ndarray]]
 ) -> Iterator[tuple[int, list[tuple[np.ndarray, float, int]]]]:
     """Run the scheme over the ensemble's ``chunks`` (``_chunks`` on ``grids[0]``) on ``grids``.
 
@@ -354,12 +354,11 @@ def run_mc_stats(
     """
     if not 0.0 < t_eval <= grid.horizon_t:
         raise ValueError(f"t_eval must lie in (0, {grid.horizon_t}], got {t_eval}")
-    n_paths = _require_integer("n_paths", n_paths)
+    chunks = _chunks(grid, n_paths, master_seed)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
-    chunks = _chunks(grid, n_paths, master_seed)
-    index = int(round(t_eval / grid.dt))
-    index = min(max(index, 0), grid.steps_n)
+    # >= 0, since 0 < t_eval; past n only if dt is subnormal (T = 4 * 5e-324, n = 3 gives 4)
+    index = min(int(round(t_eval / grid.dt)), grid.steps_n)
     z_at = np.empty(n_paths)  # each path's state at that grid point: the moments sum them in path order
     violations = 0
     for lo, [(z, _, chunk_violations)] in _stepped_chunks(params, spec, [grid], chunks):
@@ -379,7 +378,7 @@ def run_mc_stats(
         t_eval=float(t_eval),
         sample_mean=mean,
         sample_se=se,
-        n_paths=n_paths,
+        n_paths=int(n_paths),
         closed_form_mean=closed,
         t_used=t_used,
         bound_violations=violations,

@@ -3,7 +3,7 @@
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
 fractional part is switched off (and vice versa); ``mfcir.noise`` derives
-the substream seeds of a whole block of paths in one array pass.
+the substream seeds of a whole uint64 array of path seeds in one pass.
 ``_increment_blocks`` is the one place where path seeds become driver
 increments: it yields them one block of paths at a time, in buffers it
 reuses, so the ensemble harnesses never hold a (paths, n) matrix, and
@@ -14,12 +14,14 @@ which the convergence harness takes of each block of paths as it arrives.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and substream_seed by these names
+    _MASK64,
     GridSpec,
     NoisePath,
     _check_hurst,
@@ -27,7 +29,6 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and su
     _pcg64_states,
     _rng,
     _spectrum_scale,
-    _substream_seeds,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -75,10 +76,10 @@ class MixedSpec:
             raise ValueError("component weights must be finite")
 
 
-def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Mixed-driver increments of ``seeds``, one block of rows at a time.
 
-    Yields ``(lo, block)``: row i of ``block`` is the path of
+    Yields ``(lo, block)``: row i of ``block`` is the path of uint64 seed
     ``seeds[lo + i]``, its Brownian component from substream 0 of the seed
     and its fractional component from substream 1, through
     :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  A row does
@@ -111,15 +112,12 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: Sequence[int]) -> 
             bits.state = state
             gen.standard_normal(out=row)
 
-    def states(stream: int) -> Iterator[dict]:
-        return _pcg64_states(_substream_seeds(seeds, stream))
-
     fractional = spec.weight_fbm != 0.0
     if fractional:
         scale = _spectrum_scale(spec.hurst, n, grid.dt)
-        fbm_states = states(_FBM_STREAM)
+        fbm_states = _pcg64_states(seeds, _FBM_STREAM)
     if spec.weight_bm != 0.0:
-        bm_states = states(_BM_STREAM)
+        bm_states = _pcg64_states(seeds, _BM_STREAM)
     rows = min(len(seeds), max(1, _CHUNK_SPECTRUM // (2 * n)))
     buffer = np.empty((rows, 2 * n if fractional else n))
     if fractional:
@@ -154,8 +152,10 @@ def build_mixed(spec: MixedSpec, grid: GridSpec, seed: int) -> NoisePath:
 
     The one-path case of ``_increment_blocks``: the Brownian and
     fractional components come from substreams 0 and 1 of ``seed``, the
-    fractional one through circulant embedding at every grid size.
+    fractional one through circulant embedding at every grid size; an
+    integer ``seed`` is reduced mod 2**64, as by ``substream_seed``.
     NoisePath copies the one row out of the generator's buffer.
     """
-    [(_, block)] = _increment_blocks(spec, grid, [seed])
+    seeds = np.array([operator.index(seed) & _MASK64], dtype=np.uint64)
+    [(_, block)] = _increment_blocks(spec, grid, seeds)
     return NoisePath(grid=grid, increments=block[0], seed=seed)

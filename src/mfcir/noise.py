@@ -16,9 +16,8 @@ Both draw their Gaussian variates from ``numpy``'s PCG64 bit generator,
 so a (seed, grid, hurst) triple always maps to the same path.
 
 Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
-(seed, index) pair, which ``_path_seeds`` (a range of an ensemble's path
-seeds, one chunk at a time) and ``_substream_seeds`` apply in one array
-pass, and ``_pcg64_states`` turns seeds into PCG64 states.
+(seed, index) pair; ``_path_seeds`` (one chunk of path seeds) and
+``_pcg64_states`` (path seeds to PCG64 states) apply it in one array pass.
 
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
@@ -26,10 +25,9 @@ The coupled grids and the bracket share one home for their grid rules:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -103,20 +101,9 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _path_seeds(master_seed: int, lo: int, hi: int) -> list[int]:
-    """``[substream_seed(master_seed, i) for i in range(lo, hi)]``, in one uint64 array pass."""
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN64 + (operator.index(master_seed) & _MASK64)
-    return _splitmix64(z).tolist()
-
-
-def _substream_seeds(seeds: Sequence[int], index: int) -> np.ndarray:
-    """``substream_seed(s, index)`` for every ``s`` in ``seeds``, as a uint64 array.
-
-    Each seed is reduced mod 2**64 first, as there; numpy would reject a
-    negative or wider integer, and truncate a float instead of refusing it.
-    """
-    z = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
-    z += (index + 1) * _GOLDEN64 & _MASK64
+def _path_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``substream_seed(master_seed, i)`` for i in range(lo, hi) as a uint64 array, for a master in [0, 2**64)."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN64 + master_seed
     return _splitmix64(z)
 
 
@@ -144,16 +131,16 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _pcg64_states(seeds: Sequence[int]) -> Iterator[dict]:
-    """Yield ``np.random.PCG64(s).state`` for every seed, in order.
+def _pcg64_states(seeds: np.ndarray, stream: int) -> Iterator[dict]:
+    """Yield ``np.random.PCG64(substream_seed(s, stream)).state`` for every path seed, in order.
 
-    Runs SeedSequence's entropy hash and ``generate_state(4, uint64)`` in
-    uint32 arithmetic on all seeds together, on the first ``next``; then
-    PCG64's seeding (two steps of its 128-bit LCG) one seed per ``next``,
-    so that a caller holds only the state dicts it has not used yet, and
-    one Generator can serve many seeds by state assignment instead of one
-    construction each.  Seeds are unsigned 64-bit integers, hashed as two
-    32-bit words.
+    ``seeds`` is a uint64 array.  Runs the splitmix64 pass, SeedSequence's
+    entropy hash and ``generate_state(4, uint64)`` in uint64 and uint32
+    arithmetic on all seeds together, on the first ``next``; then PCG64's
+    seeding (two steps of its 128-bit LCG) one seed per ``next``, so that a
+    caller holds only the state dicts it has not used yet, and one Generator
+    can serve many seeds by state assignment instead of one construction
+    each.  Substream seeds are hashed as two 32-bit words.
     """
 
     def hashmix(values, i, j):
@@ -161,7 +148,7 @@ def _pcg64_states(seeds: Sequence[int]) -> Iterator[dict]:
         values *= _HASH_A[i + 1 : j + 1]
         return values ^ (values >> 16)
 
-    s = np.asarray(seeds, dtype=np.uint64)
+    s = _splitmix64(seeds + ((stream + 1) * _GOLDEN64 & _MASK64))
     entropy = np.zeros((4, s.size), dtype=np.uint32)
     entropy[0] = s & 0xFFFFFFFF
     entropy[1] = s >> 32
@@ -410,7 +397,10 @@ def _spectrum_scale(h: float, steps_n: int, dt: float) -> np.ndarray:
     temporaries never stack on top of them.
     """
     scale = _circulant_eigenvalues(h, steps_n, dt)
-    scale *= 2 * steps_n
+    with np.errstate(over="ignore"):  # an overflowed spectrum is rejected below
+        scale *= 2 * steps_n
+    if not np.isfinite(scale).all():  # here, or already in the rfft, which does not warn
+        raise ValueError(f"the circulant spectrum of the fractional increments overflowed (dt = {dt:g})")
     np.sqrt(scale, out=scale)
     scale[1:steps_n] /= np.sqrt(2.0)
     scale.setflags(write=False)

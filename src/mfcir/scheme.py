@@ -16,9 +16,9 @@ the step size.
 Each rule of the step has one home: ``_root_coefficients`` (the
 quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
-alike), :func:`simulate_z_batch` and ``_put_columns`` (a batch's layout)
-and :func:`z_to_r`, which :class:`Trajectory` applies to derive a path's
-rates from its states.
+alike, from the caller's start state), :func:`simulate_z_batch` and
+``_put_columns`` (a batch's layout) and :func:`z_to_r`, which
+:class:`Trajectory` applies to derive a path's rates from its states.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ __all__ = [
 class CirParams:
     """Model parameters: speed k, level theta, volatility sigma, start r0.
 
-    ``m`` is derived as ``(2 k theta - sigma^2) / sigma^2``; the scheme is
-    well defined for ``m > -1/2``, and ``feller_ok`` flags the stronger
-    ``m > 0`` (equivalently ``2 k theta > sigma^2``) under which the exact
-    rate never touches zero.
+    ``m``, derived as ``(2 k theta - sigma^2) / sigma^2``, must be finite;
+    the scheme is well defined for ``m > -1/2``, and ``feller_ok`` flags
+    the stronger ``m > 0`` (equivalently ``2 k theta > sigma^2``) under
+    which the exact rate never touches zero.
     """
 
     k: float
@@ -65,7 +65,11 @@ class CirParams:
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         sig2 = self.sigma * self.sigma
-        object.__setattr__(self, "m", (2.0 * self.k * self.theta - sig2) / sig2)
+        m = (2.0 * self.k * self.theta - sig2) / sig2 if sig2 > 0.0 else math.nan
+        if not math.isfinite(m):
+            raise ValueError(f"m = (2 k theta - sigma^2) / sigma^2 is not finite for k = {self.k}, "
+                             f"theta = {self.theta} and sigma = {self.sigma}")
+        object.__setattr__(self, "m", m)
 
     @property
     def feller_ok(self) -> bool:
@@ -149,25 +153,24 @@ def _scalar_steps(params: CirParams, dt: float, z: float, increments: list[float
     return out
 
 
-def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
-    """Run the implicit scheme over step-major rows, in place.
+def implicit_steps(params: CirParams, dt: float, z: np.ndarray) -> None:
+    """Run the implicit scheme over a step-major matrix, in place, from the states in its row 0.
 
-    ``rows`` has shape (steps, paths) and is C-contiguous: on entry row j
-    holds every path's driver increment of step j, on exit its state
-    z_{j+1}, all paths starting from ``params.z0``.  The arithmetic is
-    that of ``_scalar_steps``, so each path matches :func:`simulate_z`
-    bit for bit.  Scratch is three rows, whatever the number of steps.
+    ``z`` has shape (steps + 1, paths), each row contiguous: on entry row 0
+    holds every path's start state and row j its driver increment of step
+    j, on exit its state z_j, so a path can be stepped in segments.  The
+    arithmetic is that of ``_scalar_steps``, so each path matches
+    :func:`simulate_z` bit for bit.  Scratch is three rows, whatever the number of steps.
     """
     two_a, two_d, four_ad = _root_coefficients(params, dt)
-    width = rows.shape[1]
+    width = z.shape[1]
     c = np.empty(width)
     disc = np.empty(width)
     neg = np.empty(width, dtype=bool)
-    prev = np.full(width, params.z0)
     # An overflowing c * c leaves a state of 0, inf or nan, which the
     # callers reject through _require_in_range; numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in rows:
+        for prev, row in zip(z[:-1], z[1:]):
             np.add(prev, row, out=c)
             np.multiply(c, c, out=disc)
             np.add(disc, four_ad, out=disc)
@@ -180,7 +183,6 @@ def implicit_steps(params: CirParams, dt: float, rows: np.ndarray) -> None:
             if not np.minimum.reduce(c, initial=np.inf) >= 0.0:
                 np.less(c, 0.0, out=neg)
                 row[neg] = two_d / (disc[neg] - c[neg])
-            prev = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +240,7 @@ def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) 
     z = np.empty((grid.steps_n + 1, len(inc)))
     z[0] = params.z0
     _put_columns(z[1:], inc)
-    implicit_steps(params, grid.dt, z[1:])
+    implicit_steps(params, grid.dt, z)
     return z.T
 
 

@@ -16,9 +16,9 @@ from mfcir.noise import GridSpec, NoisePath, _block_sums
 
 
 def increment_matrix(spec, grid, seeds):
-    """Mixed-driver increments of ``seeds``, one row per seed, copied out of ``_increment_blocks``'s reused buffers."""
+    """Mixed-driver increments of ``seeds`` (ints in [0, 2**64)), one row per seed, copied out of the reused buffers."""
     out = np.empty((len(seeds), grid.steps_n))
-    for lo, block in _increment_blocks(spec, grid, seeds):
+    for lo, block in _increment_blocks(spec, grid, np.array(seeds, dtype=np.uint64)):
         out[lo : lo + len(block)] = block
     return out
 

@@ -414,12 +414,18 @@ _ALL_COMMANDS = [["simulate"], ["positivity"], ["mcstats"], ["bracket"],
 
 # A horizon whose fractional increment variance dt**(2H) is past the float range.
 _HORIZON_OVERFLOW_ARGV = ["--n", "4", "--paths", "2", "--T", "1e300"]
+# A horizon whose dt**(2H) is finite but whose circulant spectrum is not.
+_SPECTRUM_OVERFLOW_ARGV = ["--n", "4", "--paths", "2", "--T", "4e205"]
 
 
 @pytest.mark.parametrize(
     "argv, overflow",
-    [(argv, _OVERFLOW_ARGV) for argv in _ALL_COMMANDS] + [(argv, _HORIZON_OVERFLOW_ARGV) for argv in _ALL_COMMANDS],
-    ids=[argv[0] for argv in _ALL_COMMANDS] + [argv[0] + "-horizon" for argv in _ALL_COMMANDS],
+    [(argv, _OVERFLOW_ARGV) for argv in _ALL_COMMANDS]
+    + [(argv, _HORIZON_OVERFLOW_ARGV) for argv in _ALL_COMMANDS]
+    + [(argv, _SPECTRUM_OVERFLOW_ARGV) for argv in _ALL_COMMANDS],
+    ids=[argv[0] for argv in _ALL_COMMANDS]
+    + [argv[0] + "-horizon" for argv in _ALL_COMMANDS]
+    + [argv[0] + "-spectrum" for argv in _ALL_COMMANDS],
 )
 def test_overflow_prints_only_the_error_line(argv, overflow, tmp_path):
     # a fresh interpreter, with Python's default warning filters: numpy's
@@ -429,6 +435,22 @@ def test_overflow_prints_only_the_error_line(argv, overflow, tmp_path):
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith("mfcir: error:") and "overflowed" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["positivity", "bracket"])
+@pytest.mark.parametrize(
+    "params",
+    [["--sigma", "1e-200"], ["--sigma", "1e-160"], ["--k", "1e300", "--theta", "1e300"], ["--sigma", "1e200"]],
+    ids=["sigma2-underflows", "m-inf", "k-theta-inf", "m-nan"],
+)
+def test_model_whose_m_is_not_finite_prints_only_the_error_line(command, params, tmp_path):
+    # sigma^2 = 0 was a ZeroDivisionError; an infinite m blamed the driver
+    out = tmp_path / "out"
+    proc = _run_python("-m", "mfcir", command, *params, "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("mfcir: error:") and "is not finite" in line
     assert not out.exists()
 
 

@@ -349,6 +349,13 @@ class TestMcStats:
         expected = 0.04 + 0.04 * math.exp(-rounded.t_used)
         assert rounded.closed_form_mean == pytest.approx(expected, rel=1e-12)
 
+    def test_subnormal_step_rounds_t_eval_to_the_last_grid_point(self):
+        # dt = 2e-323 / 3 rounds to 5e-324, so t_eval / dt is 4 on a grid of 3 steps
+        grid = GridSpec(2e-323, 3)
+        assert round(grid.horizon_t / grid.dt) == 4
+        stats = run_mc_stats(PARAMS, MixedSpec(weight_fbm=0.0), grid, grid.horizon_t, 3, 0)
+        assert stats.t_used == 3 * grid.dt
+
     def test_is_frozen_record(self):
         stats = run_mc_stats(PARAMS, MixedSpec(), GridSpec(1.0, 2**5), 0.5, 8, 2)
         assert isinstance(stats, McStats)

@@ -175,15 +175,15 @@ class TestEnsembleIncrements:
         # block is yielded, each stream has built its rows' states and no more
         built = []
 
-        def counting(seeds):
+        def counting(seeds, stream):
             built.append(0)
-            stream = len(built) - 1
-            for state in _pcg64_states(seeds):
-                built[stream] += 1
+            call = len(built) - 1
+            for state in _pcg64_states(seeds, stream):
+                built[call] += 1
                 yield state
 
         monkeypatch.setattr(mixed, "_pcg64_states", counting)
-        seeds = [substream_seed(5, i) for i in range(200)]
+        seeds = np.array([substream_seed(5, i) for i in range(200)], dtype=np.uint64)
         ends = []
         for lo, block in mixed._increment_blocks(MixedSpec(), GridSpec(1.0, 1024), seeds):
             ends.append(lo + len(block))

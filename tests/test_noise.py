@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcir.experiments import _chunks
+from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import (
     CHOLESKY_MAX_STEPS,
     CirculantEmbeddingError,
@@ -23,7 +24,6 @@ from mfcir.noise import (
     _rng,
     _spd_factor,
     _spectrum_scale,
-    _substream_seeds,
     fbm_covariance,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -300,6 +300,11 @@ class TestDaviesHarte:
         with pytest.raises(ValueError, match="overflowed"):
             sample_fbm_davies_harte(0.75, GridSpec(1e300, 4), 0)
 
+    def test_overflowing_spectrum_is_a_value_error(self):
+        # dt**(2H) = 1e307.5 is finite, but 2n times the spectrum is not
+        with pytest.raises(ValueError, match="overflowed"):
+            _spectrum_scale(0.75, 4, 1e205)
+
 
 @given(
     kind=st.sampled_from(["brownian", "cholesky", "davies_harte"]),
@@ -338,7 +343,7 @@ class TestSubstreams:
 
 
 class TestArraySeeds:
-    """The array pass that derives an ensemble's seeds equals substream_seed bit for bit."""
+    """The array passes that derive an ensemble's seeds equal substream_seed bit for bit."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
     INDICES = [0, 1, 2, 2**32, 10**6]
@@ -346,37 +351,39 @@ class TestArraySeeds:
 
     @pytest.mark.parametrize("index", INDICES)
     def test_substream_seeds_equal_the_scalar_rule(self, index):
-        derived = _substream_seeds(self.SEEDS, index)
-        assert derived.dtype == np.uint64 and derived.shape == (len(self.SEEDS),)
-        assert derived.tolist() == [substream_seed(s, index) for s in self.SEEDS]
+        # _pcg64_states derives substream ``index`` of each path seed before its hash
+        states = list(_pcg64_states(np.array(self.SEEDS, dtype=np.uint64), index))
+        assert states == [np.random.PCG64(substream_seed(s, index)).state for s in self.SEEDS]
 
     def test_seeds_out_of_range_reduce_as_in_the_scalar_rule(self):
-        for index in self.INDICES:
-            expected = [substream_seed(s, index) for s in self.OUT_OF_RANGE]
-            assert _substream_seeds(self.OUT_OF_RANGE, index).tolist() == expected
-            assert expected == [substream_seed(s % 2**64, index) for s in self.OUT_OF_RANGE]
-        assert _substream_seeds([np.uint64(2**64 - 1), True], 1).tolist() == [
-            substream_seed(2**64 - 1, 1), substream_seed(1, 1)
+        # build_mixed reduces its path seed mod 2**64 before the array pass
+        grid = GridSpec(1.0, 4)
+        for seed in self.OUT_OF_RANGE + [np.uint64(2**64 - 1), True]:
+            expected = sample_brownian_increments(grid, substream_seed(int(seed), 0)).increments
+            got = build_mixed(MixedSpec(weight_fbm=0.0), grid, seed).increments
+            assert got.tobytes() == expected.tobytes(), seed
+        assert [substream_seed(s, 1) for s in self.OUT_OF_RANGE] == [
+            substream_seed(s % 2**64, 1) for s in self.OUT_OF_RANGE
         ]
 
     @pytest.mark.parametrize("master", SEEDS + OUT_OF_RANGE)
     def test_path_seeds_equal_the_scalar_rule(self, master):
-        assert _path_seeds(master, 0, 70) == [substream_seed(master, i) for i in range(70)]
+        # 70 paths at 2**16 steps are two chunks, of 64 and 6 paths; _chunks reduces the master mod 2**64
+        chunks = list(_chunks(GridSpec(1.0, 2**16), 70, master))
+        assert [(lo, len(seeds)) for lo, seeds in chunks] == [(0, 64), (64, 6)]
+        derived = np.concatenate([seeds for _, seeds in chunks])
+        assert derived.dtype == np.uint64
+        assert derived.tolist() == [substream_seed(master, i) for i in range(70)]
         # a chunk's range, derived on its own
-        assert _path_seeds(master, 17, 40) == [substream_seed(master, i) for i in range(17, 40)]
+        assert _path_seeds(master % 2**64, 17, 40).tolist() == [substream_seed(master, i) for i in range(17, 40)]
 
     def test_path_seeds_of_a_negative_master(self):
-        assert _path_seeds(-1, 0, 2) == [16490336266968443936, 16834447057089888969]
+        [(_, seeds)] = _chunks(GridSpec(1.0, 8), 2, -1)
+        assert seeds.tolist() == [16490336266968443936, 16834447057089888969]
 
     def test_a_float_seed_is_a_type_error(self):
-        for derive in (
-            lambda: _path_seeds(1.5, 0, 2),
-            lambda: _path_seeds(2.0, 0, 2),
-            lambda: _substream_seeds([3, 1.5], 0),
-            lambda: _chunks(GridSpec(1.0, 8), 2, 1.5),  # checked when the ensemble is named
-        ):
-            with pytest.raises(TypeError):
-                derive()
+        with pytest.raises(TypeError):
+            _chunks(GridSpec(1.0, 8), 2, 1.5)  # checked when the ensemble is named
 
 
 class TestGridAndPathValidation:
@@ -406,28 +413,51 @@ class TestGridAndPathValidation:
             path.increments[0] = 1.0
 
 
+def _path_seed_of(substream: int, stream: int) -> int:
+    """The path seed whose substream ``stream`` is ``substream``: substream_seed inverted."""
+
+    def unshift(x, k):  # inverts x ^ (x >> k)
+        y = x
+        for _ in range(64 // k):
+            y = x ^ (y >> k)
+        return y
+
+    z = unshift(substream, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+    return (z - (stream + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
 class TestPcg64States:
     """The vectorized seeding reproduces numpy's SeedSequence + PCG64 seeding.
 
     A failure here means numpy changed SeedSequence's hash or PCG64's
-    seeding, which ``_pcg64_states`` re-implements.
+    seeding, which ``_pcg64_states`` re-implements.  ``SEEDS`` are the
+    substream seeds that the hash sees; the path seeds are derived back
+    from them, so that edge words such as 0 and 2**32 - 1 reach the hash.
     """
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
         int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
     ]
 
+    def _path_seeds_of(self, substreams, stream):
+        seeds = [_path_seed_of(s, stream) for s in substreams]
+        assert [substream_seed(s, stream) for s in seeds] == substreams
+        return np.array(seeds, dtype=np.uint64)
+
     def test_states_equal_constructed_generators(self):
-        for seed, state in zip(self.SEEDS, list(_pcg64_states(self.SEEDS))):
-            reference = np.random.PCG64(seed).state
-            assert state["state"]["state"] == reference["state"]["state"], seed
-            assert state["state"]["inc"] == reference["state"]["inc"], seed
-            assert state == reference, seed
+        for stream in (0, 1):
+            for seed, state in zip(self.SEEDS, list(_pcg64_states(self._path_seeds_of(self.SEEDS, stream), stream))):
+                reference = np.random.PCG64(seed).state
+                assert state["state"]["state"] == reference["state"]["state"], (stream, seed)
+                assert state["state"]["inc"] == reference["state"]["inc"], (stream, seed)
+                assert state == reference, (stream, seed)
 
     def test_draws_after_state_assignment(self):
         gen = np.random.Generator(np.random.PCG64(0))
         seeds = self.SEEDS[:8]
-        for seed, state in zip(seeds, list(_pcg64_states(seeds))):
+        for seed, state in zip(seeds, list(_pcg64_states(self._path_seeds_of(seeds, 0), 0))):
             gen.bit_generator.state = state
             fresh = np.random.Generator(np.random.PCG64(seed)).standard_normal(257)
             assert np.array_equal(gen.standard_normal(257), fresh), seed

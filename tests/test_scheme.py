@@ -34,6 +34,11 @@ def one_step(z_prev: float, dm: float, dt: float, params: CirParams) -> float:
     return _scalar_steps(params, dt, z_prev, [dm])[-1]
 
 
+def step_major(params: CirParams, increments: np.ndarray) -> np.ndarray:
+    """The matrix that implicit_steps steps: z0 in row 0, then ``increments`` (steps, paths)."""
+    return np.vstack([np.full(increments.shape[1], params.z0), increments])
+
+
 def equilibrium(params: CirParams) -> float:
     """Positive root of the drift, sqrt((2 m + 1) / k)."""
     return math.sqrt((2.0 * params.m + 1.0) / params.k)
@@ -72,6 +77,15 @@ class TestParams:
     def test_z0(self):
         assert CirParams(1.0, 1.0, 2.0, 1.0).z0 == 1.0
         assert PARAMS_M_HALF.z0 == 0.5
+
+    @pytest.mark.parametrize(
+        "k, theta, sigma",
+        [(1.0, 1.0, 1e-200), (1.0, 1.0, 1e-160), (1e300, 1e300, 1.0), (1.0, 1.0, 1e200)],
+        ids=["sigma2-underflows", "m-inf", "k-theta-inf", "m-nan"],
+    )
+    def test_rejects_m_that_is_not_finite(self, k, theta, sigma):
+        with pytest.raises(ValueError, match="is not finite for k = .*, theta = .* and sigma = "):
+            CirParams(k, theta, sigma, 1.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("slot", range(4))
@@ -161,9 +175,9 @@ class TestStepDomainEdge:
         if entry == "simulate_z":
             return simulate_z(params, noise).z_values
         if entry == "implicit_steps":
-            rows = np.stack([noise.increments, -noise.increments], axis=1)
-            implicit_steps(params, grid.dt, rows)
-            return rows
+            z = step_major(params, np.stack([noise.increments, -noise.increments], axis=1))
+            implicit_steps(params, grid.dt, z)
+            return z
         if entry == "simulate_z_batch":
             return simulate_z_batch(params, grid, np.stack([noise.increments, -noise.increments]))
         report = run_positivity(params, spec, grid, 5, 3)
@@ -324,24 +338,44 @@ class TestSimulate:
     def test_kernel_negative_branch_matches_scalar(self):
         # increments that push c = z + dm below zero on most steps
         dm = np.array([[-5.0, 0.3], [-0.1, -2.0], [0.0, -1e-300], [-3.0, 4.0]])
-        rows = dm.copy()
+        rows = step_major(PARAMS_M_HALF, dm)
         implicit_steps(PARAMS_M_HALF, 0.01, rows)
         for path in range(dm.shape[1]):
             z = PARAMS_M_HALF.z0
             for step in range(dm.shape[0]):
                 z = one_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
-                assert rows[step, path] == z
+                assert rows[step + 1, path] == z
 
     def test_kernel_nan_column_leaves_the_others_alone(self):
         # a NaN in c takes the masked branch, which must neither touch the
         # NaN column nor skip a negative c in another one
         dm = np.array([[math.nan, -5.0, 0.3], [0.1, -0.1, -2.0], [-3.0, 0.0, 4.0]])
-        rows = dm.copy()
+        rows = step_major(PARAMS_M_HALF, dm)
         implicit_steps(PARAMS_M_HALF, 0.01, rows)
         for path in range(dm.shape[1]):
-            want = _scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, dm[:, path].tolist())[1:]
+            want = _scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, dm[:, path].tolist())
             assert np.array_equal(rows[:, path], want, equal_nan=True)
-        assert np.isnan(rows[:, 0]).all() and np.isfinite(rows[:, 1:]).all()
+        assert np.isnan(rows[1:, 0]).all() and np.isfinite(rows[:, 1:]).all()
+
+    @pytest.mark.parametrize("k", [1, 5, 11])
+    def test_kernel_continues_from_any_start_state(self, k):
+        # one call over n = 12 steps equals two calls split at row k, the
+        # second stepping z[k:] from the states that the first left in row
+        # k, and equals the scalar root from each column's row-0 state;
+        # the start states are not z0, and the shocks take the c < 0 branch
+        n, dt = 12, 0.01
+        z = np.random.default_rng(7).normal(scale=2.0, size=(n + 1, 5))
+        z[0] = [1e-3, 0.2, 1.0, 3.5, 40.0]
+        z[1:, 0] = -0.5
+        assert PARAMS_M_HALF.z0 not in z[0]
+        start, split = z.copy(), z.copy()
+        implicit_steps(PARAMS_M_HALF, dt, z)
+        implicit_steps(PARAMS_M_HALF, dt, split[: k + 1])
+        implicit_steps(PARAMS_M_HALF, dt, split[k:])
+        assert z.tobytes() == split.tobytes()
+        for path in range(z.shape[1]):
+            assert z[:, path].tolist() == _scalar_steps(PARAMS_M_HALF, dt, start[0, path], start[1:, path].tolist())
+        assert (start[1:] + z[:-1] < 0.0).any()  # some c = z_prev + dm < 0
 
     def test_batch_of_zero_paths(self):
         assert simulate_z_batch(PARAMS_M_ONE, GridSpec(1.0, 4), np.zeros((0, 4))).shape == (0, 5)
