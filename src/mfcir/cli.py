@@ -36,10 +36,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .experiments import _chunks, run_bracket, run_convergence, run_mc_stats, run_positivity
-from .mixed import MixedSpec, build_mixed
-# substream_seed is not called here; perfbench/spans.py wraps it by this name.
-from .noise import GridSpec, NoiseError, substream_seed  # noqa: F401
-from .scheme import CirParams, simulate_z
+from .mixed import MixedSpec, _increment_blocks
+from .noise import GridSpec, NoiseError
+from .scheme import CirParams, _require_in_range, _scalar_steps, z_to_r
+# build_mixed, simulate_z and substream_seed are not called here; perfbench/spans.py wraps them by these names.
+from . import build_mixed, simulate_z, substream_seed  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "emit_report", "emit_trajectories", "main", "parse_config"]
 
@@ -266,29 +267,32 @@ _TRAJECTORY_CELLS = {
 }
 
 
-def emit_trajectories(trajectories, config: RunConfig) -> None:
+def emit_trajectories(paths, config: RunConfig) -> None:
     """Write simulated paths, one row per (path, grid point), stable order.
 
-    Every path lies on ``config.grid``, so the text of one path's rows is
-    built once per run as a template: each row holds its ``t`` already
+    ``paths`` yields each path's n + 1 states on ``config.grid``, z0 first;
+    its rates are their ``z_to_r``, and a state that is not positive or a
+    rate that is not finite is a ValueError.  The text of one path's rows
+    is built once per run as a template: each row holds its ``t`` already
     formatted and placeholders for the path id, ``z`` and ``r``.  A path is
     then one ``%`` call over an argument list refilled by slice assignment,
-    and one write.  Each path is written as soon as ``trajectories``
-    yields it, so a lazy iterable is streamed and only one path, and its
-    text, is held at a time.
+    and one write.  Each path is written as soon as ``paths`` yields it, so
+    a lazy iterable is streamed and only one path, and its text, is held
+    at a time.
     """
     header, id_cell, t_format, value_cells = _TRAJECTORY_CELLS[config.format]
     template = "".join(id_cell + t_format % t + value_cells for t in config.grid.times.tolist())
     rows = config.grid.steps_n + 1
+    sigma = config.params.sigma
     args = [0] * (3 * rows)  # path id, z, r per row
     with _sink(config.output_path) as out:
         out.write(header)
-        for pid, traj in enumerate(trajectories):
-            if traj.grid != config.grid:
-                raise ValueError(f"path {pid} lies on {traj.grid}, not on the run's grid {config.grid}")
+        for pid, states in enumerate(paths):
+            z = np.asarray(states, dtype=np.float64)
+            _require_in_range(z.min(), z.max(), sigma)  # min and max are nan if any state is
             args[0::3] = [pid] * rows
-            args[1::3] = traj.z_values.tolist()
-            args[2::3] = traj.r_values.tolist()
+            args[1::3] = z.tolist()
+            args[2::3] = z_to_r(z, sigma).tolist()
             out.write(template % tuple(args))
 
 
@@ -323,11 +327,23 @@ def emit_report(rows, footer, config: RunConfig) -> None:
         out.writelines(line + "\n" for line in lines)
 
 
+# simulate's increment blocks, in standard normals: one row at n = 4096.  The harnesses'
+# 2**17 (16 rows there) raised the peak RSS of --preset figure1 from 37.3 to 39.2 MB.
+_SIMULATE_BLOCK_NORMALS = 2**13
+
+
 def _simulate(config: RunConfig) -> None:
-    # one chunk's seeds are derived at a time, when the chunk is reached
-    seeds = (seed for _, chunk in _chunks(config.grid, config.n_paths, config.seed) for seed in chunk.tolist())
-    paths = (simulate_z(config.params, build_mixed(config.mixed, config.grid, seed)) for seed in seeds)
-    emit_trajectories(paths, config)
+    # each chunk drawn a block at a time, each path stepped when the emitter asks for it
+    params, grid = config.params, config.grid
+    dt, z0 = grid.dt, params.z0
+
+    def paths():
+        for _, chunk in _chunks(grid, config.n_paths, config.seed):
+            for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_NORMALS):
+                for row in block:
+                    yield _scalar_steps(params, dt, z0, row.tolist())
+
+    emit_trajectories(paths(), config)
 
 
 def _convergence(config: RunConfig) -> None:

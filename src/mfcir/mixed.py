@@ -6,10 +6,11 @@ fractional part is switched off (and vice versa); ``mfcir.noise`` derives
 the substream seeds of a whole uint64 array of path seeds in one pass.
 ``_increment_blocks`` is the one place where path seeds become driver
 increments: it yields them one block of paths at a time, in buffers it
-reuses, so the ensemble harnesses never hold a (paths, n) matrix, and
-:func:`build_mixed` is its one-path case.  Coarse-grid restrictions of a
-driver are exact block sums of its increments (``mfcir.noise._block_sums``),
-which the convergence harness takes of each block of paths as it arrives.
+reuses, so neither the ensemble harnesses nor the CLI's ``simulate`` hold a
+(paths, n) matrix, and :func:`build_mixed` is its one-path case.
+Coarse-grid restrictions of a driver are exact block sums of its increments
+(``mfcir.noise._block_sums``), which the convergence harness takes of each
+block of paths as it arrives.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ __all__ = ["MixedSpec", "build_mixed"]
 _BM_STREAM = 0
 _FBM_STREAM = 1
 
-# Standard normals per block of paths, 2n per path: 64 paths at 2**10
-# steps, one at 2**16.  The block's normals, which the transform output
-# and then the block's increments overwrite, and its half spectra (n + 1
-# complex values per path) stay near 2 MB together, whatever the number of
-# paths.
+# The harnesses' block size, in standard normals, 2n per path: 64 paths
+# at 2**10 steps, one at 2**16.  The block's normals, which the transform
+# output and then the block's increments overwrite, and its half spectra
+# (n + 1 complex values per path) stay near 2 MB together, whatever the
+# number of paths.
 _CHUNK_SPECTRUM = 2**17
 
 
@@ -76,14 +77,17 @@ class MixedSpec:
             raise ValueError("component weights must be finite")
 
 
-def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _increment_blocks(
+    spec: MixedSpec, grid: GridSpec, seeds: np.ndarray, block_normals: int = _CHUNK_SPECTRUM
+) -> Iterator[tuple[int, np.ndarray]]:
     """Mixed-driver increments of ``seeds``, one block of rows at a time.
 
     Yields ``(lo, block)``: row i of ``block`` is the path of uint64 seed
     ``seeds[lo + i]``, its Brownian component from substream 0 of the seed
     and its fractional component from substream 1, through
     :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  A row does
-    not depend on the blocking or on the other seeds.
+    not depend on the blocking or on the other seeds.  A block holds
+    ``block_normals // (2n)`` rows, and at least one.
 
     The spectrum scale is looked up once, before any buffer is allocated,
     and only if there is a fractional row to draw.  Each block is drawn
@@ -118,7 +122,7 @@ def _increment_blocks(spec: MixedSpec, grid: GridSpec, seeds: np.ndarray) -> Ite
         fbm_states = _pcg64_states(seeds, _FBM_STREAM)
     if spec.weight_bm != 0.0:
         bm_states = _pcg64_states(seeds, _BM_STREAM)
-    rows = min(len(seeds), max(1, _CHUNK_SPECTRUM // (2 * n)))
+    rows = min(len(seeds), max(1, block_normals // (2 * n)))
     buffer = np.empty((rows, 2 * n if fractional else n))
     if fractional:
         spectrum = np.empty((rows, n + 1), dtype=np.complex128)

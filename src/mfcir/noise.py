@@ -218,6 +218,9 @@ class GridSpec:
             raise ValueError(f"horizon_t must be positive and finite, got {self.horizon_t}")
         if self.steps_n < 1:
             raise ValueError(f"steps_n must be >= 1, got {self.steps_n}")
+        if not self.dt > 0.0:
+            raise ValueError(f"the step horizon_t / steps_n rounds to 0 for horizon_t = {self.horizon_t} "
+                             f"and steps_n = {self.steps_n}")
 
     @property
     def dt(self) -> float:

@@ -18,7 +18,8 @@ quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
 alike, from the caller's start state), :func:`simulate_z_batch` and
 ``_put_columns`` (a batch's layout) and :func:`z_to_r`, which
-:class:`Trajectory` applies to derive a path's rates from its states.
+:class:`Trajectory` and the CLI's emitter apply to derive a path's rates
+from its states.
 """
 
 from __future__ import annotations

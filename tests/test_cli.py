@@ -1,6 +1,7 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -16,7 +17,7 @@ import mfcir.cli
 import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, _Parser, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
-from mfcir.noise import CirculantEmbeddingError, GridSpec
+from mfcir.noise import CirculantEmbeddingError, GridSpec, substream_seed
 from mfcir.scheme import simulate_z
 
 
@@ -236,16 +237,16 @@ class TestSimulateCommand:
 
     @staticmethod
     def _fail_on_third_path(monkeypatch, error):
-        real = mfcir.cli.simulate_z
+        real = mfcir.cli._scalar_steps
         calls = []
 
-        def fail_third(params, noise):
+        def fail_third(*args):
             calls.append(None)
             if len(calls) == 3:
                 raise error
-            return real(params, noise)
+            return real(*args)
 
-        monkeypatch.setattr(mfcir.cli, "simulate_z", fail_third)
+        monkeypatch.setattr(mfcir.cli, "_scalar_steps", fail_third)
         return calls
 
     @pytest.mark.parametrize("existing", [False, True])
@@ -309,53 +310,71 @@ class TestSimulateCommand:
         "json-lines": '{"path_id": %d, "t": %r, "z": %r, "r": %r}\n',
     }
 
+    # seed and weights of each run of test_rows_equal_a_per_row_reference
+    INPUTS = [
+        ("42", "1", "1"),  # the defaults
+        (str(2**64 - 1), "1", "1"),
+        ("42", "0.3", "-1.7"),
+        ("42", "1", "0"),
+        ("42", "0", "1"),
+    ]
+
+    @staticmethod
+    def _reference(argv, row):
+        """The text of ``simulate argv`` built path by path, through build_mixed and simulate_z, row by row."""
+        config = parse_config(["simulate", *argv])
+        text = "path_id,t,z,r\n" if config.format == "csv" else ""
+        for pid in range(config.n_paths):
+            traj = simulate_z(config.params, build_mixed(config.mixed, config.grid, substream_seed(config.seed, pid)))
+            values = zip(config.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
+            text += "".join(row % (pid, t, z, r) for t, z, r in values)
+        return text.encode("ascii")
+
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     @pytest.mark.parametrize("n", [1, 3, 4096])
     @pytest.mark.parametrize("horizon", ["1e-7", "3e5"])  # t cells in exponent and long forms
-    def test_rows_equal_a_per_row_reference(self, fmt, n, horizon, monkeypatch, tmp_path):
-        real = mfcir.cli.simulate_z
-        trajectories = []
-
-        def spy(params, noise):
-            trajectories.append(real(params, noise))
-            return trajectories[-1]
-
-        monkeypatch.setattr(mfcir.cli, "simulate_z", spy)
+    def test_rows_equal_a_per_row_reference(self, fmt, n, horizon, tmp_path):
         out = tmp_path / "paths"
-        argv = ["simulate", "--n", str(n), "--T", horizon, "--paths", "12", "--format", fmt, "--out", str(out)]
-        assert main(argv) == 0
-        row = self.REFERENCE_ROW[fmt]
-        expected = "path_id,t,z,r\n" if fmt == "csv" else ""
-        for pid, traj in enumerate(trajectories):
-            values = zip(traj.grid.times.tolist(), traj.z_values.tolist(), traj.r_values.tolist())
-            expected += "".join(row % (pid, t, z, r) for t, z, r in values)
-        assert len(trajectories) == 12
-        assert out.read_bytes() == expected.encode("ascii")
+        for seed, weight_bm, weight_fbm in self.INPUTS:
+            argv = ["--n", str(n), "--T", horizon, "--paths", "12", "--format", fmt, "--seed", seed,
+                    "--weight-bm", weight_bm, "--weight-fbm", weight_fbm]
+            assert main(["simulate", *argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt]), argv
 
-    def test_path_off_the_run_grid_is_rejected(self, tmp_path):
-        config = parse_config(["simulate", "--n", "4", "--out", str(tmp_path / "paths")])
-        traj = simulate_z(config.params, build_mixed(config.mixed, GridSpec(2.0, 4), 1))
-        with pytest.raises(ValueError, match="not on the run's grid"):
-            mfcir.cli.emit_trajectories([traj], config)
+    @pytest.mark.parametrize(
+        "state",
+        [0.0, math.inf, math.nan, 1e155],  # 1e155 is finite, but sigma = 3 puts its rate past the float range
+        ids=["zero", "inf", "nan", "rate-inf"],
+    )
+    def test_rejected_states_write_no_file(self, state, tmp_path):
+        config = parse_config(["simulate", "--n", "4", "--sigma", "3", "--out", str(tmp_path / "paths")])
+        good = [2.0, 1.0, 1.0, 1.0, 1.0]
+        states = [2.0, 1.0, state, 1.0, 1.0]
+        with pytest.raises(ValueError, match="overflowed"):
+            mfcir.cli.emit_trajectories([good, states], config)
         assert os.listdir(tmp_path) == []
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
-        real = mfcir.cli.simulate_z
+        real = mfcir.cli._scalar_steps
         alive = []
         most = []
 
-        def spy(params, noise):
-            traj = real(params, noise)
-            alive.append(weakref.ref(traj))
-            most.append(sum(ref() is not None for ref in alive))
-            return traj
+        class States(list):  # a list that a weak reference can follow
+            pass
 
-        monkeypatch.setattr(mfcir.cli, "simulate_z", spy)
+        def spy(*args):
+            states = States(real(*args))
+            alive.append(weakref.ref(states))
+            most.append(sum(ref() is not None for ref in alive))
+            return states
+
+        monkeypatch.setattr(mfcir.cli, "_scalar_steps", spy)
         for fmt in ("csv", "json-lines"):
             alive.clear()
-            argv = ["simulate", "--n", "16", "--paths", "6", "--format", fmt, "--out", str(tmp_path / fmt)]
-            assert main(argv) == 0
+            argv = ["--n", "16", "--paths", "6", "--format", fmt]
+            assert main(["simulate", *argv, "--out", str(tmp_path / fmt)]) == 0
             assert len(alive) == 6
+            assert (tmp_path / fmt).read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt])
         assert max(most) <= 2
 
     def test_seeds_are_derived_one_chunk_at_a_time(self, monkeypatch):
@@ -435,6 +454,20 @@ def test_overflow_prints_only_the_error_line(argv, overflow, tmp_path):
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith("mfcir: error:") and "overflowed" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["positivity"], ["mcstats"], ["bracket"], ["convergence", "--n-list", "2", "--n-ref", "16"]],
+    ids=lambda argv: argv[0],
+)
+def test_horizon_whose_step_rounds_to_zero_is_rejected(argv, tmp_path, capsys):
+    # dt = 5e-324 / 2 rounds to 0: mcstats divided by it, the others blamed the circulant embedding (exit 4)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--T", "5e-324", "--n", "2", "--paths", "3", "--out", str(out)] + argv[1:]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("mfcir: error:") and "rounds to 0" in line
     assert not out.exists()
 
 
@@ -756,15 +789,16 @@ class TestCliText:
 # The mfcir.cli names through which the commands reach the library and the
 # emitters.  perfbench/spans.py replaces names on mfcir.cli to time a layer,
 # so a command that held on to the functions themselves would go untimed.
+# No command calls the per-path references simulate_z and build_mixed.
 _CLI_NAMES = (
-    "run_convergence", "run_positivity", "run_bracket", "run_mc_stats",
-    "emit_report", "simulate_z", "build_mixed", "emit_trajectories",
+    "run_convergence", "run_positivity", "run_bracket", "run_mc_stats", "emit_report",
+    "_increment_blocks", "_scalar_steps", "emit_trajectories", "simulate_z", "build_mixed",
 )
 
 
 # Each command line, and the calls it makes through those names.
 _CLI_CALLS = [
-    (["simulate", "--n", "4", "--paths", "3"], {"simulate_z": 3, "build_mixed": 3, "emit_trajectories": 1}),
+    (["simulate", "--n", "4", "--paths", "3"], {"_increment_blocks": 1, "_scalar_steps": 3, "emit_trajectories": 1}),
     (["convergence", "--n-list", "4,8", "--n-ref", "64", "--paths", "2"], {"run_convergence": 1, "emit_report": 1}),
     (["positivity", "--n", "4", "--paths", "2"], {"run_positivity": 1, "emit_report": 1}),
     (["bracket", "--n", "8", "--refinements", "1,2", "--paths", "2"], {"run_bracket": 1, "emit_report": 1}),
@@ -852,10 +886,10 @@ class TestExitCodes:
         assert runs[0].stderr == f"mfcir: i/o error: [Errno 2] No such file or directory: {target!r}\n"
 
     def test_numerical_failure_is_4(self, monkeypatch, capsys):
-        def explode(spec, grid, seed):
+        def explode(spec, grid, seeds, block_normals):
             raise CirculantEmbeddingError("synthetic eigenvalue failure")
 
-        monkeypatch.setattr("mfcir.cli.build_mixed", explode)
+        monkeypatch.setattr("mfcir.cli._increment_blocks", explode)
         assert main(["simulate", "--n", "2", "--out", "-"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 

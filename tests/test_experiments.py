@@ -268,6 +268,24 @@ class TestPositivity:
         assert draws == []
 
 
+def _cir_law(params, t):
+    """Mean, variance, fourth cumulant and Laplace transform u -> E exp(-u r_t) of the CIR rate r_t.
+
+    r_t is c X, with X noncentral chi-square of delta degrees of freedom and
+    noncentrality lam (Cox, Ingersoll & Ross 1985).
+    """
+    k, theta, sigma, r0 = params.k, params.theta, params.sigma, params.r0
+    decay = math.exp(-k * t)
+    c = sigma**2 * (1.0 - decay) / (4.0 * k)
+    delta = 4.0 * k * theta / sigma**2
+    lam = r0 * decay / c
+
+    def laplace(u):
+        return (1.0 + 2.0 * c * u) ** (-delta / 2.0) * math.exp(-lam * c * u / (1.0 + 2.0 * c * u))
+
+    return c * (delta + lam), c**2 * 2.0 * (delta + 2.0 * lam), c**4 * 48.0 * (delta + 4.0 * lam), laplace
+
+
 class TestMcStats:
     def test_initial_time_limit(self):
         grid = GridSpec(1.0, 2**6)
@@ -319,6 +337,24 @@ class TestMcStats:
         sd_se = math.sqrt(kappa4 + 2 * kappa2**2) / (2 * math.sqrt(kappa2 * n_paths))
         sample_sd = stats.sample_se * math.sqrt(n_paths)
         assert abs(sample_sd - math.sqrt(variance)) <= 4.0 * sd_se
+
+    def test_brownian_law_at_512_steps(self):
+        # At w_bm = 1, w_fbm = 0 and n = 512 the scheme's r_T matches the
+        # exact CIR law in its mean, its variance and its Laplace transform
+        # at u = 5 / theta and 20 / theta, each within 4 standard errors.
+        params = CirParams(1.0, 0.04, 0.2, 0.08)
+        grid = GridSpec(5.0, 512)
+        n_paths = 40000
+        r = np.empty(n_paths)
+        chunks = _chunks(grid, n_paths, 3)
+        for lo, [(z, _, _)] in _stepped_chunks(params, MixedSpec(weight_fbm=0.0), [grid], chunks):
+            r[lo : lo + z.shape[1]] = z_to_r(z[-1], params.sigma)
+        mean, variance, kappa4, laplace = _cir_law(params, grid.horizon_t)
+        assert abs(r.mean() - mean) <= 4.0 * math.sqrt(variance / n_paths)
+        assert abs(r.var(ddof=1) - variance) <= 4.0 * math.sqrt((kappa4 + 2.0 * variance**2) / n_paths)
+        for u in (5.0 / params.theta, 20.0 / params.theta):
+            se = math.sqrt((laplace(2.0 * u) - laplace(u) ** 2) / n_paths)
+            assert abs(np.exp(-u * r).mean() - laplace(u)) <= 4.0 * se, u
 
     def test_closed_form_only_for_brownian_driver(self):
         grid = GridSpec(1.0, 2**5)

@@ -394,6 +394,9 @@ class TestGridAndPathValidation:
             GridSpec(1.0, 0)
         with pytest.raises(TypeError):
             GridSpec(1.0, 2.5)
+        with pytest.raises(ValueError, match="rounds to 0"):
+            GridSpec(5e-324, 2)  # dt = 2.5e-324 rounds to 0
+        assert GridSpec(2e-323, 3).dt == 5e-324  # a subnormal step is kept
 
     def test_grid_times(self):
         grid = GridSpec(2.0, 4)
