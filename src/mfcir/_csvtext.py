@@ -1,0 +1,155 @@
+"""The text of simulate's CSV rows, rendered by numpy a block of rows at a time.
+
+Every cell is the text that ``'%d' % v`` or ``'%.17g' % x`` gives, byte for
+byte.  Cells are rendered a column of values at a time, as a pair
+(chars, mask) of (values, width) arrays: a cell's text is its chars where
+its mask is set, so a row's text is the chars of its cells, side by side,
+where their masks are, and a block of rows is one boolean compaction.
+
+``'%.17g' % x`` for a finite 1e-4 <= x < 1e17 is fixed-point: the 17
+significant digits D of x rounded half-even, with the point after digit E
+(or "0." and -E - 1 zeros first, when E < 0), and the fraction's trailing
+zeros dropped.  E starts as floor(log10 x) and moves by one when the exact
+x * 10**(16 - E) has no 17 digits before its point.  That product is exactly
+hi + lo, by Dekker's two-product (Numer. Math. 18, 1971), since 10**k is a
+double for k <= 22.  hi is then an even integer, at least 10**16 > 2**53, so
+D = hi + rint(lo) rounds half-even.  Every other value (0, below 1e-4, from
+1e17 up, negative or not finite) is formatted by ``'%.17g' % x`` itself,
+one by one.
+
+``mfcir.cli`` imports the module when a CSV ``simulate`` run starts writing,
+so that the other commands neither compile it nor build its tables.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
+
+
+def _halves(a):
+    """a as high + low, each with at most 26 significant bits (Dekker's split)."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+_q = np.arange(10000)
+# "0000" to "9999" as four ASCII bytes in one uint32, and the trailing zeros of each
+_DIGITS4 = np.empty((10000, 4), np.uint8)
+for _k in range(4):
+    _DIGITS4[:, 3 - _k] = _q // 10**_k % 10 + 48
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_TRAILING4 = sum(_q % 10**k == 0 for k in range(1, 5))
+# A fixed-point cell is laid out as "0" and D's 17 digits (the integer part),
+# the point, then "000" and D's digits (the fraction).  Its mask, for exponent
+# E and tz trailing zeros of D, is row (E + 4) * 17 + tz.
+_e, _tz = np.divmod(np.arange(21 * 17)[:, None], 17)
+_e -= 4
+_FIXED_MASKS = np.concatenate(
+    [(_q[:18] >= (_e >= 0)) & (_q[:18] < np.clip(_e, -1, None) + 2), 20 - _tz > 4 + _e,
+     (_q[:20] >= 4 + _e) & (_q[:20] < 20 - _tz)],
+    axis=1,
+)
+del _q, _k, _e, _tz
+
+
+def _scaled(x, e):
+    # x * 10**(16 - e) as hi + lo, exactly
+    k = 16 - e
+    x_high, x_low = _halves(x)
+    hi = x * _POW10.take(k)
+    p_high, p_low = _POW10_HIGH.take(k), _POW10_LOW.take(k)
+    return hi, ((x_high * p_high - hi) + x_high * p_low + x_low * p_high) + x_low * p_low
+
+
+def _decimal(x):
+    """E and D of each 1e-4 <= x < 1e17: x to 17 significant digits, rounded half-even, is D * 10**(E - 16)."""
+    e = np.floor(np.log10(x)).astype(np.int64)
+    np.clip(e, -4, 16, out=e)
+    hi, lo = _scaled(x, e)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    moved = np.flatnonzero(below | above)
+    if moved.size:
+        e[moved] += above[moved].astype(np.int64) - below[moved]
+        hi[moved], lo[moved] = _scaled(x[moved], e[moved])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17  # rounded up to 18 digits
+    d[carry] = 10**16
+    return e + carry, d
+
+
+def _digits(d):
+    """"000" and the 17 digits of each d, as (len(d), 20) ASCII bytes, and the trailing zeros of each d."""
+    groups = np.empty((5, len(d)), np.int64)  # four digits each, the most significant first
+    for k in (4, 3, 2, 1):
+        q = d // 10000
+        np.subtract(d, q * 10000, out=groups[k])
+        d = q
+    groups[0] = d
+    tz = _TRAILING4.take(groups[4])
+    for k in (3, 2, 1):
+        tz += np.where(tz == 4 * (4 - k), _TRAILING4.take(groups[k]), 0)
+    return _DIGITS4.take(groups.T).view(np.uint8), tz
+
+
+def float_cells(x):
+    """The cells of '%.17g' % x for a float64 array x."""
+    fixed = (x >= 1e-4) & (x < 1e17)
+    e, d = _decimal(np.where(fixed, x, 1.0))
+    digits, tz = _digits(d)
+    int_width, frac_from = max(int(e.max()), -1) + 2, int(e.min()) + 4  # the columns a fixed-point cell uses
+    point = np.full((len(x), 1), 46, np.uint8)
+    chars = np.concatenate([digits[:, 2 : 2 + int_width], point, digits[:, frac_from:]], axis=1)
+    mask = _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]].take((e + 4) * 17 + tz, axis=0)
+    others = np.flatnonzero(~fixed)
+    texts = [b"%.17g" % value for value in x[others].tolist()]
+    if texts:
+        extra = max(map(len, texts)) - chars.shape[1]
+        if extra > 0:
+            chars = np.pad(chars, ((0, 0), (0, extra)))
+            mask = np.pad(mask, ((0, 0), (0, extra)))
+        for i, text in zip(others.tolist(), texts):
+            chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+            mask[i] = np.arange(mask.shape[1]) < len(text)
+    return chars, mask
+
+
+def _int_cells(values):
+    """The cells of '%d' % v for each int v of ``values``."""
+    chars = np.array([b"%d" % v for v in values])  # NUL-padded
+    chars = chars.view(np.uint8).reshape(len(chars), -1)
+    return chars, chars != 0
+
+
+def csv_rows(first, rows, times, z, r) -> str:
+    """The CSV text of a run's rows ``first, first + 1, ...``, with z and r their states and rates.
+
+    Each path has ``rows`` rows, and ``times`` are the ``float_cells`` of
+    the grid's times.  The rows may span many paths or part of one.
+    """
+    n = len(z)
+    pid, step = np.divmod(np.arange(first, first + n), rows)
+    pids = _int_cells(range(pid[0], pid[-1] + 1))
+    pid -= pid[0]
+    values, value_mask = float_cells(np.stack([z, r], axis=1).ravel())  # each row's z and r side by side
+    cells = [
+        [a.take(pid, axis=0) for a in pids],
+        [a.take(step, axis=0) for a in times],
+        [values[0::2], value_mask[0::2]],
+        [values[1::2], value_mask[1::2]],
+    ]
+    width = sum(c.shape[1] + 1 for c, _ in cells)
+    chars, mask = np.empty((n, width), np.uint8), np.empty((n, width), bool)
+    end = 0
+    for (c, m), separator in zip(cells, b",,,\n"):
+        start, end = end, end + c.shape[1] + 1
+        chars[:, start : end - 1], chars[:, end - 1] = c, separator
+        mask[:, start : end - 1], mask[:, end - 1] = m, True
+    del cells, values, value_mask  # freed before the compaction, the block's peak
+    text = chars[mask]
+    del chars, mask
+    return str(text.data, "ascii")

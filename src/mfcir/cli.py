@@ -257,14 +257,65 @@ def _sink(path: str):
         raise
 
 
-# Per format: the header, then the cells of one row around its formatted
-# t: the path id's cell, t's format, and the z and r cells.  %r of a
-# finite float is the shortest repr that round-trips, which is what
-# json.dumps writes.
-_TRAJECTORY_CELLS = {
-    "csv": ("path_id,t,z,r\n", "%d,", "%.17g", ",%.17g,%.17g\n"),
-    "json-lines": ("", '{"path_id": %d, "t": ', "%r", ', "z": %r, "r": %r}\n'),
-}
+# Rows that simulate's CSV renders and writes at a time: a block spans many
+# short paths or a part of a long one.  --preset figure1 --paths 25 ran in
+# 0.064 s at 1024 rows, against 0.072 s at 512, 0.067 s at 2048 and 0.105 s
+# for one % call per path, and peaked at 37.3 MB, against 37.1, 37.7 and
+# 37.3 MB (in-process medians of 6 fresh processes, 2-core x86-64 box, numpy 2.4.6).
+_CSV_BLOCK_ROWS = 1024
+
+
+def _checked(paths, config: RunConfig):
+    # each path's states as an array, once they are n + 1, positive, and their rates finite
+    rows = config.grid.steps_n + 1
+    for states in paths:
+        z = np.asarray(states, dtype=np.float64)
+        if z.shape != (rows,):
+            raise ValueError(f"a path has {z.size} states, not n + 1 = {rows}")
+        _require_in_range(z.min(), z.max(), config.params.sigma)  # min and max are nan if any state is
+        yield z
+
+
+def _write_csv(paths, config: RunConfig, out) -> None:
+    from . import _csvtext  # here, so that no other command compiles it or builds its tables
+
+    rows = config.grid.steps_n + 1
+    sigma = config.params.sigma
+    times = _csvtext.float_cells(config.grid.times)
+    block = np.empty(min(_CSV_BLOCK_ROWS, rows * config.n_paths))
+    first = filled = 0  # the run's row at block[0], and the rows the block holds
+    out.write("path_id,t,z,r\n")
+    try:
+        for z in _checked(paths, config):
+            done = 0
+            while done < rows:
+                take = min(rows - done, len(block) - filled)
+                block[filled : filled + take] = z[done : done + take]
+                done += take
+                filled += take
+                if filled == len(block):
+                    filled = 0
+                    out.write(_csvtext.csv_rows(first, rows, times, block, z_to_r(block, sigma)))
+                    first += len(block)
+    finally:  # after an error too: the paths before the failing one are written
+        if filled:
+            z = block[:filled]
+            out.write(_csvtext.csv_rows(first, rows, times, z, z_to_r(z, sigma)))
+
+
+def _write_json_lines(paths, config: RunConfig, out) -> None:
+    # one %r template of a path's rows, with every t formatted once; %r of a
+    # finite float is the shortest repr that round-trips, as json.dumps writes it
+    times = config.grid.times.tolist()
+    template = "".join('{"path_id": %d, "t": ' + "%r" % t + ', "z": %r, "r": %r}\n' for t in times)
+    rows = config.grid.steps_n + 1
+    sigma = config.params.sigma
+    args = [0] * (3 * rows)  # path id, z, r per row
+    for pid, z in enumerate(_checked(paths, config)):
+        args[0::3] = [pid] * rows
+        args[1::3] = z.tolist()
+        args[2::3] = z_to_r(z, sigma).tolist()
+        out.write(template % tuple(args))
 
 
 def emit_trajectories(paths, config: RunConfig) -> None:
@@ -272,28 +323,15 @@ def emit_trajectories(paths, config: RunConfig) -> None:
 
     ``paths`` yields each path's n + 1 states on ``config.grid``, z0 first;
     its rates are their ``z_to_r``, and a state that is not positive or a
-    rate that is not finite is a ValueError.  The text of one path's rows
-    is built once per run as a template: each row holds its ``t`` already
-    formatted and placeholders for the path id, ``z`` and ``r``.  A path is
-    then one ``%`` call over an argument list refilled by slice assignment,
-    and one write.  Each path is written as soon as ``paths`` yields it, so
-    a lazy iterable is streamed and only one path, and its text, is held
-    at a time.
+    rate that is not finite is a ValueError.  CSV rows are rendered by
+    numpy, with the text of ``'%.17g' % value``, ``_CSV_BLOCK_ROWS`` at a
+    time across paths, and each block is one write.  A json-lines path is
+    one ``%`` call over a template of its rows, and one write.  Paths are
+    taken from ``paths`` one at a time, so a lazy iterable is streamed;
+    when it raises, the rows of the paths before are written first.
     """
-    header, id_cell, t_format, value_cells = _TRAJECTORY_CELLS[config.format]
-    template = "".join(id_cell + t_format % t + value_cells for t in config.grid.times.tolist())
-    rows = config.grid.steps_n + 1
-    sigma = config.params.sigma
-    args = [0] * (3 * rows)  # path id, z, r per row
     with _sink(config.output_path) as out:
-        out.write(header)
-        for pid, states in enumerate(paths):
-            z = np.asarray(states, dtype=np.float64)
-            _require_in_range(z.min(), z.max(), sigma)  # min and max are nan if any state is
-            args[0::3] = [pid] * rows
-            args[1::3] = z.tolist()
-            args[2::3] = z_to_r(z, sigma).tolist()
-            out.write(template % tuple(args))
+        (_write_csv if config.format == "csv" else _write_json_lines)(paths, config, out)
 
 
 def _cell(value) -> str:

@@ -352,7 +352,8 @@ def _fgn_autocovariance(gamma: np.ndarray, h: float, dt: float) -> None:
     gamma(j) = dt**(2h) * (|j+1|**(2h) - 2|j|**(2h) + |j-1|**(2h)) / 2, for
     j = 0, ..., len(gamma) - 1.  Each in-place step rounds exactly as the
     whole-array expression would, with two scratch arrays of its length.
-    A ``dt**(2h)`` past the float range is a ValueError.
+    A ``dt**(2h)`` past the float range, or one that underflows to 0, is a
+    ValueError.
     """
     e = 2.0 * h
     lag = np.arange(len(gamma), dtype=np.float64)
@@ -366,9 +367,12 @@ def _fgn_autocovariance(gamma: np.ndarray, h: float, dt: float) -> None:
     term **= e
     gamma += term
     try:
-        gamma *= 0.5 * dt**e
+        scale = 0.5 * dt**e
     except OverflowError:  # a float power raises where numpy would return inf
         raise ValueError(f"the fractional increment variance dt**(2H) overflowed (dt = {dt:g})") from None
+    if scale == 0.0:  # every increment would be 0: not a failure of the embedding
+        raise ValueError(f"the fractional increment variance dt**(2H) underflowed to 0 (dt = {dt:g})")
+    gamma *= scale
 
 
 def _circulant_eigenvalues(h: float, steps_n: int, dt: float) -> np.ndarray:

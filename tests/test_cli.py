@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import read_csv_rows, read_trajectory_rows
 
+import mfcir._csvtext
 import mfcir.cli
 import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, _Parser, main, main_entry, parse_config
@@ -341,6 +342,28 @@ class TestSimulateCommand:
             assert main(["simulate", *argv, "--out", str(out)]) == 0
             assert out.read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt]), argv
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("n, paths", [(1, 3000), (65536, 2)], ids=["many-paths-per-block", "many-blocks-per-path"])
+    def test_blocks_equal_a_per_row_reference(self, fmt, n, paths, monkeypatch, tmp_path):
+        real = mfcir._csvtext.csv_rows
+        blocks = []
+
+        def spy(first, rows, times, z, r):
+            blocks.append((first, len(z)))
+            return real(first, rows, times, z, r)
+
+        monkeypatch.setattr(mfcir._csvtext, "csv_rows", spy)
+        argv = ["--n", str(n), "--paths", str(paths), "--format", fmt]
+        out = tmp_path / "paths"
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt])
+        if fmt == "csv":  # one renderer call per block of rows, whatever the paths
+            size = mfcir.cli._CSV_BLOCK_ROWS
+            total = (n + 1) * paths
+            assert blocks == [(first, min(size, total - first)) for first in range(0, total, size)]
+        else:
+            assert blocks == []
+
     @pytest.mark.parametrize(
         "state",
         [0.0, math.inf, math.nan, 1e155],  # 1e155 is finite, but sigma = 3 puts its rate past the float range
@@ -352,6 +375,14 @@ class TestSimulateCommand:
         states = [2.0, 1.0, state, 1.0, 1.0]
         with pytest.raises(ValueError, match="overflowed"):
             mfcir.cli.emit_trajectories([good, states], config)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_path_of_another_length_writes_no_file(self, fmt, length, tmp_path):
+        config = parse_config(["simulate", "--n", "4", "--format", fmt, "--out", str(tmp_path / "paths")])
+        with pytest.raises(ValueError, match="not n [+] 1 = 5"):
+            mfcir.cli.emit_trajectories([[2.0] * 5, [2.0] * length], config)
         assert os.listdir(tmp_path) == []
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
@@ -469,6 +500,23 @@ def test_horizon_whose_step_rounds_to_zero_is_rejected(argv, tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("mfcir: error:") and "rounds to 0" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["positivity"], ["mcstats"], ["bracket"], ["convergence", "--n-list", "2", "--n-ref", "16"]],
+    ids=lambda argv: argv[0],
+)
+def test_fractional_variance_that_underflows_is_rejected(argv, tmp_path, capsys):
+    # dt = 2.5e-301 is a positive step, but dt**1.5 underflows to 0: every
+    # command blamed the circulant embedding for it (exit 4)
+    out = tmp_path / "out"
+    line_argv = argv[:1] + ["--T", "1e-300", "--n", "4", "--paths", "2", "--out", str(out)] + argv[1:]
+    assert main(line_argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("mfcir: error:") and "underflowed" in line
+    assert not out.exists()
+    assert main(line_argv + ["--weight-fbm", "0"]) == 0  # no fractional part, nothing to underflow
 
 
 @pytest.mark.parametrize("command", ["positivity", "bracket"])
