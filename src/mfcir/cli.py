@@ -155,19 +155,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """The parser for ``argv``: every command, but flags only on the one ``argv[0]`` names (on all if none).
-
-    No other command's parser reads ``argv``, so the help, usage and error
-    texts are those of a parser with every flag on every command.
-    """
+def _build_parser() -> _Parser:
+    """Every command, each with its flags and ``--config``."""
     parser = _Parser(prog="mfcir")
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for command, (summary, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
-        if named not in (None, command):
-            continue
         for option in _OPTIONS:
             if not option.commands or command in option.commands:
                 cmd.add_argument("--" + option.key, dest=option.key, type=option.convert, help=option.help)
@@ -186,7 +179,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     Precedence, lowest to highest: built-in defaults, preset values,
     config-file values, explicit command-line flags.
     """
-    namespace = _build_parser(argv).parse_args(argv)
+    namespace = _build_parser().parse_args(argv)
     cli_values = {key: value for key, value in vars(namespace).items() if key in _OPTION_BY_KEY and value is not None}
     file_values = _read_config_file(namespace.config) if namespace.config else {}
     merged = {option.key: option.default for option in _OPTIONS}
@@ -266,10 +259,12 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _checked(paths, config: RunConfig):
-    # each path's states as an array, once they are n + 1, positive, and their rates finite
+    # each path's states as an array, once they are n + 1, positive, and their rates finite;
+    # a path's list is let go before the next path is made
     rows = config.grid.steps_n + 1
     for states in paths:
         z = np.asarray(states, dtype=np.float64)
+        del states
         if z.shape != (rows,):
             raise ValueError(f"a path has {z.size} states, not n + 1 = {rows}")
         _require_in_range(z.min(), z.max(), config.params.sigma)  # min and max are nan if any state is

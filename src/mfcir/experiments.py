@@ -178,8 +178,6 @@ def _stepped_chunks(
 class PositivityReport:
     """Outcome of a minimum-of-the-rate audit over an ensemble."""
 
-    params: CirParams
-    grid: GridSpec
     n_paths: int
     min_z: float
     min_r: float
@@ -206,8 +204,6 @@ def run_positivity(
         min_z = min(min_z, chunk_min)
         violations += chunk_violations
     return PositivityReport(
-        params=params,
-        grid=grid,
         n_paths=int(n_paths),
         min_z=min_z,
         min_r=z_to_r(min_z, params.sigma),

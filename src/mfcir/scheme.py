@@ -112,12 +112,13 @@ def _require_in_range(z_min: float, z_max: float, sigma: float) -> None:
 
     A state of 0, inf or nan means c * c left the float range inside the
     step, which then returns 2d / inf = 0 or inf / 2a; a finite z can
-    still give an infinite rate.
+    still give an infinite rate.  The rate is :func:`z_to_r`'s, in Python
+    floats, whose ``*`` overflows to inf without a warning.
     """
-    with np.errstate(over="ignore"):
-        if not (z_min > 0.0 and np.isfinite(z_to_r(np.float64(z_max), sigma))):
-            raise ValueError("a state left the positive finite range: the implicit step overflowed "
-                             "(driver increments too large)")
+    half = sigma * float(z_max) / 2.0
+    if not (z_min > 0.0 and math.isfinite(half * half)):
+        raise ValueError("a state left the positive finite range: the implicit step overflowed "
+                         "(driver increments too large)")
 
 
 def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, float]:

@@ -406,7 +406,7 @@ class TestSimulateCommand:
             assert main(["simulate", *argv, "--out", str(tmp_path / fmt)]) == 0
             assert len(alive) == 6
             assert (tmp_path / fmt).read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt])
-        assert max(most) <= 2
+        assert max(most) <= 1  # each path's list is let go before the next one is made
 
     def test_seeds_are_derived_one_chunk_at_a_time(self, monkeypatch):
         # a million paths, of which three are drawn: no seed array beyond the first chunk's 1024
@@ -794,7 +794,7 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_text.jso
 
 
 class TestCliText:
-    """The parser gives only the command it runs its flags; every text stays that of the full parser.
+    """Every text of the command line is that of the full parser.
 
     ``cli_text.json`` holds stdout, stderr and the exit code of each command
     line as the full parser printed them.  argparse words and wraps its texts
@@ -824,14 +824,6 @@ class TestCliText:
         expected = _texts(_full_parser_main, argv, capsys)
         assert expected[0] in (0, 2) and expected[1] + expected[2]
         assert _texts(main, argv, capsys) == expected
-
-    @pytest.mark.parametrize("argv", [["positivity", "--n", "8"], ["convergence", "--n-list", "4,8"], ["--help"]])
-    def test_only_the_named_command_gets_flags(self, argv):
-        parser = mfcir.cli._build_parser(argv)
-        (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
-        assert list(commands) == list(_COMMANDS)
-        with_flags = {name for name, cmd in commands.items() if "--config" in cmd._option_string_actions}
-        assert with_flags == ({argv[0]} if argv[0] in _COMMANDS else set(_COMMANDS))
 
 
 # The mfcir.cli names through which the commands reach the library and the
@@ -992,7 +984,7 @@ def test_the_package_runs_without_scipy():
     # the Cholesky oracle draws and a command runs
     script = (
         "import os, sys; sys.modules['scipy'] = None; "
-        "from mfcir import GridSpec, sample_fbm_cholesky; from mfcir.cli import main; "
+        "from mfcir.noise import GridSpec, sample_fbm_cholesky; from mfcir.cli import main; "
         "sample_fbm_cholesky(0.75, GridSpec(1.0, 64), 1); "
         "print(main(['positivity', '--n', '64', '--paths', '4', '--out', os.devnull]))"
     )

@@ -1,4 +1,6 @@
-"""Every import in the package is used, or is a name the benchmark wraps there.
+"""Every import in the package is used, or is a name the benchmark wraps there;
+the package exports what the benchmark and the README import from it, and not
+the names that only tests use.
 
 ``perfbench/spans.py`` times layers by replacing functions where another
 module looks them up (``mfcir.cli.simulate_z``, ...), so such a name stays
@@ -8,12 +10,31 @@ spans.py, so this test follows the benchmark instead of copying it.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+import mfcir
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "mfcir").glob("*.py"))
+
+# Public names of the modules that no command or run_* harness calls; the
+# package does not export them, and tests import them from their modules.
+MODULE_ONLY = {
+    "bracket": ["discrete_ito_iterated"],
+    "noise": [
+        "CHOLESKY_MAX_STEPS",
+        "FactorizationError",
+        "fbm_covariance",
+        "sample_brownian_increments",
+        "sample_fbm_cholesky",
+        "sample_fbm_davies_harte",
+    ],
+    "scheme": ["simulate_z_batch"],
+}
 
 
 def _resolve(node, bindings) -> list[str]:
@@ -70,3 +91,31 @@ def test_every_import_is_used(path):
     allowed = used | exported | wrapped_names().get(path.stem, set())
     unused = {name: line for name, line in imported.items() if name not in allowed}
     assert not unused, f"{path.name}: imported but not used (name: line): {unused}"
+
+
+def _names_imported_from_mfcir(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "mfcir"
+        for alias in node.names
+    }
+
+
+def test_the_package_exports_what_the_benchmark_and_the_readme_import():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [(ROOT / "perfbench" / "checks.py").read_text()]
+    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imported = set().union(*map(_names_imported_from_mfcir, sources))
+    assert {"build_mixed", "simulate_z", "substream_seed", "CirParams"} <= imported
+    assert imported <= set(mfcir.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ONLY))
+def test_module_only_names_are_not_exported(module):
+    names = MODULE_ONLY[module]
+    owner = importlib.import_module(f"mfcir.{module}")
+    assert set(names) <= set(owner.__all__)
+    assert all(hasattr(owner, name) for name in names)
+    assert not set(names) & set(mfcir.__all__)
+    assert not any(hasattr(mfcir, name) for name in names)

@@ -1,11 +1,13 @@
 """Scheme tests: drift, implicit step (with bisection oracle), trajectories."""
 
+import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfcir.cli import main
@@ -15,6 +17,7 @@ from mfcir.noise import GridSpec, NoisePath
 from mfcir.scheme import (
     CirParams,
     Trajectory,
+    _require_in_range,
     _scalar_steps,
     implicit_steps,
     r_to_z,
@@ -429,6 +432,56 @@ class TestTrajectoryValidation:
         traj = self._mk([1.0, 3.0])
         with pytest.raises(ValueError):
             traj.z_values[0] = 2.0
+
+
+def numpy_range_check(z_min, z_max, sigma):
+    """``_require_in_range`` as it was written in numpy: the reference the Python-float form must equal."""
+    with np.errstate(over="ignore"):
+        if not (z_min > 0.0 and np.isfinite(z_to_r(np.float64(z_max), sigma))):
+            raise ValueError("a state left the positive finite range: the implicit step overflowed "
+                             "(driver increments too large)")
+
+
+def range_check_outcome(check, z_min, z_max, sigma):
+    try:
+        check(z_min, z_max, sigma)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRangeCheck:
+    """``_require_in_range`` gives the verdict and the message of its numpy reference.
+
+    Its callers pass the smallest and the largest state of one set, so
+    ``z_min <= z_max`` unless a state is nan.
+    """
+
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])
+    def test_same_as_numpy_reference_at_the_edges(self, sigma):
+        # 2 sqrt(DBL_MAX) / sigma is where the rate (sigma z / 2)**2 leaves the float range
+        edge = 2.0 * math.sqrt(sys.float_info.max) / sigma
+        near = [edge]
+        for _ in range(3):
+            near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
+        values = [0.0, -0.0, 5e-324, 1.0, math.nan, math.inf, -math.inf, sys.float_info.max, *near]
+        verdicts = set()
+        for z_min, z_max in itertools.product(values, repeat=2):
+            if z_min > z_max:
+                continue
+            for cast in (float, np.float64):
+                got = range_check_outcome(_require_in_range, cast(z_min), cast(z_max), sigma)
+                assert got == range_check_outcome(numpy_range_check, cast(z_min), cast(z_max), sigma)
+                if z_min == 1.0 and z_max in near:
+                    verdicts.add(got)
+        assert len(verdicts) == 2  # the neighbours of the edge lie on both sides of it
+
+    @settings(max_examples=500, deadline=None)
+    @given(z_min=st.floats(), z_max=st.floats(), sigma=st.floats(min_value=5e-324, allow_infinity=False))
+    def test_same_as_numpy_reference(self, z_min, z_max, sigma):
+        assume(not z_min > z_max)
+        got = range_check_outcome(_require_in_range, z_min, z_max, sigma)
+        assert got == range_check_outcome(numpy_range_check, z_min, z_max, sigma)
 
 
 class TestInterpolate:
