@@ -1,10 +1,10 @@
 """The text of simulate's CSV rows, rendered by numpy a block of rows at a time.
 
 Every cell is the text that ``'%d' % v`` or ``'%.17g' % x`` gives, byte for
-byte.  Cells are rendered a column of values at a time, as a pair
-(chars, mask) of (values, width) arrays: a cell's text is its chars where
-its mask is set, so a row's text is the chars of its cells, side by side,
-where their masks are, and a block of rows is one boolean compaction.
+byte.  Cells are rendered a column of values at a time, as one (values,
+width) uint8 array: a cell's text is its bytes with the NULs taken out, so a
+row's text is its cells side by side, and a block of rows is one
+``bytes.translate`` that deletes every NUL.
 
 ``'%.17g' % x`` for a finite 1e-4 <= x < 1e17 is fixed-point: the 17
 significant digits D of x rounded half-even, with the point after digit E
@@ -97,32 +97,28 @@ def _digits(d):
 
 
 def float_cells(x):
-    """The cells of '%.17g' % x for a float64 array x."""
+    """The cells of '%.17g' % x for a float64 array x, NUL-padded."""
     fixed = (x >= 1e-4) & (x < 1e17)
     e, d = _decimal(np.where(fixed, x, 1.0))
     digits, tz = _digits(d)
     int_width, frac_from = max(int(e.max()), -1) + 2, int(e.min()) + 4  # the columns a fixed-point cell uses
     point = np.full((len(x), 1), 46, np.uint8)
     chars = np.concatenate([digits[:, 2 : 2 + int_width], point, digits[:, frac_from:]], axis=1)
-    mask = _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]].take((e + 4) * 17 + tz, axis=0)
+    chars *= _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]].take((e + 4) * 17 + tz, axis=0)
     others = np.flatnonzero(~fixed)
     texts = [b"%.17g" % value for value in x[others].tolist()]
     if texts:
-        extra = max(map(len, texts)) - chars.shape[1]
-        if extra > 0:
-            chars = np.pad(chars, ((0, 0), (0, extra)))
-            mask = np.pad(mask, ((0, 0), (0, extra)))
-        for i, text in zip(others.tolist(), texts):
-            chars[i, : len(text)] = np.frombuffer(text, np.uint8)
-            mask[i] = np.arange(mask.shape[1]) < len(text)
-    return chars, mask
+        width = max(chars.shape[1], *map(len, texts))
+        if width > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (0, width - chars.shape[1])))
+        chars[others] = np.array(texts, f"S{width}").view(np.uint8).reshape(len(texts), width)
+    return chars
 
 
 def _int_cells(values):
-    """The cells of '%d' % v for each int v of ``values``."""
-    chars = np.array([b"%d" % v for v in values])  # NUL-padded
-    chars = chars.view(np.uint8).reshape(len(chars), -1)
-    return chars, chars != 0
+    """The cells of '%d' % v for each int v of ``values``, NUL-padded."""
+    chars = np.array([b"%d" % v for v in values])
+    return chars.view(np.uint8).reshape(len(chars), -1)
 
 
 def csv_rows(first, rows, times, z, r) -> str:
@@ -134,22 +130,11 @@ def csv_rows(first, rows, times, z, r) -> str:
     n = len(z)
     pid, step = np.divmod(np.arange(first, first + n), rows)
     pids = _int_cells(range(pid[0], pid[-1] + 1))
-    pid -= pid[0]
-    values, value_mask = float_cells(np.stack([z, r], axis=1).ravel())  # each row's z and r side by side
-    cells = [
-        [a.take(pid, axis=0) for a in pids],
-        [a.take(step, axis=0) for a in times],
-        [values[0::2], value_mask[0::2]],
-        [values[1::2], value_mask[1::2]],
-    ]
-    width = sum(c.shape[1] + 1 for c, _ in cells)
-    chars, mask = np.empty((n, width), np.uint8), np.empty((n, width), bool)
-    end = 0
-    for (c, m), separator in zip(cells, b",,,\n"):
-        start, end = end, end + c.shape[1] + 1
-        chars[:, start : end - 1], chars[:, end - 1] = c, separator
-        mask[:, start : end - 1], mask[:, end - 1] = m, True
-    del cells, values, value_mask  # freed before the compaction, the block's peak
-    text = chars[mask]
-    del chars, mask
-    return str(text.data, "ascii")
+    values = float_cells(np.stack([z, r], axis=1).ravel()).reshape(n, 2, -1)  # each row's z and r side by side
+    comma, newline = np.full((n, 1), 44, np.uint8), np.full((n, 1), 10, np.uint8)
+    chars = np.concatenate(
+        [pids.take(pid - pid[0], axis=0), comma, times.take(step, axis=0), comma, values[:, 0], comma, values[:, 1],
+         newline],
+        axis=1,
+    )
+    return chars.tobytes().translate(None, b"\0").decode("ascii")

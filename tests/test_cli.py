@@ -1,5 +1,6 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -363,6 +364,24 @@ class TestSimulateCommand:
             assert blocks == [(first, min(size, total - first)) for first in range(0, total, size)]
         else:
             assert blocks == []
+
+    def test_benchmark_line_is_golden(self, monkeypatch, tmp_path):
+        # the simulate-csv benchmark line at --seed 1: 25 x 4097 rows in 101
+        # blocks, its SHA-256 recorded before the renderer's cells were NUL-padded
+        real = mfcir._csvtext.csv_rows
+        blocks = []
+
+        def spy(first, rows, times, z, r):
+            blocks.append(len(z))
+            return real(first, rows, times, z, r)
+
+        monkeypatch.setattr(mfcir._csvtext, "csv_rows", spy)
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--preset", "figure1", "--paths", "25", "--format", "csv", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert (len(blocks), sum(blocks)) == (101, 102_425)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "101a45d0a8f92794b6b50bfc5f203b23127ee211beb6aa0f5fb74c42c0ecc390"
 
     @pytest.mark.parametrize(
         "state",
@@ -1005,3 +1024,22 @@ def test_bracket_run_does_not_load_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
     assert out.exists()
+
+
+def test_only_a_csv_simulate_loads_the_renderer():
+    # mfcir._csvtext builds its tables at import: no other run may pay for them
+    script = (
+        "import os, sys; from mfcir.cli import main\n"
+        "for argv in [['simulate', '--n', '8', '--paths', '2', '--format', 'json-lines'],\n"
+        "             ['positivity', '--n', '16', '--paths', '4'], ['mcstats', '--n', '16', '--paths', '4'],\n"
+        "             ['bracket', '--n', '64', '--refinements', '1,4', '--paths', '4'],\n"
+        "             ['convergence', '--paths', '2', '--n-list', '8,16', '--n-ref', '128'],\n"
+        "             ['simulate', '--n', '8', '--paths', '2', '--format', 'csv']]:\n"
+        "    print(argv[0], main(argv + ['--out', os.devnull]), 'mfcir._csvtext' in sys.modules)\n"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "simulate 0 False", "positivity 0 False", "mcstats 0 False", "bracket 0 False", "convergence 0 False",
+        "simulate 0 True",
+    ]

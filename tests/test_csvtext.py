@@ -2,18 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mfcir._csvtext import _int_cells, float_cells
+from mfcir._csvtext import _int_cells, csv_rows, float_cells
 
 
 def _render(cells):
-    """The text of each cell, one per line."""
-    chars, mask = cells
-    newline = np.full((len(chars), 1), ord("\n"), np.uint8)
-    lines = np.concatenate([chars, newline], axis=1)[np.concatenate([mask, np.ones_like(newline, bool)], axis=1)]
-    return lines.tobytes().decode("ascii")
+    """The text of each NUL-padded cell, one per line."""
+    newline = np.full((len(cells), 1), ord("\n"), np.uint8)
+    return np.concatenate([cells, newline], axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _assert_renders(values):
@@ -83,3 +81,23 @@ def test_any_nonnegative_float(values):
 def test_int_cells():
     values = [0, 7, 10, 99, 12345, 2**64 - 1, 10**30]
     assert _render(_int_cells(values)).splitlines() == ["%d" % v for v in values]
+
+
+@given(
+    first=st.integers(0, 1200),
+    rows=st.integers(1, 12),
+    times=st.lists(st.floats(), min_size=12, max_size=12),
+    states=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=80),
+)
+@example(first=5, rows=1, times=[0.0] * 12, states=[(0.0, 5e-324), (1e17, np.inf), (-0.0, np.nan)] * 4)  # pid 9 -> 10
+@example(first=297, rows=3, times=[0.0, 0.5, 1e-5] + [0.0] * 9, states=[(1.5, 1e300)] * 6)  # pid 99 -> 100
+def test_csv_rows_equal_a_per_row_reference(first, rows, times, states):
+    # a block that may start mid-path and span pid widths, z and r any doubles
+    z, r = np.array(states).T.copy()
+    text = csv_rows(first, rows, float_cells(np.array(times[:rows])), z, r)
+    want = "".join(
+        "%d,%s,%.17g,%.17g\n" % (k // rows, "%.17g" % times[k % rows], zk, rk)
+        for k, (zk, rk) in enumerate(states, first)
+    )
+    assert text == want
+    assert "\0" not in text
