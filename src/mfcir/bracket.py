@@ -50,6 +50,9 @@ def _bracket_sums(increments: np.ndarray, values: np.ndarray, refinement: int) -
 
     ``increments`` and ``values`` are the path's on the fine grid; ``refinement`` divides its step count.
     """
+    if refinement == 1:  # each outer interval is one fine step: no iterated sums
+        qv_sum = float(np.dot(increments, increments))
+        return qv_sum, 0.0, qv_sum
     n_outer = len(increments) // refinement
     outer_inc = _block_sums(increments, n_outer)
     qv_sum = float(np.dot(outer_inc, outer_inc))

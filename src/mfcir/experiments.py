@@ -14,8 +14,10 @@ when it is reached.  Each harness reduces the arrays that
 what its summary needs.  A chunk's increments are drawn a block of rows at
 a time and moved into the columns of its step-major states (after block
 sums onto every coarse grid, for convergence), or estimated row by row
-(bracket).  No (paths, n) increment matrix is held.  The grid rules come
-from :mod:`mfcir.noise`.
+(bracket).  No (paths, n) increment matrix is held.  How a chunk is
+stepped, and how each path's sup |M| is taken for the envelope below,
+depends on the chunk's width (``_States``).  The grid rules come from
+:mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -44,6 +46,7 @@ from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
     _require_in_range,
+    _scalar_steps,
     CirParams,
     implicit_steps,
     simulate_z_batch,
@@ -71,6 +74,22 @@ _BOUND_SLACK = 1e-9
 # were measured and declined: see CHANGES.md.
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
+
+# How _States sweeps a chunk depends on its width (2-core x86-64 box,
+# numpy 2.4.6, n = 1024).  From _RING_WIDTH paths up, sup |M| is taken from
+# step-major running sums, one np.add per step into a ring of _RING_ROWS
+# rows that is folded with max and -min each time it fills (rings of 16 or
+# 256 rows took 1.2 times as long); over the cumsum of each loaded block it
+# takes 0.47 of the time at 1024 paths, 0.77 at 512, 1.08 at 256 and 2.0 at
+# 128.  Below _SCALAR_WIDTH paths, each column goes through the scalar
+# loop, about 0.1 us per step of one path against the array kernel's 3-4 us
+# per step whatever the width (0.88 of the kernel's time at 24 paths, 1.2
+# at 32), in segments of _SCALAR_SEGMENT steps: a whole 2**20-step path in
+# one call held 65 MB of Python floats.
+_RING_WIDTH = 256
+_RING_ROWS = 64
+_SCALAR_WIDTH = 24
+_SCALAR_SEGMENT = 4096
 
 
 def _median(a: np.ndarray) -> np.ndarray:
@@ -105,13 +124,55 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
+def _running_sup(increments: np.ndarray, out: np.ndarray) -> None:
+    """Each column's sup |M| from its step-major ``increments`` (steps, paths), into ``out``.
+
+    M runs through the columns' partial sums, one row at a time in a ring of
+    _RING_ROWS rows, in the order of a cumsum along each path, so the sup is
+    the same bit for bit.  A sum that overflows leaves an inf or nan sup; its
+    path's states overflow too, which :meth:`_States.step` rejects, so numpy
+    need not warn.
+    """
+    width = increments.shape[1]
+    ring = np.empty((min(_RING_ROWS, len(increments)), width))
+    high, low = np.full(width, -np.inf), np.full(width, np.inf)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at in range(0, len(increments), len(ring)):
+            rows = ring[: len(increments) - at]
+            for row, inc in zip(rows, increments[at:]):
+                total = np.add(total, inc, out=row)
+            np.maximum(high, rows.max(axis=0), out=high)
+            np.minimum(low, rows.min(axis=0), out=low)
+    np.maximum(high, np.negative(low, out=low), out=out)
+
+
+def _scalar_columns(params: CirParams, dt: float, z: np.ndarray) -> None:
+    """:func:`~mfcir.scheme.implicit_steps` over ``z``, one column at a time through the scalar loop.
+
+    Each column goes _SCALAR_SEGMENT steps at a time, each segment from the
+    last state of the one before, so the states are those of one run.
+    """
+    for column in z.T:
+        state = float(column[0])
+        for at in range(1, len(column), _SCALAR_SEGMENT):
+            segment = column[at : at + _SCALAR_SEGMENT]
+            states = _scalar_steps(params, dt, state, segment.tolist())
+            segment[:] = states[1:]
+            state = states[-1]
+
+
 class _States:
     """One grid's step-major states of a chunk, in buffers reused from chunk to chunk.
 
     Column i of ``z``, shape (n + 1, width), holds path i: z0 in row 0,
     then its increments until :meth:`step` turns them into its states, bit
     for bit as :func:`~mfcir.scheme.simulate_z`.  ``sup_m[i]`` is the path's
-    sup |M|, taken as its increments are loaded.
+    sup |M|.  A chunk of at least _RING_WIDTH paths takes it from running
+    sums over its rows in :meth:`step`, before they are stepped; a narrower
+    one from a cumsum of each block as it is loaded.  A chunk narrower than
+    _SCALAR_WIDTH is stepped through the scalar loop, a wider one through
+    the array kernel.
     """
 
     def __init__(self, params: CirParams, grid: GridSpec, width: int):
@@ -121,12 +182,17 @@ class _States:
         self.z[0] = params.z0
         self.sup_m = np.empty(width)
 
-    def load(self, lo: int, block: np.ndarray) -> None:
-        """Put a block of increments (rows, n) into columns lo, lo + 1, ...; overwrites ``block``."""
+    def load(self, lo: int, block: np.ndarray, width: int) -> None:
+        """Put a block of increments (rows, n) into columns lo, lo + 1, ... of a chunk ``width`` paths wide.
+
+        Overwrites ``block``.
+        """
         hi = lo + len(block)
         _put_columns(self.z[1:, lo:hi], block)
-        np.cumsum(block, axis=1, out=block)
-        np.abs(block, out=block).max(axis=1, out=self.sup_m[lo:hi])
+        if width < _RING_WIDTH:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _running_sup
+                np.cumsum(block, axis=1, out=block)
+            np.abs(block, out=block).max(axis=1, out=self.sup_m[lo:hi])
 
     def step(self, width: int) -> tuple[np.ndarray, float, int]:
         """Step the first ``width`` columns; reject overflowed states.
@@ -136,11 +202,17 @@ class _States:
         envelope.
         """
         z = self.z[:, :width]
-        implicit_steps(self.params, self.grid.dt, z)
+        sup_m = self.sup_m[:width]
+        if width >= _RING_WIDTH:  # the ring is allocated once the chunk's block buffers are gone
+            _running_sup(z[1:], out=sup_m)
+        if width < _SCALAR_WIDTH:
+            _scalar_columns(self.params, self.grid.dt, z)
+        else:
+            implicit_steps(self.params, self.grid.dt, z)
         z_max = z.max(axis=0)
         z_min = float(z.min())
         _require_in_range(z_min, z_max.max(), self.params.sigma)
-        return z, z_min, _envelope_violations(self.params, self.grid, self.sup_m[:width], z_max)
+        return z, z_min, _envelope_violations(self.params, self.grid, sup_m, z_max)
 
 
 def _load(lanes: list[_States], spec: MixedSpec, chunk: np.ndarray) -> None:
@@ -150,10 +222,11 @@ def _load(lanes: list[_States], spec: MixedSpec, chunk: np.ndarray) -> None:
     block sums of each block, taken before the first lane overwrites it.
     """
     fine, *coarse = lanes
+    width = len(chunk)
     for lo, block in _increment_blocks(spec, fine.grid, chunk):
         for lane in coarse:
-            lane.load(lo, _block_sums(block, lane.grid.steps_n))
-        fine.load(lo, block)
+            lane.load(lo, _block_sums(block, lane.grid.steps_n), width)
+        fine.load(lo, block, width)
 
 
 def _stepped_chunks(

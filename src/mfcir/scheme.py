@@ -165,6 +165,7 @@ def implicit_steps(params: CirParams, dt: float, z: np.ndarray) -> None:
     :func:`simulate_z` bit for bit.  Scratch is three rows, whatever the number of steps.
     """
     two_a, two_d, four_ad = _root_coefficients(params, dt)
+    two_a, four_ad = np.float64(two_a), np.float64(four_ad)  # a ufunc converts a Python float on every call
     width = z.shape[1]
     c = np.empty(width)
     disc = np.empty(width)

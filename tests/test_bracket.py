@@ -124,6 +124,26 @@ class TestDiscreteIterated:
         assert abs(est.bracket_value - fine_qv) <= 1e-9 * max(1.0, fine_qv)
 
 
+@given(
+    increments=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40),
+    negative=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_refinement_one_skips_the_iterated_sums(increments, negative):
+    # the general formula, with one fine step per outer interval, gives the
+    # same qv_sum and bracket_value bit for bit, and a correction of +-0.0
+    # (-0.0 when every increment is negative: each term is 0 * inc)
+    inc = -np.abs(increments) if negative else np.asarray(increments)
+    path = NoisePath(GridSpec(1.0, len(inc)), inc, seed=0)
+    values = path.path_values()
+    outer = _block_sums(inc, len(inc))
+    qv = float(np.dot(outer, outer))
+    correction = 2.0 * float(np.sum((values[:-1] - values[:-1]) * inc))
+    est = discrete_ito_iterated(path, 1)
+    assert (est.qv_sum, est.iterated_correction, est.bracket_value) == (qv, 0.0, qv - correction)
+    assert correction == 0.0 and str(est.iterated_correction) == "0.0"
+
+
 class TestChainRuleResidual:
     @pytest.mark.parametrize("builder", [
         lambda: sample_brownian_increments(GridSpec(1.0, 2**16), 3),
