@@ -23,8 +23,6 @@ so that the other commands neither compile it nor build its tables.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 _POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
@@ -56,14 +54,6 @@ _FIXED_MASKS = np.concatenate(
     axis=1,
 )
 del _q, _k, _e, _tz
-
-
-@lru_cache(maxsize=32)
-def _fixed_columns(int_width, frac_from):
-    """The columns of ``_FIXED_MASKS`` that a block's cells use, for its widest integer part and longest fraction."""
-    columns = _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]]
-    columns.setflags(write=False)  # every call with these widths shares it
-    return columns
 
 
 def _scaled(x, e):
@@ -114,7 +104,7 @@ def float_cells(x):
     int_width, frac_from = max(int(e.max()), -1) + 2, int(e.min()) + 4  # the columns a fixed-point cell uses
     point = np.full((len(x), 1), 46, np.uint8)
     chars = np.concatenate([digits[:, 2 : 2 + int_width], point, digits[:, frac_from:]], axis=1)
-    chars *= _fixed_columns(int_width, frac_from).take((e + 4) * 17 + tz, axis=0)
+    chars *= _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]].take((e + 4) * 17 + tz, axis=0)
     others = np.flatnonzero(~fixed)
     texts = [b"%.17g" % value for value in x[others].tolist()]
     if texts:

@@ -14,10 +14,8 @@ when it is reached.  Each harness reduces the arrays that
 what its summary needs.  A chunk's increments are drawn a block of rows at
 a time and moved into the columns of its step-major states (after block
 sums onto every coarse grid, for convergence), or estimated row by row
-(bracket).  No (paths, n) increment matrix is held.  How a chunk is
-stepped, and how each path's sup |M| is taken for the envelope below,
-depends on the chunk's width (``_States``).  The grid rules come from
-:mod:`mfcir.noise`.
+(bracket).  No (paths, n) increment matrix is held.  The grid rules come
+from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -46,7 +44,6 @@ from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
     _require_in_range,
-    _scalar_steps,
     CirParams,
     implicit_steps,
     simulate_z_batch,
@@ -75,21 +72,13 @@ _BOUND_SLACK = 1e-9
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
 
-# How _States sweeps a chunk depends on its width (2-core x86-64 box,
-# numpy 2.4.6, n = 1024).  From _RING_WIDTH paths up, sup |M| is taken from
-# step-major running sums, one np.add per step into a ring of _RING_ROWS
-# rows that is folded with max and -min each time it fills (rings of 16 or
-# 256 rows took 1.2 times as long); over the cumsum of each loaded block it
-# takes 0.47 of the time at 1024 paths, 0.77 at 512, 1.08 at 256 and 2.0 at
-# 128.  Below _SCALAR_WIDTH paths, each column goes through the scalar
-# loop, about 0.1 us per step of one path against the array kernel's 3-4 us
-# per step whatever the width (0.88 of the kernel's time at 24 paths, 1.2
-# at 32), in segments of _SCALAR_SEGMENT steps: a whole 2**20-step path in
-# one call held 65 MB of Python floats.
-_RING_WIDTH = 256
+# _States takes each path's sup |M| from step-major running sums, one
+# np.add per step into a ring of _RING_ROWS rows that is folded with max and
+# -min each time it fills.  Against a cumsum of each loaded block (2-core
+# x86-64 box, numpy 2.4.6, n = 1024) it takes 0.47 of the time at 1024
+# paths and 0.77 at 512, but 2.0 at 128, since each step costs a narrow
+# chunk about 0.45 us.  Rings of 16 or 256 rows took 1.2 times as long.
 _RING_ROWS = 64
-_SCALAR_WIDTH = 24
-_SCALAR_SEGMENT = 4096
 
 
 def _median(a: np.ndarray) -> np.ndarray:
@@ -124,8 +113,8 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
-def _running_sup(increments: np.ndarray, out: np.ndarray) -> None:
-    """Each column's sup |M| from its step-major ``increments`` (steps, paths), into ``out``.
+def _running_sup(increments: np.ndarray) -> np.ndarray:
+    """Each column's sup |M| from its step-major ``increments`` (steps, paths).
 
     M runs through the columns' partial sums, one row at a time in a ring of
     _RING_ROWS rows, in the order of a cumsum along each path, so the sup is
@@ -144,22 +133,7 @@ def _running_sup(increments: np.ndarray, out: np.ndarray) -> None:
                 total = np.add(total, inc, out=row)
             np.maximum(high, rows.max(axis=0), out=high)
             np.minimum(low, rows.min(axis=0), out=low)
-    np.maximum(high, np.negative(low, out=low), out=out)
-
-
-def _scalar_columns(params: CirParams, dt: float, z: np.ndarray) -> None:
-    """:func:`~mfcir.scheme.implicit_steps` over ``z``, one column at a time through the scalar loop.
-
-    Each column goes _SCALAR_SEGMENT steps at a time, each segment from the
-    last state of the one before, so the states are those of one run.
-    """
-    for column in z.T:
-        state = float(column[0])
-        for at in range(1, len(column), _SCALAR_SEGMENT):
-            segment = column[at : at + _SCALAR_SEGMENT]
-            states = _scalar_steps(params, dt, state, segment.tolist())
-            segment[:] = states[1:]
-            state = states[-1]
+    return np.maximum(high, np.negative(low, out=low), out=high)
 
 
 class _States:
@@ -167,12 +141,9 @@ class _States:
 
     Column i of ``z``, shape (n + 1, width), holds path i: z0 in row 0,
     then its increments until :meth:`step` turns them into its states, bit
-    for bit as :func:`~mfcir.scheme.simulate_z`.  ``sup_m[i]`` is the path's
-    sup |M|.  A chunk of at least _RING_WIDTH paths takes it from running
-    sums over its rows in :meth:`step`, before they are stepped; a narrower
-    one from a cumsum of each block as it is loaded.  A chunk narrower than
-    _SCALAR_WIDTH is stepped through the scalar loop, a wider one through
-    the array kernel.
+    for bit as :func:`~mfcir.scheme.simulate_z`.  Each path's sup |M| is
+    taken from running sums over its rows in :meth:`step`, before they are
+    stepped.
     """
 
     def __init__(self, params: CirParams, grid: GridSpec, width: int):
@@ -180,19 +151,10 @@ class _States:
         self.grid = grid
         self.z = np.empty((grid.steps_n + 1, width))
         self.z[0] = params.z0
-        self.sup_m = np.empty(width)
 
-    def load(self, lo: int, block: np.ndarray, width: int) -> None:
-        """Put a block of increments (rows, n) into columns lo, lo + 1, ... of a chunk ``width`` paths wide.
-
-        Overwrites ``block``.
-        """
-        hi = lo + len(block)
-        _put_columns(self.z[1:, lo:hi], block)
-        if width < _RING_WIDTH:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _running_sup
-                np.cumsum(block, axis=1, out=block)
-            np.abs(block, out=block).max(axis=1, out=self.sup_m[lo:hi])
+    def load(self, lo: int, block: np.ndarray) -> None:
+        """Put a block of increments (rows, n) into columns lo, lo + 1, ..."""
+        _put_columns(self.z[1:, lo : lo + len(block)], block)
 
     def step(self, width: int) -> tuple[np.ndarray, float, int]:
         """Step the first ``width`` columns; reject overflowed states.
@@ -202,13 +164,8 @@ class _States:
         envelope.
         """
         z = self.z[:, :width]
-        sup_m = self.sup_m[:width]
-        if width >= _RING_WIDTH:  # the ring is allocated once the chunk's block buffers are gone
-            _running_sup(z[1:], out=sup_m)
-        if width < _SCALAR_WIDTH:
-            _scalar_columns(self.params, self.grid.dt, z)
-        else:
-            implicit_steps(self.params, self.grid.dt, z)
+        sup_m = _running_sup(z[1:])  # its ring is allocated once the chunk's block buffers are gone
+        implicit_steps(self.params, self.grid.dt, z)
         z_max = z.max(axis=0)
         z_min = float(z.min())
         _require_in_range(z_min, z_max.max(), self.params.sigma)
@@ -219,14 +176,13 @@ def _load(lanes: list[_States], spec: MixedSpec, chunk: np.ndarray) -> None:
     """Draw a chunk block by block into the columns of ``lanes``.
 
     ``lanes[0]`` is on the driver's grid; every other lane gets the exact
-    block sums of each block, taken before the first lane overwrites it.
+    block sums of each block.
     """
     fine, *coarse = lanes
-    width = len(chunk)
     for lo, block in _increment_blocks(spec, fine.grid, chunk):
         for lane in coarse:
-            lane.load(lo, _block_sums(block, lane.grid.steps_n), width)
-        fine.load(lo, block, width)
+            lane.load(lo, _block_sums(block, lane.grid.steps_n))
+        fine.load(lo, block)
 
 
 def _stepped_chunks(

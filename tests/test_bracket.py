@@ -135,10 +135,11 @@ def test_refinement_one_skips_the_iterated_sums(increments, negative):
     # (-0.0 when every increment is negative: each term is 0 * inc)
     inc = -np.abs(increments) if negative else np.asarray(increments)
     path = NoisePath(GridSpec(1.0, len(inc)), inc, seed=0)
-    values = path.path_values()
     outer = _block_sums(inc, len(inc))
     qv = float(np.dot(outer, outer))
-    correction = 2.0 * float(np.sum((values[:-1] - values[:-1]) * inc))
+    left = path.path_values()[:-1].reshape(len(inc), 1)
+    rel = left - left[:, :1]  # the path relative to each outer interval's start
+    correction = 2.0 * float(np.sum(rel * inc.reshape(len(inc), 1)))
     est = discrete_ito_iterated(path, 1)
     assert (est.qv_sum, est.iterated_correction, est.bracket_value) == (qv, 0.0, qv - correction)
     assert correction == 0.0 and str(est.iterated_correction) == "0.0"

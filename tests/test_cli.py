@@ -623,32 +623,32 @@ class TestReportCommands:
         assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == (csv if fmt == "csv" else json_lines).encode("ascii")
 
-    # One line per sweep of the harnesses' chunks, at the default seed; the
-    # SHA-256 of each output was recorded before the sweep depended on the
-    # chunk's width, when every chunk took the array kernel and a cumsum.
+    # One line per shape of the harnesses' chunks, at the default seed; the
+    # SHA-256 of each output was recorded while sup |M| was still taken
+    # from a cumsum of each loaded block, not from running sums.
     SWEEP_LINES = {
-        "ring": (  # a 1024-wide chunk with running sums, then a 76-wide one
+        "wide": (  # a 1024-wide chunk, then a 76-wide one
             ["mcstats", "--weight-fbm", "0", "--n", "1024", "--paths", "1100"],
-            ["_running_sup", "implicit_steps", "implicit_steps"],
+            2,
             "a8605062af9c62f6c9ca349de6a2f51e96e704483840c2a4b6ec6962afe7b033",
         ),
-        "scalar": (  # three columns of 32 segments
+        "long": (  # one 3-wide chunk of 131072 steps, 2048 rings
             ["positivity", "--n", "131072", "--paths", "3"],
-            ["_scalar_steps"] * 96,
+            1,
             "80141beb9535c7841acae69e64369674dd5413082119bfd5b0c415455637b290",
         ),
-        "lanes": (  # the reference lane and every coarse one 2 wide
+        "lanes": (  # the 2**14-step reference lane and 5 coarse ones, each 2 wide
             ["convergence", "--paths", "2"],
-            ["_scalar_steps"] * 2 * (4 + 5),  # n_ref = 2**14 in 4 segments, then 5 coarse grids of one
+            6,
             "ab0911a35ad9481eb6c8c3daca62aabb60f6a75a740da9f1125aad8bdd2ab0f1",
         ),
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
     def test_sweep_lines_are_golden(self, monkeypatch, sweep, tmp_path):
-        argv, calls, digest = self.SWEEP_LINES[sweep]
+        argv, steps, digest = self.SWEEP_LINES[sweep]
         taken = []
-        for name in ("_running_sup", "implicit_steps", "_scalar_steps"):
+        for name in ("_running_sup", "implicit_steps"):
             def spy(*args, _real=getattr(mfcir.experiments, name), _name=name, **kwargs):
                 taken.append(_name)
                 return _real(*args, **kwargs)
@@ -656,7 +656,7 @@ class TestReportCommands:
             monkeypatch.setattr(mfcir.experiments, name, spy)
         out = tmp_path / "report.csv"
         assert main(argv + ["--out", str(out)]) == 0
-        assert taken == calls
+        assert taken == ["_running_sup", "implicit_steps"] * steps
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_convergence_rows_and_footer(self, tmp_path):

@@ -29,7 +29,7 @@ from mfcir.experiments import (
 )
 from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import GridSpec, NoisePath, _path_seeds
-from mfcir.scheme import CirParams, implicit_steps, simulate_z, simulate_z_batch, z_to_r
+from mfcir.scheme import CirParams, simulate_z, simulate_z_batch, z_to_r
 
 PARAMS = CirParams(k=1.0, theta=0.75, sigma=1.0, r0=0.0625)  # m = 0.5, z0 = 0.5
 ZERO_NOISE = MixedSpec(hurst=0.75, weight_bm=0.0, weight_fbm=0.0)
@@ -172,12 +172,12 @@ class TestConvergence:
         if rows is not None:
             monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
         medians = np.median(errors, axis=0)
-        for sweep in each_sweep(monkeypatch):
+        for ring in each_ring(monkeypatch):
             report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, 7, 17)
-            assert np.array_equal(report.errors_per_seed, errors), sweep
-            assert report.sup_errors == tuple(float(e) for e in medians), sweep
-            assert report.fitted_order == _fit_order(n_list, medians)[0], sweep
-            assert report.bound_violations == violations, sweep
+            assert np.array_equal(report.errors_per_seed, errors), ring
+            assert report.sup_errors == tuple(float(e) for e in medians), ring
+            assert report.fitted_order == _fit_order(n_list, medians)[0], ring
+            assert report.bound_violations == violations, ring
 
     def test_brownian_strong_order_band(self):
         # Brownian driver: strong order 1/2 (Dereich, Neuenkirch & Szpruch
@@ -575,45 +575,17 @@ SWEEP_PARAMS = CirParams(1.0, 0.35, 1.0, 0.04)
 SWEEP_SPEC = MixedSpec(weight_bm=2.0)
 SWEEP_GRID = GridSpec(1.0, 64)
 
-# _States's sweep constants (_RING_WIDTH, _RING_ROWS, _SCALAR_WIDTH,
-# _SCALAR_SEGMENT), set so that every chunk takes one sweep whatever its
-# width: the array kernel with sup |M| from each loaded block's cumsum; the
-# kernel with sup |M| from running sums, in a ring of 5 rows, which does not
-# divide n = 64 (nor 128, 16, 8 or 4), and in one of 100 rows, more than n;
-# and the scalar loop in segments of 5 steps.
-SWEEPS = {
-    "kernel": (math.inf, 64, 0, 4096),
-    "ring": (0, 5, 0, 4096),
-    "long ring": (0, 100, 0, 4096),
-    "scalar": (math.inf, 64, math.inf, 5),
-}
+# Rings of running sums for sup |M|: the shipped 64 rows, one full ring on
+# n = 64; 5 rows, which divide none of n = 64, 128, 16, 8 or 4; and 100
+# rows, more than every grid holds, so one partial ring.
+RINGS = (64, 5, 100)
 
 
-def each_sweep(monkeypatch):
-    """Set each of ``SWEEPS`` on the harness in turn, yielding its name."""
-    for name, values in SWEEPS.items():
-        for constant, value in zip(("_RING_WIDTH", "_RING_ROWS", "_SCALAR_WIDTH", "_SCALAR_SEGMENT"), values):
-            monkeypatch.setattr(experiments, constant, value)
-        yield name
-
-
-def sweeps_taken(monkeypatch):
-    """A list of the sweep functions the harness calls from now on: "ring", "kernel" or "scalar" each."""
-    taken = []
-
-    def spy(name, kind):
-        real = getattr(experiments, name)
-
-        def wrapper(*args, **kwargs):
-            taken.append(kind)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, name, wrapper)
-
-    spy("_running_sup", "ring")
-    spy("implicit_steps", "kernel")
-    spy("_scalar_columns", "scalar")
-    return taken
+def each_ring(monkeypatch):
+    """Set each of ``RINGS`` as the harness's ring length in turn, yielding it."""
+    for rows in RINGS:
+        monkeypatch.setattr(experiments, "_RING_ROWS", rows)
+        yield rows
 
 
 class TestSweep:
@@ -626,22 +598,20 @@ class TestSweep:
         positivity = run_positivity(*args, 10, 3)
         mc = run_mc_stats(*args, 0.5, 10, 3)
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", rows)
-        for sweep in each_sweep(monkeypatch):
+        for ring in each_ring(monkeypatch):
             chunked = run_positivity(*args, 10, 3)
             assert (chunked.min_z, chunked.min_r, chunked.bound_violations) == (
                 positivity.min_z,
                 positivity.min_r,
                 positivity.bound_violations,
-            ), sweep
-            assert run_mc_stats(*args, 0.5, 10, 3) == mc, sweep
+            ), ring
+            assert run_mc_stats(*args, 0.5, 10, 3) == mc, ring
 
     @pytest.mark.parametrize("index", [0, 1, 40, 64])
     def test_matches_per_path_reference(self, monkeypatch, index):
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         refs = self._references(_path_seeds(3, 0, 7))
-        taken = sweeps_taken(monkeypatch)
-        for sweep in each_sweep(monkeypatch):
-            taken.clear()
+        for ring in each_ring(monkeypatch):
             chunks = [
                 (lo, z_min, z[index].copy())  # z is overwritten by the next chunk
                 for lo, [(z, z_min, _)] in _stepped_chunks(
@@ -649,43 +619,16 @@ class TestSweep:
                 )
             ]
             assert [lo for lo, _, _ in chunks] == [0, 3, 6]
-            per_chunk = {"kernel": ["kernel"], "scalar": ["scalar"]}.get(sweep, ["ring", "kernel"])
-            assert taken == per_chunk * 3, sweep
-            assert min(z_min for _, z_min, _ in chunks) == min(float(z.min()) for z in refs), sweep
-            assert np.array_equal(np.concatenate([z_at for _, _, z_at in chunks]), [z[index] for z in refs]), sweep
+            assert min(z_min for _, z_min, _ in chunks) == min(float(z.min()) for z in refs), ring
+            assert np.array_equal(np.concatenate([z_at for _, _, z_at in chunks]), [z[index] for z in refs]), ring
 
     def test_mc_stats_reduce_the_reference_states(self, monkeypatch):
         refs = self._references(_path_seeds(3, 0, 7))
         r_at = (SWEEP_PARAMS.sigma * np.array([z[32] for z in refs]) / 2.0) ** 2
-        for sweep in each_sweep(monkeypatch):
+        for ring in each_ring(monkeypatch):
             stats = run_mc_stats(SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID, 0.5, 7, 3)
-            assert stats.sample_mean == float(r_at.mean()), sweep
-            assert stats.sample_se == float(r_at.std(ddof=1) / math.sqrt(7)), sweep
-
-    @pytest.mark.parametrize(
-        "n_paths, taken",
-        [
-            (23, ["scalar"]),
-            (24, ["kernel"]),
-            (255, ["kernel"]),
-            (256, ["ring", "kernel"]),
-            (1024 + 100, ["ring", "kernel", "kernel"]),
-            (1024 + 3, ["ring", "kernel", "scalar"]),
-        ],
-    )
-    def test_chunk_width_picks_the_sweep(self, monkeypatch, n_paths, taken):
-        # the constants as shipped: the scalar loop below 24 paths, running
-        # sums from 256 on; the results are those of the array kernel with
-        # the load-time cumsum on every chunk
-        args = (SWEEP_PARAMS, SWEEP_SPEC, GridSpec(1.0, 16), 0.5, n_paths, 3)
-        shipped = sweeps_taken(monkeypatch)
-        stats = run_mc_stats(*args)
-        assert shipped == taken
-        monkeypatch.setattr(experiments, "_SCALAR_WIDTH", 0)
-        monkeypatch.setattr(experiments, "_RING_WIDTH", math.inf)
-        shipped.clear()
-        assert run_mc_stats(*args) == stats
-        assert set(shipped) == {"kernel"}
+            assert stats.sample_mean == float(r_at.mean()), ring
+            assert stats.sample_se == float(r_at.std(ddof=1) / math.sqrt(7)), ring
 
     @pytest.mark.parametrize("shift_slack", [False, True])
     def test_bound_violations_match_matrix_count(self, monkeypatch, shift_slack):
@@ -703,9 +646,9 @@ class TestSweep:
         assert (0 < expected < len(seeds)) if shift_slack else expected == 0
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 7)
         args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
-        for sweep in each_sweep(monkeypatch):
-            assert run_positivity(*args, len(seeds), 5).bound_violations == expected, sweep
-            assert run_mc_stats(*args, 1.0, len(seeds), 5).bound_violations == expected, sweep
+        for ring in each_ring(monkeypatch):
+            assert run_positivity(*args, len(seeds), 5).bound_violations == expected, ring
+            assert run_mc_stats(*args, 1.0, len(seeds), 5).bound_violations == expected, ring
 
     @pytest.mark.parametrize("shift_slack", [False, True])
     def test_convergence_bound_violations_match_per_seed_count(self, monkeypatch, shift_slack):
@@ -726,9 +669,9 @@ class TestSweep:
         total = len(seeds) * (1 + len(n_list))
         assert (0 < expected < total) if shift_slack else expected == 0
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 7)
-        for sweep in each_sweep(monkeypatch):
+        for ring in each_ring(monkeypatch):
             report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, len(seeds), 5)
-            assert report.bound_violations == expected, sweep
+            assert report.bound_violations == expected, ring
 
     @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence"])
     def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
@@ -851,25 +794,10 @@ def test_running_sup_equals_the_cumsum_of_each_path(paths, ring_rows):
     increments = np.array(paths)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
-    got = np.empty(len(increments))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(experiments, "_RING_ROWS", ring_rows)
-        experiments._running_sup(np.ascontiguousarray(increments.T), out=got)
+        got = experiments._running_sup(np.ascontiguousarray(increments.T))
     assert np.array_equal(got, want, equal_nan=True)
-
-
-@pytest.mark.parametrize("segment", [1, 3, 64, 65, 4096])
-def test_scalar_columns_equal_the_array_kernel(monkeypatch, segment):
-    # the c < 0 branch is frequent at m = -0.3; segments that divide n = 64 or not, or hold it whole
-    increments = increment_matrix(SWEEP_SPEC, SWEEP_GRID, _path_seeds(9, 0, 5))
-    z = np.empty((SWEEP_GRID.steps_n + 1, 5))
-    z[0] = [SWEEP_PARAMS.z0, 0.1, 1.0, 7.5, 1e-3]
-    z[1:] = increments.T
-    want = z.copy()
-    implicit_steps(SWEEP_PARAMS, SWEEP_GRID.dt, want)
-    monkeypatch.setattr(experiments, "_SCALAR_SEGMENT", segment)
-    experiments._scalar_columns(SWEEP_PARAMS, SWEEP_GRID.dt, z)
-    assert np.array_equal(z, want)
 
 
 def test_overflowing_driver_is_rejected_not_reported():
@@ -887,11 +815,12 @@ def test_overflowing_driver_is_rejected_not_reported():
         run_convergence(PARAMS, spec, 1.0, [1, 2], 16, 1, 42)
 
 
-def test_overflowing_driver_is_rejected_by_every_sweep(monkeypatch):
+def test_overflowing_driver_is_rejected_by_every_ring(monkeypatch):
     # weight 1e308 gives infinite increments, whose running sums overflow
-    # to inf and nan; every sweep rejects the chunk, and numpy does not warn
+    # to inf and nan; the chunk is rejected whatever the ring, and numpy
+    # does not warn
     spec = MixedSpec(hurst=0.75, weight_bm=1e308, weight_fbm=0.0)
-    for sweep in each_sweep(monkeypatch):
+    for ring in each_ring(monkeypatch):
         with pytest.raises(ValueError, match="overflowed"):
             run_positivity(PARAMS, spec, GridSpec(1.0, 8), 300, 42)
         with pytest.raises(ValueError, match="overflowed"):
