@@ -24,6 +24,7 @@ no NaN or infinity: json-lines reports write such a value as null.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -424,8 +425,45 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h) and the values main fixes them at.
+# By default glibc maps each block above its mmap threshold afresh and unmaps
+# it on free, and returns a freed heap top above its trim threshold to the
+# kernel.  Both start low and rise only when a larger mapped block is freed,
+# so pocketfft's ~1.9 MB work space of each 2**17-point irfft (one bracket
+# row at n = 2**16) was mapped, faulted in (480 pages) and unmapped on every
+# call: 1.35 ms a call, against 0.94 ms with no fault at 2 MiB and 4 MiB.
+# bracket --n 65536 --refinements 1,16,256 --paths 25 then makes 1.8 k minor
+# faults in main, against 14.7 k, and runs in 0.100 s, against 0.110 s.  At
+# 4 MiB and 8 MiB, simulate --n 65536 --paths 3 peaked at 50.4 MB, against
+# 48.1 MB (2-core x86-64 box, numpy 2.4.6).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 2 * 2**20
+_TRIM_THRESHOLD_BYTES = 4 * 2**20
+
+
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; elsewhere, or without mallopt, do nothing."""
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()) or not os.confstr("CS_GNU_LIBC_VERSION"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library to load, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code instead of raising.
+
+    On glibc it first fixes the allocator's mmap and trim thresholds
+    (``_fix_malloc_thresholds``), for the whole process: a caller that runs
+    ``main`` in its own process gets that setting too.
+    """
+    _fix_malloc_thresholds()
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -2,9 +2,9 @@
 
 The readers parse exactly what the CLI emits, so any format drift breaks
 the suite.  The driver references collect the rows that the ensemble
-harnesses consume one block at a time.  After a run that touched
-tests/test_acceptance.py, one PASS/FAIL line per acceptance criterion is
-printed in the terminal summary.
+harnesses consume one block at a time, and a second solver steps the rate
+on them.  After a run that touched tests/test_acceptance.py, one
+PASS/FAIL line per acceptance criterion is printed in the terminal summary.
 """
 
 from __future__ import annotations
@@ -21,6 +21,20 @@ def increment_matrix(spec, grid, seeds):
     for lo, block in _increment_blocks(spec, grid, np.array(seeds, dtype=np.uint64)):
         out[lo : lo + len(block)] = block
     return out
+
+
+def euler_on_r(params, dt, increments):
+    """r_T of explicit Euler on the rate itself, one path per row of ``increments``.
+
+    ``r += k (theta - r) dt + sigma sqrt(max(r, 0)) dM`` from r0: a second
+    solver of the paper's equation, with no square-root transform and no Ito
+    correction.  Its left-point sums converge to the Ito integral against
+    the Brownian part and to the Young integral against the fractional one.
+    """
+    r = np.full(len(increments), params.r0)
+    for dm in increments.T:
+        r += params.k * (params.theta - r) * dt + params.sigma * np.sqrt(np.maximum(r, 0.0)) * dm
+    return r
 
 
 def coupled_paths(spec, horizon_t, n_fine, coarse_list, seed):

@@ -8,10 +8,12 @@ import stat
 import subprocess
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
 import pytest
+import record_streams
 from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir._csvtext
@@ -623,30 +625,19 @@ class TestReportCommands:
         assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == (csv if fmt == "csv" else json_lines).encode("ascii")
 
-    # One line per shape of the harnesses' chunks, at the default seed; the
-    # SHA-256 of each output was recorded while sup |M| was still taken
-    # from a cumsum of each loaded block, not from running sums.
+    # One line per shape of the harnesses' chunks, at the default seed: the
+    # calls each makes, and its bytes, which tests/streams.json holds (they
+    # were first recorded while sup |M| was taken from a cumsum of each
+    # loaded block, not from running sums).
     SWEEP_LINES = {
-        "wide": (  # a 1024-wide chunk, then a 76-wide one
-            ["mcstats", "--weight-fbm", "0", "--n", "1024", "--paths", "1100"],
-            2,
-            "a8605062af9c62f6c9ca349de6a2f51e96e704483840c2a4b6ec6962afe7b033",
-        ),
-        "long": (  # one 3-wide chunk of 131072 steps, 2048 rings
-            ["positivity", "--n", "131072", "--paths", "3"],
-            1,
-            "80141beb9535c7841acae69e64369674dd5413082119bfd5b0c415455637b290",
-        ),
-        "lanes": (  # the 2**14-step reference lane and 5 coarse ones, each 2 wide
-            ["convergence", "--paths", "2"],
-            6,
-            "ab0911a35ad9481eb6c8c3daca62aabb60f6a75a740da9f1125aad8bdd2ab0f1",
-        ),
+        "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", 2),  # a 1024-wide chunk, then a 76-wide one
+        "long": ("positivity --n 131072 --paths 3", 1),  # one 3-wide chunk of 131072 steps, 2048 rings
+        "lanes": ("convergence --paths 2", 6),  # the 2**14-step reference lane and 5 coarse ones, each 2 wide
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
     def test_sweep_lines_are_golden(self, monkeypatch, sweep, tmp_path):
-        argv, steps, digest = self.SWEEP_LINES[sweep]
+        line, steps = self.SWEEP_LINES[sweep]
         taken = []
         for name in ("_running_sup", "implicit_steps"):
             def spy(*args, _real=getattr(mfcir.experiments, name), _name=name, **kwargs):
@@ -655,9 +646,9 @@ class TestReportCommands:
 
             monkeypatch.setattr(mfcir.experiments, name, spy)
         out = tmp_path / "report.csv"
-        assert main(argv + ["--out", str(out)]) == 0
+        assert main(line.split() + ["--out", str(out)]) == 0
         assert taken == ["_running_sup", "implicit_steps"] * steps
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _STREAMS["lines"][line]["stdout"]
 
     def test_convergence_rows_and_footer(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -846,6 +837,8 @@ def _full_parser_main(argv):
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_text.json"), encoding="utf-8") as _handle:
     _CLI_TEXT = json.load(_handle)
+with open(record_streams.TABLE, encoding="utf-8") as _handle:
+    _STREAMS = json.load(_handle)
 
 
 class TestCliText:
@@ -879,6 +872,25 @@ class TestCliText:
         expected = _texts(_full_parser_main, argv, capsys)
         assert expected[0] in (0, 2) and expected[1] + expected[2]
         assert _texts(main, argv, capsys) == expected
+
+
+class TestStreams:
+    """Each command line of ``streams.json`` prints what it printed when the table was recorded.
+
+    ``tests/record_streams.py`` rewrites the table and runs each line as
+    this test does.  A hash that differs only on another numpy or CPU, say
+    because ``irfft`` rounds differently there, is a finding to report, not
+    a reason to drop the line.
+    """
+
+    def test_the_table_holds_the_recorded_lines(self):
+        assert list(_STREAMS["lines"]) == list(record_streams.LINES)
+
+    @pytest.mark.parametrize("line", list(_STREAMS["lines"]))
+    def test_recorded_hashes(self, line):
+        assert record_streams.run_line(line) == _STREAMS["lines"][line], (
+            f"recorded with numpy {_STREAMS['numpy']} on {_STREAMS['platform']}, run with {record_streams.provenance()}"
+        )
 
 
 # The mfcir.cli names through which the commands reach the library and the
@@ -1079,3 +1091,58 @@ def test_only_a_csv_simulate_loads_the_renderer():
         "simulate 0 False", "positivity 0 False", "mcstats 0 False", "bracket 0 False", "convergence 0 False",
         "simulate 0 True",
     ]
+
+
+_GLIBC = "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", ()) and bool(os.confstr("CS_GNU_LIBC_VERSION"))
+
+
+class TestMallocThresholds:
+    """main fixes glibc's mmap and trim thresholds, and runs the same without them."""
+
+    ARGV = ["bracket", "--n", "256", "--refinements", "1,4", "--paths", "3"]
+
+    def _bytes(self, tmp_path, name):
+        out = tmp_path / name
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.skipif(not _GLIBC, reason="the allocator setting is glibc's")
+    def test_a_fine_bracket_run_does_not_fault_in_each_transform(self):
+        # Each one-row irfft at n = 2**16 mapped and faulted in pocketfft's ~1.9 MB
+        # work space afresh: 4.66 k minor faults in main at --paths 4, against
+        # 1.66 k with the fixed thresholds (2-core x86-64 box, numpy 2.4.6).
+        script = (
+            "import os, resource; from mfcir.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rc = main(['bracket', '--n', '65536', '--refinements', '1,16,256', '--paths', '4', '--out', os.devnull])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        rc, faults = map(int, proc.stdout.split())
+        assert rc == 0
+        assert faults < 2500
+
+    @pytest.mark.skipif(not _GLIBC, reason="the allocator setting is glibc's")
+    def test_sets_both_thresholds(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr("ctypes.CDLL", lambda name: types.SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+        self._bytes(tmp_path, "out")
+        assert calls == [(-3, 2 * 2**20), (-1, 4 * 2**20)]
+
+    @pytest.mark.parametrize("case", ["no library", "no mallopt", "no glibc"])
+    def test_falls_back_to_the_defaults(self, case, monkeypatch, tmp_path):
+        expected = self._bytes(tmp_path, "expected")
+        loaded = []
+
+        def cdll(name):
+            loaded.append(name)
+            if case == "no library":
+                raise OSError("cannot load the C library")
+            return types.SimpleNamespace()  # a library without mallopt
+
+        monkeypatch.setattr("ctypes.CDLL", cdll)
+        if case == "no glibc":
+            monkeypatch.setattr(os, "confstr_names", {}, raising=False)
+        assert self._bytes(tmp_path, "out") == expected
+        assert loaded == ([None] if _GLIBC and case != "no glibc" else [])

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import euler_on_r, increment_matrix
 
 from mfcir.cli import main
 from mfcir.experiments import run_positivity
 from mfcir.mixed import MixedSpec, build_mixed
-from mfcir.noise import GridSpec, NoisePath
+from mfcir.noise import GridSpec, NoisePath, _path_seeds
 from mfcir.scheme import (
     CirParams,
     Trajectory,
@@ -482,6 +483,35 @@ class TestRangeCheck:
         assume(not z_min > z_max)
         got = range_check_outcome(_require_in_range, z_min, z_max, sigma)
         assert got == range_check_outcome(numpy_range_check, z_min, z_max, sigma)
+
+
+class TestSecondSolver:
+    """The scheme and explicit Euler on r, on the same driver rows, meet as the grid refines.
+
+    theta = 0.04, sigma = 0.2, r0 = 0.08, k = 1 (m = 1), T = 5, 200 paths,
+    H = 0.75.  Over master seeds 1-12 the median |r_T gap| fell by 3.4 to
+    5.3 times from n = 2**8 to 2**12, where it was 1.9e-4 to 3.6e-4.  With
+    d = m dt, a = 1 + k dt or a = 1 (no - k z / 2) in the scheme it stayed
+    near 9e-3, 1.6e-2 and 0.21, and fell by 1.1 times at most.  Only
+    |w_bm| = 1 is checked: the drift's Ito correction assumes [M]_t = t.
+    """
+
+    PARAMS = CirParams(k=1.0, theta=0.04, sigma=0.2, r0=0.08)
+
+    def _median_gap(self, spec, n, seed):
+        grid = GridSpec(5.0, n)
+        increments = increment_matrix(spec, grid, _path_seeds(seed, 0, 200))
+        z = step_major(self.PARAMS, increments.T)
+        implicit_steps(self.PARAMS, grid.dt, z)
+        gap = z_to_r(z[-1], self.PARAMS.sigma) - euler_on_r(self.PARAMS, grid.dt, increments)
+        return float(np.median(np.abs(gap)))
+
+    @pytest.mark.parametrize("weight_fbm", [0.0, 1.0])
+    def test_gap_shrinks_with_the_grid(self, weight_fbm):
+        spec = MixedSpec(hurst=0.75, weight_bm=1.0, weight_fbm=weight_fbm)
+        coarse, fine = self._median_gap(spec, 2**8, 3), self._median_gap(spec, 2**12, 3)
+        assert coarse / fine >= 2.5, (coarse, fine)
+        assert fine <= 5e-4
 
 
 class TestInterpolate:
