@@ -17,11 +17,22 @@ D = hi + rint(lo) rounds half-even.  Every other value (0, below 1e-4, from
 1e17 up, negative or not finite) is formatted by ``'%.17g' % x`` itself,
 one by one.
 
+D's trailing zeros are counted a 4-digit group at a time, from the last:
+only the values whose groups so far are all zeros go on to the next group,
+so a typical block looks up one group.  A cell is masked by a row of
+``_FIXED_MASKS``, one per E and count of trailing zeros, which keeps its
+digits and point.  A block lays its cells out in the columns that its
+largest and smallest E need, and the mask columns of each such layout are
+selected once and cached.  A block whose values all lie in [1e-4, 1e17)
+skips the fallback to ``'%.17g'`` altogether.
+
 ``mfcir.cli`` imports the module when a CSV ``simulate`` run starts writing,
 so that the other commands neither compile it nor build its tables.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -91,27 +102,42 @@ def _digits(d):
         d = q
     groups[0] = d
     tz = _TRAILING4.take(groups[4])
+    at = np.flatnonzero(tz == 4)  # the d whose groups so far are all zeros
     for k in (3, 2, 1):
-        tz += np.where(tz == 4 * (4 - k), _TRAILING4.take(groups[k]), 0)
+        if not at.size:
+            break
+        more = _TRAILING4.take(groups[k].take(at))
+        tz[at] += more
+        at = at[more == 4]
     return _DIGITS4.take(groups.T).view(np.uint8), tz
+
+
+@functools.lru_cache(maxsize=64)
+def _masks(int_width, frac_from):
+    """The columns of ``_FIXED_MASKS`` that cells laid out by ``float_cells`` use, read-only."""
+    masks = _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]]
+    masks.flags.writeable = False
+    return masks
 
 
 def float_cells(x):
     """The cells of '%.17g' % x for a float64 array x, NUL-padded."""
     fixed = (x >= 1e-4) & (x < 1e17)
-    e, d = _decimal(np.where(fixed, x, 1.0))
+    all_fixed = bool(fixed.all())
+    e, d = _decimal(x if all_fixed else np.where(fixed, x, 1.0))
     digits, tz = _digits(d)
     int_width, frac_from = max(int(e.max()), -1) + 2, int(e.min()) + 4  # the columns a fixed-point cell uses
     point = np.full((len(x), 1), 46, np.uint8)
     chars = np.concatenate([digits[:, 2 : 2 + int_width], point, digits[:, frac_from:]], axis=1)
-    chars *= _FIXED_MASKS[:, np.r_[0:int_width, 18, 19 + frac_from : 39]].take((e + 4) * 17 + tz, axis=0)
+    chars *= _masks(int_width, frac_from).take((e + 4) * 17 + tz, axis=0)
+    if all_fixed:
+        return chars
     others = np.flatnonzero(~fixed)
     texts = [b"%.17g" % value for value in x[others].tolist()]
-    if texts:
-        width = max(chars.shape[1], *map(len, texts))
-        if width > chars.shape[1]:
-            chars = np.pad(chars, ((0, 0), (0, width - chars.shape[1])))
-        chars[others] = np.array(texts, f"S{width}").view(np.uint8).reshape(len(texts), width)
+    width = max(chars.shape[1], *map(len, texts))
+    if width > chars.shape[1]:
+        chars = np.pad(chars, ((0, 0), (0, width - chars.shape[1])))
+    chars[others] = np.array(texts, f"S{width}").view(np.uint8).reshape(len(texts), width)
     return chars
 
 

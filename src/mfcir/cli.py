@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import math
 import os
 import shutil
@@ -355,6 +354,8 @@ def emit_report(rows, footer, config: RunConfig) -> None:
         if footer is not None:
             lines.append(",".join(f"{k}={v:.17g}" for k, v in footer.items()))
     else:
+        import json  # here, so that no CSV run imports it
+
         records = rows if footer is None else rows + [footer]
         lines = [json.dumps({k: _json_value(v) for k, v in record.items()}) for record in records]
     with _sink(config.output_path) as out:
@@ -375,7 +376,7 @@ def _simulate(config: RunConfig) -> None:
         for _, chunk in _chunks(grid, config.n_paths, config.seed):
             for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_NORMALS):
                 for row in block:
-                    yield _scalar_steps(params, dt, z0, row.tolist())
+                    yield _scalar_steps(params, dt, z0, memoryview(row))  # its doubles, read in place
 
     emit_trajectories(paths(), config)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -135,8 +136,11 @@ def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, floa
     return 2.0 * a, 2.0 * d, 4.0 * a * d
 
 
-def _scalar_steps(params: CirParams, dt: float, z: float, increments: list[float]) -> list[float]:
+def _scalar_steps(params: CirParams, dt: float, z: float, increments: Iterable[float]) -> list[float]:
     """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form.
+
+    ``increments`` is any iterable of floats: a list, or a float64 row's
+    ``memoryview``, whose doubles it then reads in place.
 
     With ``a = 1 + k dt / 2``, ``c = z_prev + dm`` and ``d = (m + 1/2) dt``
     each step is the positive root ``(c + sqrt(c^2 + 4 a d)) / (2 a)`` of

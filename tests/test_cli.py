@@ -1075,21 +1075,24 @@ def test_bracket_run_does_not_load_numpy_ma(tmp_path):
 
 
 def test_only_a_csv_simulate_loads_the_renderer():
-    # mfcir._csvtext builds its tables at import: no other run may pay for them
+    # mfcir._csvtext builds its tables at import: no other run may pay for them;
+    # nor may a run that writes no json-lines report pay about 1 ms to import json
     script = (
         "import os, sys; from mfcir.cli import main\n"
         "for argv in [['simulate', '--n', '8', '--paths', '2', '--format', 'json-lines'],\n"
         "             ['positivity', '--n', '16', '--paths', '4'], ['mcstats', '--n', '16', '--paths', '4'],\n"
         "             ['bracket', '--n', '64', '--refinements', '1,4', '--paths', '4'],\n"
         "             ['convergence', '--paths', '2', '--n-list', '8,16', '--n-ref', '128'],\n"
-        "             ['simulate', '--n', '8', '--paths', '2', '--format', 'csv']]:\n"
-        "    print(argv[0], main(argv + ['--out', os.devnull]), 'mfcir._csvtext' in sys.modules)\n"
+        "             ['simulate', '--n', '8', '--paths', '2', '--format', 'csv'],\n"
+        "             ['mcstats', '--n', '16', '--paths', '4', '--format', 'json-lines']]:\n"
+        "    rc = main(argv + ['--out', os.devnull])\n"
+        "    print(argv[0], rc, 'mfcir._csvtext' in sys.modules, 'json' in sys.modules)\n"
     )
     proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "simulate 0 False", "positivity 0 False", "mcstats 0 False", "bracket 0 False", "convergence 0 False",
-        "simulate 0 True",
+        "simulate 0 False False", "positivity 0 False False", "mcstats 0 False False", "bracket 0 False False",
+        "convergence 0 False False", "simulate 0 True False", "mcstats 0 True True",
     ]
 
 

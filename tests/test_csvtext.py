@@ -48,6 +48,33 @@ def test_neighbours_of_powers_of_ten():
         _assert_renders([b, p, a])
 
 
+MANTISSA = "12345678923456789"  # no zero digit: each of its prefixes ends in a nonzero one
+
+
+def _digits_and_exponent(value):
+    text = "%.16e" % value
+    return text[0] + text[2:18], int(text[19:])
+
+
+def test_trailing_zeros_across_digit_groups():
+    # The 17 - tz leading digits of MANTISSA at decimal exponent E, kept where
+    # the double's 17 significant digits are those digits and tz zeros: the
+    # count stops inside each 4-digit group and at every group boundary
+    values = {}
+    for tz in range(17):
+        digits = MANTISSA[: 17 - tz]
+        for exponent in range(-4, 17):
+            value = float(f"{digits}e{exponent - 16 + tz}")
+            if _digits_and_exponent(value) == (digits + "0" * tz, exponent):
+                values.setdefault(tz, []).append(value)
+    assert sorted(values) == list(range(17))
+    assert min(map(len, values.values())) >= 9  # 9 to 21 of the 21 exponents for each tz
+    for tz_values in values.values():
+        for value in tz_values:
+            _assert_renders([value])
+    _assert_renders(np.random.default_rng(RNG_SEED).permutation(np.concatenate(list(values.values()))))
+
+
 def test_exact_ties_round_half_even():
     # (2m + 1) / 2**(j + 1) in [10**(16 - j), 10**(17 - j)) has 18 significant
     # digits, the last a 5: '%.17g' rounds it half-even on the exact value

@@ -361,6 +361,24 @@ class TestSimulate:
             assert np.array_equal(rows[:, path], want, equal_nan=True)
         assert np.isnan(rows[1:, 0]).all() and np.isfinite(rows[:, 1:]).all()
 
+    def test_a_row_read_in_place_steps_as_its_list(self):
+        # simulate feeds _scalar_steps each increment row's memoryview, rows of a
+        # block that is a view of a wider buffer's last columns: the states equal
+        # those of row.tolist() bit for bit, the c < 0 branch, -0.0 and nan included
+        n = 64
+        buffer = np.random.default_rng(11).normal(scale=2.0, size=(4, 2 * n))
+        block = buffer[:, -n:]
+        block[0, :4] = [-5.0, -0.1, 0.0, -3.0]
+        block[1, :4] = [0.3, -2.0, -1e-300, 4.0]
+        block[2, :3] = [-0.0, 1e-300, math.nan]
+        for row in block:
+            for params in (PARAMS_M_HALF, PARAMS_M_ONE):
+                want = _scalar_steps(params, 0.01, params.z0, row.tolist())
+                got = _scalar_steps(params, 0.01, params.z0, memoryview(row))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        states = np.array(_scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, memoryview(block[0])))
+        assert (states[:-1] + block[0] < 0.0).any()  # some c = z_prev + dm < 0
+
     @pytest.mark.parametrize("k", [1, 5, 11])
     def test_kernel_continues_from_any_start_state(self, k):
         # one call over n = 12 steps equals two calls split at row k, the
