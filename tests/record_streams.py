@@ -54,6 +54,11 @@ LINES = (
     "mcstats --weight-fbm 0 --n 1024 --paths 1100",
     "positivity --n 131072 --paths 3",
     "convergence --paths 2",
+    # chunk boundaries: a 1024-wide fractional chunk of 64 16-row blocks and a 6-wide one; three grids over
+    # a 256-wide chunk and a 4-wide one; a 64-wide chunk of one-row bracket blocks and a 2-wide one
+    "positivity --n 4096 --paths 1030",
+    "convergence --paths 260 --n-list 8,16",
+    "bracket --n 65536 --refinements 1,256 --paths 66",
     # rejected lines
     "simulate --weight-bm 1e160 --weight-fbm 0 --n 4 --paths 3",
     "bracket --hurst 0.999 --n 262144 --paths 1",
