@@ -13,9 +13,9 @@ writes its rows through ``emit_report`` (``simulate`` through
 ``emit_trajectories``).
 
 Exit codes: 0 success, 2 configuration or validation error (an
-overflowing implicit step included), 3 I/O error, 4 numerical failure in
-the noise generator (a circulant embedding with a significantly negative
-eigenvalue).  CSV floats are written with 17 significant digits and JSON
+overflowing implicit step included) or an array too large to allocate,
+3 I/O error, 4 numerical failure in the noise generator (a circulant
+embedding with a significantly negative eigenvalue).  CSV floats are written with 17 significant digits and JSON
 floats as their shortest round-trip repr, so equal configurations yield
 byte-identical files and values round-trip through ``float()``.  JSON has
 no NaN or infinity: json-lines reports write such a value as null.
@@ -475,6 +475,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"mfcir: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size and shape asked for
+        print(f"mfcir: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"mfcir: i/o error: {exc}", file=sys.stderr)

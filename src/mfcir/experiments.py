@@ -72,7 +72,7 @@ _BOUND_SLACK = 1e-9
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
 
-# _States takes each path's sup |M| from step-major running sums, one
+# _step takes each path's sup |M| from step-major running sums, one
 # np.add per step into a ring of _RING_ROWS rows that is folded with max and
 # -min each time it fills.  Against a cumsum of each loaded block (2-core
 # x86-64 box, numpy 2.4.6, n = 1024) it takes 0.47 of the time at 1024
@@ -119,8 +119,8 @@ def _running_sup(increments: np.ndarray) -> np.ndarray:
     M runs through the columns' partial sums, one row at a time in a ring of
     _RING_ROWS rows, in the order of a cumsum along each path, so the sup is
     the same bit for bit.  A sum that overflows leaves an inf or nan sup; its
-    path's states overflow too, which :meth:`_States.step` rejects, so numpy
-    need not warn.
+    path's states overflow too, which :func:`_step` rejects, so numpy need
+    not warn.
     """
     width = increments.shape[1]
     ring = np.empty((min(_RING_ROWS, len(increments)), width))
@@ -136,53 +136,21 @@ def _running_sup(increments: np.ndarray) -> np.ndarray:
     return np.maximum(high, np.negative(low, out=low), out=high)
 
 
-class _States:
-    """One grid's step-major states of a chunk, in buffers reused from chunk to chunk.
+def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Step the paths in the columns of ``z`` (n + 1, width); reject overflowed states.
 
-    Column i of ``z``, shape (n + 1, width), holds path i: z0 in row 0,
-    then its increments until :meth:`step` turns them into its states, bit
-    for bit as :func:`~mfcir.scheme.simulate_z`.  Each path's sup |M| is
-    taken from running sums over its rows in :meth:`step`, before they are
-    stepped.
+    Column i holds z0 in row 0, then path i's increments, which are turned
+    into its states in place, bit for bit as :func:`~mfcir.scheme.simulate_z`.
+    Each path's sup |M| is taken from running sums over its rows before
+    they are stepped.  Returns ``z``, its minimum and the number of paths
+    that pierce the envelope.
     """
-
-    def __init__(self, params: CirParams, grid: GridSpec, width: int):
-        self.params = params
-        self.grid = grid
-        self.z = np.empty((grid.steps_n + 1, width))
-        self.z[0] = params.z0
-
-    def load(self, lo: int, block: np.ndarray) -> None:
-        """Put a block of increments (rows, n) into columns lo, lo + 1, ..."""
-        _put_columns(self.z[1:, lo : lo + len(block)], block)
-
-    def step(self, width: int) -> tuple[np.ndarray, float, int]:
-        """Step the first ``width`` columns; reject overflowed states.
-
-        Returns their states (n + 1, width), a view that the next chunk
-        overwrites, their minimum and the number of paths that pierce the
-        envelope.
-        """
-        z = self.z[:, :width]
-        sup_m = _running_sup(z[1:])  # its ring is allocated once the chunk's block buffers are gone
-        implicit_steps(self.params, self.grid.dt, z)
-        z_max = z.max(axis=0)
-        z_min = float(z.min())
-        _require_in_range(z_min, z_max.max(), self.params.sigma)
-        return z, z_min, _envelope_violations(self.params, self.grid, sup_m, z_max)
-
-
-def _load(lanes: list[_States], spec: MixedSpec, chunk: np.ndarray) -> None:
-    """Draw a chunk block by block into the columns of ``lanes``.
-
-    ``lanes[0]`` is on the driver's grid; every other lane gets the exact
-    block sums of each block.
-    """
-    fine, *coarse = lanes
-    for lo, block in _increment_blocks(spec, fine.grid, chunk):
-        for lane in coarse:
-            lane.load(lo, _block_sums(block, lane.grid.steps_n))
-        fine.load(lo, block)
+    sup_m = _running_sup(z[1:])  # its ring is allocated once the chunk's block buffers are gone
+    implicit_steps(params, grid.dt, z)
+    z_max = z.max(axis=0)
+    z_min = float(z.min())
+    _require_in_range(z_min, z_max.max(), params.sigma)
+    return z, z_min, _envelope_violations(params, grid, sup_m, z_max)
 
 
 def _stepped_chunks(
@@ -190,17 +158,27 @@ def _stepped_chunks(
 ) -> Iterator[tuple[int, list[tuple[np.ndarray, float, int]]]]:
     """Run the scheme over the ensemble's ``chunks`` (``_chunks`` on ``grids[0]``) on ``grids``.
 
-    The driver is drawn on ``grids[0]`` and block-summed onto the others.
-    Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is the chunk's
-    :meth:`_States.step` on ``grids[g]``.  Every reduction of the states
-    is elementwise or a min/max, so the results equal those of the whole
-    (paths, n + 1) state matrix bit for bit, whatever the chunk size.
+    Each grid has one step-major (n + 1, width) buffer, sized by the first
+    (widest) chunk and reused.  The driver is drawn on ``grids[0]`` block by
+    block into its buffer's columns, and each block's exact block sums into
+    the others'.  Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is
+    :func:`_step` on the chunk's columns of ``grids[g]``, which the next
+    chunk overwrites.  Every reduction of the states is elementwise or a
+    min/max, so the results equal those of the whole (paths, n + 1) state
+    matrix bit for bit, whatever the chunk size.
     """
-    lanes = []
+    states = []
     for lo, chunk in chunks:
-        lanes = lanes or [_States(params, grid, len(chunk)) for grid in grids]  # sized by the widest chunk
-        _load(lanes, spec, chunk)
-        yield lo, [lane.step(len(chunk)) for lane in lanes]
+        if not states:
+            states = [np.empty((grid.steps_n + 1, len(chunk))) for grid in grids]
+            for z in states:
+                z[0] = params.z0
+        for at, block in _increment_blocks(spec, grids[0], chunk):
+            for grid, z in zip(grids[1:], states[1:]):
+                _put_columns(z[1:, at : at + len(block)], _block_sums(block, grid.steps_n))
+            _put_columns(states[0][1:, at : at + len(block)], block)
+        del block  # the chunk's last block, freed before its states are stepped and the next chunk is drawn
+        yield lo, [_step(params, grid, z[:, : len(chunk)]) for grid, z in zip(grids, states)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +266,9 @@ def run_convergence(
 
     For each path of the ensemble ``(n_paths, master_seed)`` one fine
     driver path at ``n_ref`` steps is block-summed onto every grid in
-    ``n_list`` (:func:`~mfcir.mixed.build_mixed` and
-    ``mfcir.noise._block_sums`` give one seed's views); the scheme runs on
-    all of them, one chunk of paths at a time.  Each coarse solution is
+    ``n_list`` (``mfcir.noise._block_sums`` of each block of paths that
+    ``mfcir.mixed._increment_blocks`` draws); the scheme runs on all of
+    them, one chunk of paths at a time.  Each coarse solution is
     extended to every reference grid point by linear interpolation (the
     convention under which the scheme is defined for all t), so the sup
     distance to the fine solution also sees the driver's oscillation within
@@ -433,18 +411,14 @@ def run_bracket(
     # _split_grid rejects a refinement that is not an integer or not a divisor
     grids = [GridSpec(grid.horizon_t, _split_grid(grid.steps_n, r, "refinement", "steps_n")) for r in refinements]
     values = np.empty(grid.steps_n + 1)  # one path's values, in a buffer shared by every path
-
-    # One call per chunk, so that the chunk's last block is freed before the next chunk is drawn.
-    def estimate(lo, chunk):
-        for at, block in _increment_blocks(spec, grid, chunk):
-            for i, row in enumerate(block, lo + at):
-                _path_values(row, out=values)
-                sums[i] = [_bracket_sums(row, values, r) for r in refinements]
-
     sums = np.empty((n_paths, len(refinements), 3))  # in BracketEstimate's field order
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are rejected below
         for lo, chunk in chunks:
-            estimate(lo, chunk)
+            for at, block in _increment_blocks(spec, grid, chunk):
+                for i, row in enumerate(block, lo + at):
+                    _path_values(row, out=values)
+                    sums[i] = [_bracket_sums(row, values, r) for r in refinements]
+            del block, row  # views of the chunk's last block, freed before the next chunk is drawn
     if not np.isfinite(sums).all():  # inf or nan if a sum overflowed
         raise ValueError("the bracket sums overflowed (driver increments too large)")
     return [

@@ -5,9 +5,10 @@ Brownian increments, reproducible from 64-bit integer seeds.  Two fBm
 generators are available:
 
 * ``sample_fbm_davies_harte`` embeds the increment covariance in a
-  circulant matrix and samples through an FFT in O(n log n).  It is the
-  production sampler for every grid size, and its row-wise form also
-  serves the batched ensemble engine of :mod:`mfcir.mixed`.
+  circulant matrix and samples one path through an FFT in O(n log n).
+  Every command draws through its row-wise form, ``_davies_harte_rows``,
+  in ``mfcir.mixed._increment_blocks``; the tests check the one-path form
+  and compare the rows with it.
 * ``sample_fbm_cholesky`` factors the covariance of the path values and
   is the O(n^3) ground truth for small grids, kept as a cross-check
   oracle.

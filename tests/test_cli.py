@@ -1000,6 +1000,27 @@ class TestExitCodes:
         assert main(["simulate", "--n", "2", "--out", "-"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    # 10**16 paths or steps ask for about 71 PiB or more, past the 128 TiB
+    # x86-64 address space, so the allocation fails even under memory
+    # overcommit.  positivity and simulate hold no per-path array, so a huge
+    # --paths would really run there.
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mcstats --n 2 --paths 10000000000000000",
+            "bracket --n 2 --paths 10000000000000000",
+            "convergence --paths 10000000000000000 --n-list 2 --n-ref 16",
+            "simulate --n 10000000000000000",
+            "positivity --n 10000000000000000",
+        ],
+    )
+    def test_out_of_memory_is_2(self, capsys, tmp_path, line):
+        out = tmp_path / "out.csv"
+        assert main(line.split() + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mfcir: error: out of memory") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_success_is_0(self, capsys):
         assert main(["simulate", "--n", "2", "--out", "-"]) == 0
         capsys.readouterr()
