@@ -15,10 +15,11 @@ writes its rows through ``emit_report`` (``simulate`` through
 Exit codes: 0 success, 2 configuration or validation error (an
 overflowing implicit step included) or an array too large to allocate,
 3 I/O error, 4 numerical failure in the noise generator (a circulant
-embedding with a significantly negative eigenvalue).  CSV floats are written with 17 significant digits and JSON
-floats as their shortest round-trip repr, so equal configurations yield
-byte-identical files and values round-trip through ``float()``.  JSON has
-no NaN or infinity: json-lines reports write such a value as null.
+embedding with a significantly negative eigenvalue).  CSV floats are
+written with 17 significant digits and JSON floats as their shortest
+round-trip repr, so equal configurations yield byte-identical files and
+values round-trip through ``float()``.  JSON has no NaN or infinity:
+json-lines reports write such a value as null.
 """
 
 from __future__ import annotations
