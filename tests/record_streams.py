@@ -59,7 +59,14 @@ LINES = (
     "positivity --n 4096 --paths 1030",
     "convergence --paths 260 --n-list 8,16",
     "bracket --n 65536 --refinements 1,256 --paths 66",
-    # rejected lines
+    # json-lines blocks: 2200 rows in two chunks, each block across 512 paths; five blocks per 4097-row path;
+    # a pure fractional driver
+    "simulate --n 1 --paths 1100 --format json-lines",
+    "simulate --preset figure1 --paths 2 --format json-lines",
+    "simulate --weight-bm 0 --n 100 --paths 5 --format json-lines",
+    # rejected lines; path 3's rate overflows, after three paths' rows reach stdout
+    "simulate --k 0.01 --theta 300 --sigma 3 --T 0.01 --n 1 --weight-bm 1e155 --seed 7 --paths 40",
+    "simulate --k 0.01 --theta 300 --sigma 3 --T 0.01 --n 1 --weight-bm 1e155 --seed 7 --paths 40 --format json-lines",
     "simulate --weight-bm 1e160 --weight-fbm 0 --n 4 --paths 3",
     "bracket --hurst 0.999 --n 262144 --paths 1",
     "simulate --T 5e-324 --n 2",
