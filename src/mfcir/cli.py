@@ -251,67 +251,13 @@ def _sink(path: str):
         raise
 
 
-# Rows that simulate's CSV renders and writes at a time: a block spans many
-# short paths or a part of a long one.  --preset figure1 --paths 25 ran in
-# 0.064 s at 1024 rows, against 0.072 s at 512, 0.067 s at 2048 and 0.105 s
+# Rows that simulate renders and writes at a time, in either format: a block
+# spans many short paths or a part of a long one.  --preset figure1 --paths 25
+# ran in 0.064 s at 1024 rows, against 0.072 s at 512, 0.067 s at 2048 and 0.105 s
 # for one % call per path, and peaked at 37.3 MB, against 37.1, 37.7 and
-# 37.3 MB (in-process medians of 6 fresh processes, 2-core x86-64 box, numpy 2.4.6).
-_CSV_BLOCK_ROWS = 1024
-
-
-def _checked(paths, config: RunConfig):
-    # each path's states as an array, once they are n + 1, positive, and their rates finite;
-    # a path's list is let go before the next path is made
-    rows = config.grid.steps_n + 1
-    for states in paths:
-        z = np.asarray(states, dtype=np.float64)
-        del states
-        if z.shape != (rows,):
-            raise ValueError(f"a path has {z.size} states, not n + 1 = {rows}")
-        _require_in_range(z.min(), z.max(), config.params.sigma)  # min and max are nan if any state is
-        yield z
-
-
-def _write_csv(paths, config: RunConfig, out) -> None:
-    from . import _csvtext  # here, so that no other command compiles it or builds its tables
-
-    rows = config.grid.steps_n + 1
-    sigma = config.params.sigma
-    times = _csvtext.float_cells(config.grid.times)
-    block = np.empty(min(_CSV_BLOCK_ROWS, rows * config.n_paths))
-    first = filled = 0  # the run's row at block[0], and the rows the block holds
-    out.write("path_id,t,z,r\n")
-    try:
-        for z in _checked(paths, config):
-            done = 0
-            while done < rows:
-                take = min(rows - done, len(block) - filled)
-                block[filled : filled + take] = z[done : done + take]
-                done += take
-                filled += take
-                if filled == len(block):
-                    filled = 0
-                    out.write(_csvtext.csv_rows(first, rows, times, block, z_to_r(block, sigma)))
-                    first += len(block)
-    finally:  # after an error too: the paths before the failing one are written
-        if filled:
-            z = block[:filled]
-            out.write(_csvtext.csv_rows(first, rows, times, z, z_to_r(z, sigma)))
-
-
-def _write_json_lines(paths, config: RunConfig, out) -> None:
-    # one %r template of a path's rows, with every t formatted once; %r of a
-    # finite float is the shortest repr that round-trips, as json.dumps writes it
-    times = config.grid.times.tolist()
-    template = "".join('{"path_id": %d, "t": ' + "%r" % t + ', "z": %r, "r": %r}\n' for t in times)
-    rows = config.grid.steps_n + 1
-    sigma = config.params.sigma
-    args = [0] * (3 * rows)  # path id, z, r per row
-    for pid, z in enumerate(_checked(paths, config)):
-        args[0::3] = [pid] * rows
-        args[1::3] = z.tolist()
-        args[2::3] = z_to_r(z, sigma).tolist()
-        out.write(template % tuple(args))
+# 37.3 MB (CSV, in-process medians of 6 fresh processes, 2-core x86-64 box, numpy 2.4.6).
+# In json-lines, --n 65536 --paths 3 peaked at 51.4 MB, against 67.4 MB for one % call per path.
+_BLOCK_ROWS = 1024
 
 
 def emit_trajectories(paths, config: RunConfig) -> None:
@@ -319,15 +265,62 @@ def emit_trajectories(paths, config: RunConfig) -> None:
 
     ``paths`` yields each path's n + 1 states on ``config.grid``, z0 first;
     its rates are their ``z_to_r``, and a state that is not positive or a
-    rate that is not finite is a ValueError.  CSV rows are rendered by
-    numpy, with the text of ``'%.17g' % value``, ``_CSV_BLOCK_ROWS`` at a
-    time across paths, and each block is one write.  A json-lines path is
-    one ``%`` call over a template of its rows, and one write.  Paths are
-    taken from ``paths`` one at a time, so a lazy iterable is streamed;
-    when it raises, the rows of the paths before are written first.
+    rate that is not finite is a ValueError.  Paths are taken one at a time,
+    so a lazy iterable is streamed: each is checked, then copied into one
+    block of ``_BLOCK_ROWS`` rows, which may span many paths or part of one.
+    Each full block is rendered and written at once, and so is the last,
+    partial one, also when ``paths`` raises: the rows of the paths before
+    are written first.  CSV cells are rendered by numpy, with the text of
+    ``'%.17g' % value``; a json-lines block is one ``%`` call over the
+    templates of its rows, each with its t formatted once.
     """
+    rows = config.grid.steps_n + 1
+    sigma = config.params.sigma
     with _sink(config.output_path) as out:
-        (_write_csv if config.format == "csv" else _write_json_lines)(paths, config, out)
+        if config.format == "csv":
+            from . import _csvtext  # here, so that no other command compiles it or builds its tables
+
+            times = _csvtext.float_cells(config.grid.times)
+            out.write("path_id,t,z,r\n")
+
+            def render(first, z, r):
+                return _csvtext.csv_rows(first, rows, times, z, r)
+        else:
+            # %r of a finite float is the shortest repr that round-trips, as json.dumps writes it
+            templates = np.array(
+                ['{"path_id": %d, "t": ' + "%r" % t + ', "z": %r, "r": %r}\n' for t in config.grid.times.tolist()],
+                dtype=object,
+            )
+
+            def render(first, z, r):
+                pid, step = np.divmod(np.arange(first, first + len(z)), rows)
+                args = [0] * (3 * len(z))  # path id, z, r per row
+                args[0::3], args[1::3], args[2::3] = pid.tolist(), z.tolist(), r.tolist()
+                return "".join(templates[step].tolist()) % tuple(args)
+
+        block = np.empty(min(_BLOCK_ROWS, rows * config.n_paths))
+        first = filled = 0  # the run's row at block[0], and the rows the block holds
+        try:
+            for states in paths:
+                z = np.asarray(states, dtype=np.float64)
+                del states  # a path's list is let go before the next path is made
+                if z.shape != (rows,):
+                    raise ValueError(f"a path has {z.size} states, not n + 1 = {rows}")
+                _require_in_range(z.min(), z.max(), sigma)  # min and max are nan if any state is
+                done = 0
+                while done < rows:
+                    take = min(rows - done, len(block) - filled)
+                    block[filled : filled + take] = z[done : done + take]
+                    done += take
+                    filled += take
+                    if filled == len(block):
+                        out.write(render(first, block, z_to_r(block, sigma)))
+                        first += filled
+                        filled = 0
+        finally:  # after an error too: the paths before the failing one are written
+            if filled:
+                z = block[:filled]
+                out.write(render(first, z, z_to_r(z, sigma)))
 
 
 def _cell(value) -> str:
@@ -378,6 +371,7 @@ def _simulate(config: RunConfig) -> None:
             for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_NORMALS):
                 for row in block:
                     yield _scalar_steps(params, dt, z0, memoryview(row))  # its doubles, read in place
+            del block, row  # chunk k's buffer is freed before chunk k + 1 is drawn
 
     emit_trajectories(paths(), config)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -361,11 +362,32 @@ class TestSimulateCommand:
         assert main(["simulate", *argv, "--out", str(out)]) == 0
         assert out.read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt])
         if fmt == "csv":  # one renderer call per block of rows, whatever the paths
-            size = mfcir.cli._CSV_BLOCK_ROWS
+            size = mfcir.cli._BLOCK_ROWS
             total = (n + 1) * paths
             assert blocks == [(first, min(size, total - first)) for first in range(0, total, size)]
         else:
             assert blocks == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("n, paths", [(4096, 2), (1, 3000)], ids=["blocks-within-a-path", "paths-within-a-block"])
+    def test_each_write_holds_one_block(self, fmt, n, paths, monkeypatch):
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+        @contextlib.contextmanager
+        def recording(path):
+            yield Recorder()
+
+        monkeypatch.setattr(mfcir.cli, "_sink", recording)
+        assert main(["simulate", "--n", str(n), "--paths", str(paths), "--format", fmt]) == 0
+        if fmt == "csv":
+            assert writes.pop(0) == "path_id,t,z,r\n"
+        size = mfcir.cli._BLOCK_ROWS
+        total = (n + 1) * paths
+        assert all(text.endswith("\n") for text in writes)
+        assert [text.count("\n") for text in writes] == [min(size, total - first) for first in range(0, total, size)]
 
     def test_benchmark_line_is_golden(self, monkeypatch, tmp_path):
         # the simulate-csv benchmark line at --seed 1: 25 x 4097 rows in 101

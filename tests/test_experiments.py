@@ -673,21 +673,24 @@ class TestSweep:
             report = run_convergence(PARAMS, spec, 1.0, n_list, n_ref, len(seeds), 5)
             assert report.bound_violations == expected, ring
 
-    @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence"])
-    def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, run):
+    @pytest.mark.parametrize("run", ["positivity", "mc_stats", "bracket", "convergence", "simulate"])
+    def test_each_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, tmp_path, run):
         returned = []
         blocks = experiments._increment_blocks
 
-        def spy(spec, grid, seeds):
+        def spy(spec, grid, seeds, block_normals=mixed._CHUNK_SPECTRUM):
             assert all(ref() is None for ref in returned), "the previous chunk is still alive"
-            for lo, block in blocks(spec, grid, seeds):
+            for lo, block in blocks(spec, grid, seeds, block_normals):
                 returned.append(weakref.ref(block.base))  # the generator's buffer
                 yield lo, block
 
         monkeypatch.setattr(experiments, "_increment_blocks", spy)
+        monkeypatch.setattr("mfcir.cli._increment_blocks", spy)
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
-        if run == "positivity":
+        if run == "simulate":  # simulate draws each chunk a 2**13-normal block at a time: one block here
+            assert main(["simulate", "--n", "64", "--paths", "10", "--out", str(tmp_path / "paths.csv")]) == 0
+        elif run == "positivity":
             run_positivity(*args, 10, 3)
         elif run == "mc_stats":
             run_mc_stats(*args, 0.5, 10, 3)
@@ -710,6 +713,30 @@ class TestSweep:
         sizes = [len(seeds) for seeds in draws]
         assert max(sizes) == chunk
         assert sum(sizes) == int(argv[-1])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "positivity --n 4096 --paths 1030",
+            "simulate --n 8192 --paths 520",
+            "bracket --n 65536 --refinements 1,256 --paths 66",
+            "convergence --paths 260 --n-list 8,16",
+        ],
+    )
+    def test_spectrum_is_set_up_once_however_many_chunks(self, monkeypatch, tmp_path, line):
+        # every chunk after the first looks its spectrum scale up in the cache
+        # instead of computing it beside the sweep's state buffers
+        calls = []
+        eigenvalues = noise._circulant_eigenvalues
+
+        def spy(*args):
+            calls.append(args)
+            return eigenvalues(*args)
+
+        noise._spectrum_scale.cache_clear()
+        monkeypatch.setattr(noise, "_circulant_eigenvalues", spy)
+        assert main(line.split() + ["--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1, calls
 
 
 def _traced_peak_mb(run) -> float:
