@@ -1,13 +1,19 @@
-"""Rewrite ``tests/streams.json``, the output hashes of the command lines below.
+"""Rewrite ``tests/streams.json``, the recorded output of the command lines below.
 
     PYTHONPATH=src python tests/record_streams.py
 
 Each line runs in this process through ``mfcir.cli.main``, as the test
-that reads the table runs it, with stdout and stderr captured and every
-Python warning raised as an error.  The table maps the line to its exit
-code and the SHA-256 of its stdout and of its stderr, and records the
-numpy version and the platform that it was written on.  A change that
-moves a hash names the lines that moved, and why, in CHANGES.md.
+that reads the table runs it: stdout and stderr captured, every Python
+warning raised as an error, ``COLUMNS=80``, and a ``SystemExit`` (argparse
+exits after ``--help``) taken as the exit code.  The table maps each line to
+its exit code and its stdout and stderr.  A stream of at most 4096
+characters is stored as its lines (``text.split("\\n")``), so that a
+re-record's diff shows the bytes that moved; a longer one is stored as its
+SHA-256.  ``LINES`` print output; ``HELP_LINES`` print help and parser
+errors, whose wording and wrapping are argparse's and so change with the
+Python version.  The table records the Python and numpy versions and the
+platform that it was written on.  A change that moves a stream names the
+lines that moved, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -19,13 +25,18 @@ import json
 import os
 import platform
 import shlex
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 
 import mfcir.cli
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "streams.json")
+
+# the longest stream stored as its text; a longer one is stored as its SHA-256
+MAX_TEXT = 4096
 
 LINES = (
     # every command in both formats, at small sizes; 1505 simulate rows span two 1024-row CSV blocks
@@ -70,31 +81,91 @@ LINES = (
     "simulate --weight-bm 1e160 --weight-fbm 0 --n 4 --paths 3",
     "bracket --hurst 0.999 --n 262144 --paths 1",
     "simulate --T 5e-324 --n 2",
+    # every command's rows in both formats, short enough to be stored as text
+    "simulate --n 3 --paths 2 --seed 5",
+    "simulate --n 3 --paths 2 --seed 5 --format json-lines",
+    "positivity --n 8 --paths 3 --seed 5",
+    "positivity --n 8 --paths 3 --seed 5 --format json-lines",
+    "mcstats --weight-fbm 0 --n 8 --paths 3 --seed 5",
+    "mcstats --weight-fbm 0 --n 8 --paths 3 --seed 5 --format json-lines",
+    "bracket --n 16 --refinements 1,4 --paths 3 --seed 5",
+    "bracket --n 16 --refinements 1,4 --paths 3 --seed 5 --format json-lines",
+    "convergence --n-list 2,4 --n-ref 32 --paths 3 --seed 5",
+    "convergence --n-list 2,4 --n-ref 32 --paths 3 --seed 5 --format json-lines",
+    # the simulate-csv benchmark line at seed 1: 25 x 4097 rows in 101 blocks
+    "simulate --preset figure1 --paths 25 --format csv --seed 1",
+    # a step domain (m < -1/2) rejected before the first path is stepped
+    "simulate --sigma 3 --n 8 --paths 2",
+    "simulate --sigma 3 --n 8 --paths 2 --format json-lines",
+)
+
+HELP_LINES = (
+    # the top-level and each command's help
+    "--help",
+    "simulate --help",
+    "convergence --help",
+    "positivity --help",
+    "bracket --help",
+    "mcstats --help",
+    "-h",
+    "positivity -h --bogus",
+    # parser errors: no command, an unknown one, a flag before it, unknown and bad flags and values
+    "",
+    "badcmd",
+    "--config x positivity",
+    "positivity --bogus 1",
+    "convergence --n-list 4,x",
+    "bracket --refinements 2.5",
+    "positivity --n",
+    "positivity --n x",
+    "positivity simulate",
+    "simulate --n-list 4",
+    "pos",
+    "--seed 3 simulate",
+    "mcstats --t-eval",
+    "simulate --config",
+    # the command's parser reads the flags after it, though argv[0] names no command
+    "--bogus simulate --n 5",
+    "--bogus bracket --refinements x",
 )
 
 
-def _sha256(text: str) -> str:
+def _stored(text: str):
+    """``text`` as the table stores it: its lines, or the SHA-256 of a longer text."""
+    if len(text) <= MAX_TEXT:
+        return text.split("\n")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_line(line: str) -> dict:
-    """Exit code and the SHA-256 of stdout and stderr of ``mfcir LINE``, run in this process."""
+    """Exit code, stdout and stderr of ``mfcir LINE``, run in this process, as the table stores them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         warnings.simplefilter("error")
-        code = mfcir.cli.main(shlex.split(line))
-    return {"code": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
+        try:
+            code = mfcir.cli.main(shlex.split(line))
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": _stored(out.getvalue()), "stderr": _stored(err.getvalue())}
 
 
 def provenance() -> dict:
-    return {"numpy": np.__version__, "platform": f"{platform.system()} {platform.machine()}"}
+    return {
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": np.__version__,
+        "platform": f"{platform.system()} {platform.machine()}",
+    }
 
 
 def main() -> None:
     table = {
-        "about": "exit code and SHA-256 of stdout and stderr of `mfcir LINE`; rewritten by tests/record_streams.py",
+        "about": "exit code, stdout and stderr of `mfcir LINE`, each stream as its lines or, past "
+        f"{MAX_TEXT} characters, its SHA-256; help texts change with the Python version; "
+        "rewritten by tests/record_streams.py",
         **provenance(),
         "lines": {line: run_line(line) for line in LINES},
+        "help": {line: run_line(line) for line in HELP_LINES},
     }
     with open(TABLE, "w", encoding="utf-8") as handle:
         json.dump(table, handle, indent=1)

@@ -1,7 +1,6 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -20,10 +19,18 @@ from conftest import read_csv_rows, read_trajectory_rows
 import mfcir._csvtext
 import mfcir.cli
 import mfcir.noise
-from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, _Parser, main, main_entry, parse_config
+from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
 from mfcir.noise import CirculantEmbeddingError, GridSpec, substream_seed
 from mfcir.scheme import simulate_z
+
+with open(record_streams.TABLE, encoding="utf-8") as _handle:
+    _STREAMS = json.load(_handle)
+
+
+def _recorded_text(line):
+    """The stdout of ``mfcir LINE`` that ``streams.json`` holds as text."""
+    return "\n".join(_STREAMS["lines"][line]["stdout"])
 
 
 class TestParseConfig:
@@ -196,40 +203,6 @@ class TestSimulateCommand:
         assert len(records) == 6
         assert set(records[0]) == {"path_id", "t", "z", "r"}
 
-    # Checked against the per-cell format() / json.dumps emitter that the
-    # line templates replaced; any drift in either format shows here.  The
-    # values are those of STREAM_VERSION 3 and move with the stream.
-    GOLDEN = {
-        "csv": (
-            "path_id,t,z,r\n"
-            "0,0,2,1\n"
-            "0,0.33333333333333331,1.1747011583088096,0.34498070283301474\n"
-            "0,0.66666666666666663,1.455608874436813,0.52969929883480138\n"
-            "0,1,2.0432882905805831,1.0437567596059303\n"
-            "1,0,2,1\n"
-            "1,0.33333333333333331,1.6013712913411602,0.6410975031829137\n"
-            "1,0.66666666666666663,1.0525087378831566,0.2769436608300988\n"
-            "1,1,1.1683885622496082,0.34128295809892661\n"
-        ),
-        "json-lines": (
-            '{"path_id": 0, "t": 0.0, "z": 2.0, "r": 1.0}\n'
-            '{"path_id": 0, "t": 0.3333333333333333, "z": 1.1747011583088096, "r": 0.34498070283301474}\n'
-            '{"path_id": 0, "t": 0.6666666666666666, "z": 1.455608874436813, "r": 0.5296992988348014}\n'
-            '{"path_id": 0, "t": 1.0, "z": 2.043288290580583, "r": 1.0437567596059303}\n'
-            '{"path_id": 1, "t": 0.0, "z": 2.0, "r": 1.0}\n'
-            '{"path_id": 1, "t": 0.3333333333333333, "z": 1.6013712913411602, "r": 0.6410975031829137}\n'
-            '{"path_id": 1, "t": 0.6666666666666666, "z": 1.0525087378831566, "r": 0.2769436608300988}\n'
-            '{"path_id": 1, "t": 1.0, "z": 1.1683885622496082, "r": 0.3412829580989266}\n'
-        ),
-    }
-
-    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    def test_golden_bytes(self, fmt, tmp_path):
-        out = tmp_path / "paths"
-        argv = ["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--format", fmt, "--out", str(out)]
-        assert main(argv) == 0
-        assert out.read_bytes() == self.GOLDEN[fmt].encode("ascii")
-
     def test_failing_first_path_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "paths.csv"
         argv = ["simulate", "--sigma", "3", "--n", "8", "--out", str(out)]  # m < -1/2
@@ -284,7 +257,7 @@ class TestSimulateCommand:
         link.symlink_to(target)
         assert main(["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--out", str(link)]) == 0
         assert link.is_symlink()
-        assert target.read_text() == self.GOLDEN["csv"]
+        assert target.read_text() == _recorded_text("simulate --n 3 --paths 2 --seed 5")
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "paths.csv"]
 
@@ -389,9 +362,10 @@ class TestSimulateCommand:
         assert all(text.endswith("\n") for text in writes)
         assert [text.count("\n") for text in writes] == [min(size, total - first) for first in range(0, total, size)]
 
-    def test_benchmark_line_is_golden(self, monkeypatch, tmp_path):
+    def test_benchmark_line_is_golden(self, monkeypatch):
         # the simulate-csv benchmark line at --seed 1: 25 x 4097 rows in 101
-        # blocks, its SHA-256 recorded before the renderer's cells were NUL-padded
+        # blocks; streams.json holds its bytes, recorded before the renderer's
+        # cells were NUL-padded
         real = mfcir._csvtext.csv_rows
         blocks = []
 
@@ -400,12 +374,10 @@ class TestSimulateCommand:
             return real(first, rows, times, z, r)
 
         monkeypatch.setattr(mfcir._csvtext, "csv_rows", spy)
-        out = tmp_path / "paths.csv"
-        assert main(["simulate", "--preset", "figure1", "--paths", "25", "--format", "csv", "--seed", "1",
-                     "--out", str(out)]) == 0
+        line = "simulate --preset figure1 --paths 25 --format csv --seed 1"
+        assert line in record_streams.LINES
+        assert main(line.split() + ["--out", os.devnull]) == 0
         assert (len(blocks), sum(blocks)) == (101, 102_425)
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "101a45d0a8f92794b6b50bfc5f203b23127ee211beb6aa0f5fb74c42c0ecc390"
 
     @pytest.mark.parametrize(
         "state",
@@ -603,52 +575,8 @@ def test_largest_seed(argv, tmp_path, capsys):
 
 
 class TestReportCommands:
-    # Every report's exact bytes at a tiny size, as TestSimulateCommand
-    # pins simulate's: any drift in the numbers, the cells or the line
-    # layout of either format shows here.  The values are those of
-    # STREAM_VERSION 3 and move with the stream.
-    GOLDEN = {
-        "positivity": (
-            ["positivity", "--n", "8", "--paths", "3", "--seed", "5"],
-            "n_paths,min_z,min_r,feller_ok\n3,1.1317680523028903,0.32022473105336946,true\n",
-            '{"n_paths": 3, "min_z": 1.1317680523028903, "min_r": 0.32022473105336946, "feller_ok": true}\n',
-        ),
-        "mcstats": (
-            ["mcstats", "--weight-fbm", "0", "--n", "8", "--paths", "3", "--seed", "5"],
-            "t_eval,sample_mean,sample_se,n_paths,closed_form_mean\n1,1.2321097880780563,0.03254625637482355,3,1\n",
-            '{"t_eval": 1.0, "sample_mean": 1.2321097880780563, "sample_se": 0.03254625637482355, '
-            '"n_paths": 3, "closed_form_mean": 1.0}\n',
-        ),
-        "bracket": (
-            ["bracket", "--n", "16", "--refinements", "1,4", "--paths", "3", "--seed", "5"],
-            "n,refinement,qv,bracket_value\n"
-            "16,1,1.1584323088917543,1.1584323088917543\n"
-            "4,4,1.10410467560216,1.1584323088917543\n",
-            '{"n": 16, "refinement": 1, "qv": 1.1584323088917543, "bracket_value": 1.1584323088917543}\n'
-            '{"n": 4, "refinement": 4, "qv": 1.10410467560216, "bracket_value": 1.1584323088917543}\n',
-        ),
-        "convergence": (
-            ["convergence", "--n-list", "2,4", "--n-ref", "32", "--paths", "3", "--seed", "5"],
-            "n,median_sup_error,q25,q75\n"
-            "2,0.65257957940108779,0.60749320021338682,0.96539472134803939\n"
-            "4,0.52809511941455578,0.52503551745996613,0.59244262806570058\n"
-            "fitted_order=0.30535603487519825,r2=1\n",
-            '{"n": 2, "median_sup_error": 0.6525795794010878, "q25": 0.6074932002133868, "q75": 0.9653947213480394}\n'
-            '{"n": 4, "median_sup_error": 0.5280951194145558, "q25": 0.5250355174599661, "q75": 0.5924426280657006}\n'
-            '{"fitted_order": 0.30535603487519825, "r2": 1.0}\n',
-        ),
-    }
-
-    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    @pytest.mark.parametrize("command", sorted(GOLDEN))
-    def test_golden_bytes(self, command, fmt, tmp_path):
-        argv, csv, json_lines = self.GOLDEN[command]
-        out = tmp_path / "report"
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        assert out.read_bytes() == (csv if fmt == "csv" else json_lines).encode("ascii")
-
-    # One line per shape of the harnesses' chunks, at the default seed: the
-    # calls each makes, and its bytes, which tests/streams.json holds (they
+    # One line per shape of the harnesses' chunks, at the default seed, and
+    # the calls each makes.  tests/streams.json holds each line's bytes (they
     # were first recorded while sup |M| was taken from a cumsum of each
     # loaded block, not from running sums).
     SWEEP_LINES = {
@@ -658,8 +586,9 @@ class TestReportCommands:
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
-    def test_sweep_lines_are_golden(self, monkeypatch, sweep, tmp_path):
+    def test_sweep_lines_are_golden(self, monkeypatch, sweep):
         line, steps = self.SWEEP_LINES[sweep]
+        assert line in record_streams.LINES
         taken = []
         for name in ("_running_sup", "implicit_steps"):
             def spy(*args, _real=getattr(mfcir.experiments, name), _name=name, **kwargs):
@@ -667,10 +596,8 @@ class TestReportCommands:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(mfcir.experiments, name, spy)
-        out = tmp_path / "report.csv"
-        assert main(line.split() + ["--out", str(out)]) == 0
+        assert main(line.split() + ["--out", os.devnull]) == 0
         assert taken == ["_running_sup", "implicit_steps"] * steps
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == _STREAMS["lines"][line]["stdout"]
 
     def test_convergence_rows_and_footer(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -824,95 +751,36 @@ class TestIntegerListErrors:
         assert capsys.readouterr().err == f"mfcir: error: {cfg}:1: invalid value for n-list: '4,x'\n"
 
 
-def _full_parser():
-    """Every flag on every command: the parser whose texts the command line keeps."""
-    parser = _Parser(prog="mfcir")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(_COMMANDS))
-    for command, (summary, _) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=summary)
-        for option in _OPTIONS:
-            if not option.commands or command in option.commands:
-                cmd.add_argument("--" + option.key, dest=option.key, type=option.convert, help=option.help)
-        cmd.add_argument("--config", help="flat key=value config file; its keys are the flags' names")
-    return parser
-
-
-def _texts(run, argv, capsys):
-    """(exit code, stdout, stderr) of ``run(argv)``, which returns a code or exits."""
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def _full_parser_main(argv):
-    """main's exit code and error line, with the full parser in place of the one it builds."""
-    try:
-        _full_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"mfcir: error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_text.json"), encoding="utf-8") as _handle:
-    _CLI_TEXT = json.load(_handle)
-with open(record_streams.TABLE, encoding="utf-8") as _handle:
-    _STREAMS = json.load(_handle)
-
-
-class TestCliText:
-    """Every text of the command line is that of the full parser.
-
-    ``cli_text.json`` holds stdout, stderr and the exit code of each command
-    line as the full parser printed them.  argparse words and wraps its texts
-    differently from one Python version to another, so those bytes are
-    compared on the version that recorded them; on every version, each
-    command line is compared with the full parser itself.
-    """
-
-    ARGVS = [case["argv"] for case in _CLI_TEXT["cases"]] + [
-        ["-h"], ["positivity", "-h", "--bogus"], ["bracket", "--refinements", "2.5"], ["positivity", "--n"],
-        ["positivity", "--n", "x"], ["positivity", "simulate"], ["simulate", "--n-list", "4"], ["pos"],
-        ["--seed", "3", "simulate"], ["mcstats", "--t-eval"], ["simulate", "--config"],
-        # the command's parser reads the flags after it, though argv[0] names no command
-        ["--bogus", "simulate", "--n", "5"], ["--bogus", "bracket", "--refinements", "x"],
-    ]
-
-    @pytest.mark.parametrize("case", _CLI_TEXT["cases"], ids=lambda case: " ".join(case["argv"]) or "(none)")
-    def test_recorded_bytes(self, case, monkeypatch, capsys):
-        if "%d.%d" % sys.version_info[:2] != _CLI_TEXT["python"]:
-            pytest.skip(f"recorded on Python {_CLI_TEXT['python']}")
-        monkeypatch.setenv("COLUMNS", "80")
-        assert _texts(main, case["argv"], capsys) == (case["code"], case["stdout"], case["stderr"])
-
-    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
-    def test_same_as_the_full_parser(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("COLUMNS", "80")
-        expected = _texts(_full_parser_main, argv, capsys)
-        assert expected[0] in (0, 2) and expected[1] + expected[2]
-        assert _texts(main, argv, capsys) == expected
-
-
 class TestStreams:
     """Each command line of ``streams.json`` prints what it printed when the table was recorded.
 
     ``tests/record_streams.py`` rewrites the table and runs each line as
-    this test does.  A hash that differs only on another numpy or CPU, say
+    this test does.  A stream that differs only on another numpy or CPU, say
     because ``irfft`` rounds differently there, is a finding to report, not
-    a reason to drop the line.
+    a reason to drop the line.  argparse words and wraps its help and errors
+    differently from one Python version to another, so the help lines' texts
+    are compared on the version that recorded them and their exit codes on
+    every version.
     """
 
     def test_the_table_holds_the_recorded_lines(self):
         assert list(_STREAMS["lines"]) == list(record_streams.LINES)
+        assert list(_STREAMS["help"]) == list(record_streams.HELP_LINES)
 
     @pytest.mark.parametrize("line", list(_STREAMS["lines"]))
     def test_recorded_hashes(self, line):
         assert record_streams.run_line(line) == _STREAMS["lines"][line], (
             f"recorded with numpy {_STREAMS['numpy']} on {_STREAMS['platform']}, run with {record_streams.provenance()}"
         )
+
+    @pytest.mark.parametrize("line", list(_STREAMS["help"]), ids=lambda line: line or "(none)")
+    def test_recorded_help(self, line):
+        recorded = _STREAMS["help"][line]
+        ran = record_streams.run_line(line)
+        if record_streams.provenance()["python"] == _STREAMS["python"]:
+            assert ran == recorded
+        else:
+            assert ran["code"] == recorded["code"]
 
 
 # The mfcir.cli names through which the commands reach the library and the
