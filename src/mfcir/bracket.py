@@ -49,13 +49,15 @@ def _bracket_sums(increments: np.ndarray, values: np.ndarray, refinement: int) -
     """``(qv_sum, iterated_correction, bracket_value)`` of one path on the grid coarsened by ``refinement``.
 
     ``increments`` and ``values`` are the path's on the fine grid; ``refinement`` divides its step count.
+    The sums of squares are einsum's, not BLAS's: BLAS splits a long dot product over its threads,
+    and so its last bit depends on the thread count.
     """
     if refinement == 1:  # each outer interval is one fine step: no iterated sums
-        qv_sum = float(np.dot(increments, increments))
+        qv_sum = float(np.einsum("i,i->", increments, increments))
         return qv_sum, 0.0, qv_sum
     n_outer = len(increments) // refinement
     outer_inc = _block_sums(increments, n_outer)
-    qv_sum = float(np.dot(outer_inc, outer_inc))
+    qv_sum = float(np.einsum("i,i->", outer_inc, outer_inc))
     left = values[:-1].reshape(n_outer, refinement)
     rel = left - left[:, :1]  # path relative to the outer-interval start
     iterated_correction = 2.0 * float(np.sum(rel * increments.reshape(n_outer, refinement)))

@@ -71,7 +71,7 @@ class TestDiscreteIterated:
         est = discrete_ito_iterated(path, 1)
         assert est.iterated_correction == 0.0
         assert est.bracket_value == est.qv_sum
-        assert est.qv_sum == float(np.dot(path.increments, path.increments))
+        assert est.qv_sum == float(np.einsum("i,i->", path.increments, path.increments))
 
     def test_telescopes_to_fine_qv(self):
         path = build_mixed(MixedSpec(), GridSpec(1.0, 2**14), 2024)
@@ -136,7 +136,7 @@ def test_refinement_one_skips_the_iterated_sums(increments, negative):
     inc = -np.abs(increments) if negative else np.asarray(increments)
     path = NoisePath(GridSpec(1.0, len(inc)), inc, seed=0)
     outer = _block_sums(inc, len(inc))
-    qv = float(np.dot(outer, outer))
+    qv = float(np.einsum("i,i->", outer, outer))
     left = path.path_values()[:-1].reshape(len(inc), 1)
     rel = left - left[:, :1]  # the path relative to each outer interval's start
     correction = 2.0 * float(np.sum(rel * inc.reshape(len(inc), 1)))

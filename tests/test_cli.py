@@ -782,6 +782,15 @@ class TestStreams:
         else:
             assert ran["code"] == recorded["code"]
 
+    # OpenBLAS splits a long dot product over its threads, and so rounds it
+    # differently at each thread count: the bracket sums of squares and the
+    # convergence fit must not reach BLAS
+    @pytest.mark.parametrize("line", [line for line in record_streams.LINES if line.startswith("bracket")]
+                             + ["convergence --paths 2"])
+    def test_no_byte_depends_on_the_blas_thread_count(self, line):
+        runs = [_run_python("-m", "mfcir", *line.split(), OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert len({(proc.returncode, proc.stdout, proc.stderr) for proc in runs}) == 1
+
 
 # The mfcir.cli names through which the commands reach the library and the
 # emitters.  perfbench/spans.py replaces names on mfcir.cli to time a layer,
@@ -937,10 +946,10 @@ def test_installed_entry_point_subprocess(tmp_path):
     assert out.exists()
 
 
-def _run_python(*args):
-    """A fresh interpreter that imports mfcir from this checkout's src/."""
+def _run_python(*args, **variables):
+    """A fresh interpreter that imports mfcir from this checkout's src/, with ``variables`` in its environment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
