@@ -281,9 +281,10 @@ def emit_trajectories(paths, config: RunConfig) -> None:
             from . import _csvtext  # here, so that no other command compiles it or builds its tables
 
             times = _csvtext.float_cells(config.grid.times)
-            out.write("path_id,t,z,r\n")
 
             def render(first, z, r):
+                if first == 0:  # the header comes with the first rows: a run that fails before them writes nothing
+                    out.write("path_id,t,z,r\n")
                 return _csvtext.csv_rows(first, rows, times, z, r)
         else:
             # %r of a finite float is the shortest repr that round-trips, as json.dumps writes it

@@ -212,6 +212,9 @@ class TestSimulateCommand:
         out.write_text("earlier output\n")  # only the temporary file beside it was written
         assert main(argv) == 2
         assert out.read_text() == "earlier output\n"
+        capsys.readouterr()
+        assert main(argv[:-1] + ["-"]) == 2
+        assert capsys.readouterr().out == ""  # not even the CSV header
 
     @staticmethod
     def _fail_on_third_path(monkeypatch, error):
