@@ -21,7 +21,7 @@ import mfcir.cli
 import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
-from mfcir.noise import CirculantEmbeddingError, GridSpec, substream_seed
+from mfcir.noise import CirculantEmbeddingError, substream_seed
 from mfcir.scheme import simulate_z
 
 with open(record_streams.TABLE, encoding="utf-8") as _handle:

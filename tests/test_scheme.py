@@ -531,25 +531,3 @@ class TestSecondSolver:
         assert coarse / fine >= 2.5, (coarse, fine)
         assert fine <= 5e-4
 
-
-class TestInterpolate:
-    """Linear interpolation of a trajectory, as the convergence harness extends a coarse solution."""
-
-    def _two_node(self):
-        params = CirParams(1.0, 1.0, 2.0, 1.0)
-        z = np.array([1.0, 3.0])
-        return Trajectory(GridSpec(1.0, 1), z, params, 0)
-
-    def test_nodes_exact(self):
-        noise = build_mixed(MixedSpec(), GridSpec(1.0, 16), 3)
-        traj = simulate_z(PARAMS_M_ONE, noise)
-        for k, t in enumerate(traj.grid.times):
-            assert np.interp(t, traj.grid.times, traj.z_values) == traj.z_values[k]
-
-    def test_midpoint(self):
-        traj = self._two_node()
-        assert np.interp(0.5, traj.grid.times, traj.z_values) == 2.0
-
-    def test_left_endpoint(self):
-        traj = self._two_node()
-        assert np.interp(0.0, traj.grid.times, traj.z_values) == 1.0
