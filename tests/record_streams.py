@@ -140,8 +140,12 @@ def _stored(text: str):
 def run_line(line: str) -> dict:
     """Exit code, stdout and stderr of ``mfcir LINE``, run in this process, as the table stores them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+    ):
         warnings.simplefilter("error")
         try:
             code = mfcir.cli.main(shlex.split(line))

@@ -28,11 +28,6 @@ with open(record_streams.TABLE, encoding="utf-8") as _handle:
     _STREAMS = json.load(_handle)
 
 
-def _recorded_text(line):
-    """The stdout of ``mfcir LINE`` that ``streams.json`` holds as text."""
-    return "\n".join(_STREAMS["lines"][line]["stdout"])
-
-
 class TestParseConfig:
     def test_long_horizon_ensemble_line(self):
         config = parse_config(
@@ -260,7 +255,7 @@ class TestSimulateCommand:
         link.symlink_to(target)
         assert main(["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--out", str(link)]) == 0
         assert link.is_symlink()
-        assert target.read_text() == _recorded_text("simulate --n 3 --paths 2 --seed 5")
+        assert target.read_text() == "\n".join(_STREAMS["lines"]["simulate --n 3 --paths 2 --seed 5"]["stdout"])
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "paths.csv"]
 

@@ -210,6 +210,15 @@ class TestFitOrder:
         assert r2 == pytest.approx(1.0, abs=1e-12)
         assert note == ""
 
+    def test_matches_a_least_squares_solver(self):
+        # the closed form against np.polyfit, the LAPACK fit that it replaced, on scattered points
+        n = np.array([8, 16, 32, 64, 128])
+        medians = n**-0.6 * np.exp(np.random.default_rng(7).normal(0.0, 0.3, n.size))
+        x, y = np.log(n), np.log(medians)
+        slope, intercept = np.polyfit(x, y, 1)
+        r2 = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+        assert _fit_order(n, medians)[:2] == pytest.approx((-slope, r2), rel=1e-12)
+
 
 class TestPositivity:
     GRID = GridSpec(1.0, 2**9)
