@@ -28,6 +28,20 @@ with open(record_streams.TABLE, encoding="utf-8") as _handle:
     _STREAMS = json.load(_handle)
 
 
+def _recorded_stdout(line):
+    """The stdout that ``streams.json`` records for ``line``, which it stores as text."""
+    return "\n".join(_STREAMS["lines"][line]["stdout"])
+
+
+def _check_out_file(line, fmt, tmp_path):
+    """``line`` of the table in ``fmt``, run with ``--out``, writes the stdout that the table records."""
+    if fmt != "csv":
+        line += " --format " + fmt
+    out = tmp_path / "out"
+    assert main(line.split() + ["--out", str(out)]) == 0
+    assert out.read_bytes() == _recorded_stdout(line).encode("ascii")
+
+
 class TestParseConfig:
     def test_long_horizon_ensemble_line(self):
         config = parse_config(
@@ -198,6 +212,10 @@ class TestSimulateCommand:
         assert len(records) == 6
         assert set(records[0]) == {"path_id", "t", "z", "r"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_golden_bytes(self, fmt, tmp_path):
+        _check_out_file("simulate --n 3 --paths 2 --seed 5", fmt, tmp_path)
+
     def test_failing_first_path_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "paths.csv"
         argv = ["simulate", "--sigma", "3", "--n", "8", "--out", str(out)]  # m < -1/2
@@ -255,7 +273,7 @@ class TestSimulateCommand:
         link.symlink_to(target)
         assert main(["simulate", "--n", "3", "--paths", "2", "--seed", "5", "--out", str(link)]) == 0
         assert link.is_symlink()
-        assert target.read_text() == "\n".join(_STREAMS["lines"]["simulate --n 3 --paths 2 --seed 5"]["stdout"])
+        assert target.read_text() == _recorded_stdout("simulate --n 3 --paths 2 --seed 5")
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "paths.csv"]
 
@@ -597,6 +615,19 @@ class TestReportCommands:
         assert main(line.split() + ["--out", os.devnull]) == 0
         assert taken == ["_running_sup", "implicit_steps"] * steps
 
+    # Each command's seed-5 line of the table, whose every byte shows there.
+    SEED_5_LINES = {
+        "positivity": "positivity --n 8 --paths 3 --seed 5",
+        "mcstats": "mcstats --weight-fbm 0 --n 8 --paths 3 --seed 5",  # Brownian only: the closed-form cell too
+        "bracket": "bracket --n 16 --refinements 1,4 --paths 3 --seed 5",
+        "convergence": "convergence --n-list 2,4 --n-ref 32 --paths 3 --seed 5",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("command", sorted(SEED_5_LINES))
+    def test_golden_bytes(self, command, fmt, tmp_path):
+        _check_out_file(self.SEED_5_LINES[command], fmt, tmp_path)
+
     def test_convergence_rows_and_footer(self, tmp_path):
         out = tmp_path / "conv.csv"
         argv = [
@@ -749,16 +780,41 @@ class TestIntegerListErrors:
         assert capsys.readouterr().err == f"mfcir: error: {cfg}:1: invalid value for n-list: '4,x'\n"
 
 
+class TestCliText:
+    """Each help and parser-error line of ``streams.json`` prints what it printed when the table was recorded.
+
+    The table's ``help`` section was recorded when ``main`` printed the same
+    texts as a full copy of its parser.  argparse words and wraps its help
+    and errors differently from one Python version to another, so the texts
+    are compared on the version that recorded them, and the exit code and
+    the streams that carry text on every version.
+    """
+
+    @pytest.mark.parametrize("line", list(_STREAMS["help"]), ids=lambda line: line or "(none)")
+    def test_recorded_bytes(self, line):
+        recorded = _STREAMS["help"][line]
+        ran = record_streams.run_line(line)
+        if record_streams.provenance()["python"] == _STREAMS["python"]:
+            assert ran == recorded
+        else:
+            assert ran["code"] == recorded["code"]
+
+    @pytest.mark.parametrize("line", list(_STREAMS["help"]), ids=lambda line: line or "(none)")
+    def test_same_as_the_full_parser(self, line):
+        recorded = _STREAMS["help"][line]
+        ran = record_streams.run_line(line)
+        assert ran["code"] == recorded["code"] in (0, 2)
+        for stream in ("stdout", "stderr"):
+            assert (ran[stream] == [""]) == (recorded[stream] == [""]), stream
+
+
 class TestStreams:
     """Each command line of ``streams.json`` prints what it printed when the table was recorded.
 
     ``tests/record_streams.py`` rewrites the table and runs each line as
     this test does.  A stream that differs only on another numpy or CPU, say
     because ``irfft`` rounds differently there, is a finding to report, not
-    a reason to drop the line.  argparse words and wraps its help and errors
-    differently from one Python version to another, so the help lines' texts
-    are compared on the version that recorded them and their exit codes on
-    every version.
+    a reason to drop the line.
     """
 
     def test_the_table_holds_the_recorded_lines(self):
@@ -770,15 +826,6 @@ class TestStreams:
         assert record_streams.run_line(line) == _STREAMS["lines"][line], (
             f"recorded with numpy {_STREAMS['numpy']} on {_STREAMS['platform']}, run with {record_streams.provenance()}"
         )
-
-    @pytest.mark.parametrize("line", list(_STREAMS["help"]), ids=lambda line: line or "(none)")
-    def test_recorded_help(self, line):
-        recorded = _STREAMS["help"][line]
-        ran = record_streams.run_line(line)
-        if record_streams.provenance()["python"] == _STREAMS["python"]:
-            assert ran == recorded
-        else:
-            assert ran["code"] == recorded["code"]
 
     # OpenBLAS splits a long dot product over its threads, and so rounds it
     # differently at each thread count: the bracket sums of squares and the
