@@ -357,9 +357,9 @@ def emit_report(rows, footer, config: RunConfig) -> None:
         out.writelines(line + "\n" for line in lines)
 
 
-# simulate's increment blocks, in standard normals: one row at n = 4096.  The harnesses'
-# 2**17 (16 rows there) raised the peak RSS of --preset figure1 from 37.3 to 39.2 MB.
-_SIMULATE_BLOCK_NORMALS = 2**13
+# simulate's increment block budget, in bytes (mixed._block_rows): one row at n = 4096.  Blocks
+# of 16 rows there, the harnesses' Brownian ones, raised the peak RSS of --preset figure1 from 37.3 to 39.2 MB.
+_SIMULATE_BLOCK_BYTES = 2**15
 
 
 def _simulate(config: RunConfig) -> None:
@@ -369,7 +369,7 @@ def _simulate(config: RunConfig) -> None:
 
     def paths():
         for _, chunk in _chunks(grid, config.n_paths, config.seed):
-            for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_NORMALS):
+            for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_BYTES):
                 for row in block:
                     yield _scalar_steps(params, dt, z0, memoryview(row))  # its doubles, read in place
             del block, row  # chunk k's buffer is freed before chunk k + 1 is drawn

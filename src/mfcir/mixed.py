@@ -42,12 +42,18 @@ __all__ = ["MixedSpec", "build_mixed"]
 _BM_STREAM = 0
 _FBM_STREAM = 1
 
-# The harnesses' block size, in standard normals, 2n per path: 64 paths
-# at 2**10 steps, one at 2**16.  The block's normals, which the transform
-# output and then the block's increments overwrite, and its half spectra
-# (n + 1 complex values per path) stay near 2 MB together, whatever the
-# number of paths.
-_CHUNK_SPECTRUM = 2**17
+# The harnesses' block budget, in bytes of block buffers: 64 Brownian rows
+# at 2**10 steps, 15 fractional ones, and one of either kind at 2**16.
+_BLOCK_BYTES = 2**19
+
+
+def _block_rows(n: int, fractional: bool, budget: int) -> int:
+    """Rows of n steps whose buffers fit ``budget`` bytes: 8n a Brownian row, 32n + 16 a fractional one
+    (2n normals, which the transform and then the increments overwrite, and n + 1 complex spectrum values).
+    A fractional block takes at least 4 rows, since a one-row block fills one double per row of a chunk's
+    step-major states, and never more than a Brownian one; every block takes at least one."""
+    rows = max(1, budget // (8 * n))
+    return min(rows, max(4, budget // (32 * n + 16))) if fractional else rows
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ class MixedSpec:
 
 
 def _increment_blocks(
-    spec: MixedSpec, grid: GridSpec, seeds: np.ndarray, block_normals: int = _CHUNK_SPECTRUM
+    spec: MixedSpec, grid: GridSpec, seeds: np.ndarray, block_bytes: int | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Mixed-driver increments of ``seeds``, one block of rows at a time.
 
@@ -86,8 +92,10 @@ def _increment_blocks(
     ``seeds[lo + i]``, its Brownian component from substream 0 of the seed
     and its fractional component from substream 1, through
     :func:`~mfcir.noise.sample_fbm_davies_harte`'s transform.  A row does
-    not depend on the blocking or on the other seeds.  A block holds
-    ``block_normals // (2n)`` rows, and at least one.
+    not depend on the blocking or on the other seeds.  A block holds the
+    rows that :func:`_block_rows` fits in ``block_bytes`` (by default
+    ``_BLOCK_BYTES``, read at each call).  A non-finite increment is a
+    ValueError, raised once the rows of its block above its row are yielded.
 
     The spectrum scale is looked up once, before any buffer is allocated,
     and only if there is a fractional row to draw.  Each block is drawn
@@ -122,7 +130,7 @@ def _increment_blocks(
         fbm_states = _pcg64_states(seeds, _FBM_STREAM)
     if spec.weight_bm != 0.0:
         bm_states = _pcg64_states(seeds, _BM_STREAM)
-    rows = min(len(seeds), max(1, block_normals // (2 * n)))
+    rows = min(len(seeds), _block_rows(n, fractional, _BLOCK_BYTES if block_bytes is None else block_bytes))
     buffer = np.empty((rows, 2 * n if fractional else n))
     if fractional:
         spectrum = np.empty((rows, n + 1), dtype=np.complex128)
@@ -147,6 +155,9 @@ def _increment_blocks(
             if fractional:
                 block += fbm
         if not np.isfinite(block).all():
+            finite = int(np.isfinite(block).all(axis=1).argmin())  # the rows above the first non-finite one
+            if finite:
+                yield lo, block[:finite]
             raise ValueError("increments contain NaN or Inf")
         yield lo, block
 

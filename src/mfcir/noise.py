@@ -161,11 +161,13 @@ def _pcg64_states(seeds: np.ndarray, stream: int) -> Iterator[dict]:
     words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]
     words *= _HASH_B[1:]
     words = (words ^ (words >> 16)).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | (words[1::2] << 32)).tolist()
-    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((((c << 64) | d) << 1) | 1) & _MASK128
-        state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    packed = words[0::2] | (words[1::2] << 32)
+    del s, entropy, pool, mixed, words  # while it yields, the generator holds packed alone
+    for at in range(0, packed.shape[1], 64):  # and Python ints for 64 seeds at a time
+        for a, b, c, d in zip(*packed[:, at : at + 64].tolist()):
+            inc = ((((c << 64) | d) << 1) | 1) & _MASK128
+            state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def _require_integer(name: str, value) -> int:

@@ -18,6 +18,7 @@ from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir._csvtext
 import mfcir.cli
+import mfcir.mixed
 import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
 from mfcir.mixed import build_mixed
@@ -827,6 +828,29 @@ class TestStreams:
             f"recorded with numpy {_STREAMS['numpy']} on {_STREAMS['platform']}, run with {record_streams.provenance()}"
         )
 
+    # Both block budgets at one row per block, at 6144 bytes (blocks of 3
+    # fractional rows at n = 256 and 2 at n = 300, each chunk's last one
+    # partial) and at 2**22 bytes (each chunk one block): the lines print
+    # what the shipped budgets printed
+    @pytest.mark.parametrize("budget", [1, 6144, 2**22])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "positivity --n 256 --paths 20",
+            "mcstats --n 64 --paths 200",
+            "convergence --paths 3 --n-list 8,16 --n-ref 128",
+            "bracket --n 1024 --refinements 1,4,16 --paths 10",
+            "simulate --n 300 --paths 5",
+            "simulate --n 1 --paths 1100 --format json-lines",
+            "simulate --n 100 --paths 5 --weight-bm 0.5 --weight-fbm 0",
+            "simulate --weight-bm 1e308 --weight-fbm 0 --n 1 --paths 50",
+        ],
+    )
+    def test_no_byte_depends_on_the_block_budgets(self, monkeypatch, line, budget):
+        monkeypatch.setattr(mfcir.mixed, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget)
+        assert record_streams.run_line(line) == _STREAMS["lines"][line]
+
     # OpenBLAS splits a long dot product over its threads, and so rounds it
     # differently at each thread count: the bracket sums of squares and the
     # convergence fit must not reach BLAS
@@ -937,7 +961,7 @@ class TestExitCodes:
         assert runs[0].stderr == f"mfcir: i/o error: [Errno 2] No such file or directory: {target!r}\n"
 
     def test_numerical_failure_is_4(self, monkeypatch, capsys):
-        def explode(spec, grid, seeds, block_normals):
+        def explode(spec, grid, seeds, block_bytes):
             raise CirculantEmbeddingError("synthetic eigenvalue failure")
 
         monkeypatch.setattr("mfcir.cli._increment_blocks", explode)

@@ -687,9 +687,9 @@ class TestSweep:
         returned = []
         blocks = experiments._increment_blocks
 
-        def spy(spec, grid, seeds, block_normals=mixed._CHUNK_SPECTRUM):
+        def spy(spec, grid, seeds, block_bytes=None):
             assert all(ref() is None for ref in returned), "the previous chunk is still alive"
-            for lo, block in blocks(spec, grid, seeds, block_normals):
+            for lo, block in blocks(spec, grid, seeds, block_bytes):
                 returned.append(weakref.ref(block.base))  # the generator's buffer
                 yield lo, block
 
@@ -697,7 +697,7 @@ class TestSweep:
         monkeypatch.setattr("mfcir.cli._increment_blocks", spy)
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
-        if run == "simulate":  # simulate draws each chunk a 2**13-normal block at a time: one block here
+        if run == "simulate":  # simulate draws each chunk a 2**15-byte block at a time: one block here
             assert main(["simulate", "--n", "64", "--paths", "10", "--out", str(tmp_path / "paths.csv")]) == 0
         elif run == "positivity":
             run_positivity(*args, 10, 3)
@@ -778,13 +778,26 @@ class TestPeakMemory:
         # reductions and the sweep's temporaries; the peak measured 0.33 MB
         # above states + block (2-core x86-64 box, numpy 2.4.6).
         n, n_paths = 1024, 640
-        rows = mixed._CHUNK_SPECTRUM // (2 * n)
+        rows = mixed._BLOCK_BYTES // (8 * n)
         states = 8 * (n + 1) * n_paths
         block = 8 * rows * n
         slack = 0.5e6
         grid = GridSpec(1.0, n)
         peak = _traced_peak_mb(lambda: run_mc_stats(PARAMS, MixedSpec(weight_fbm=0.0), grid, 0.5, n_paths, 5))
         assert peak < (states + block + slack) / 1e6, peak
+
+    def test_fractional_sweep_holds_one_state_buffer_and_one_block_budget(self):
+        # the default mixed driver: beside the (1025, 640) states, its block's
+        # normals and spectra fit the block budget, as a Brownian block does,
+        # with the same slack.  Counted at 2n normals a row, 64 rows held 2.0 MiB
+        # and the peak read 7.93 MB, against 6.17 MB here (2-core x86-64 box,
+        # numpy 2.4.6).
+        n, n_paths = 1024, 640
+        states = 8 * (n + 1) * n_paths
+        slack = 0.5e6
+        grid = GridSpec(1.0, n)
+        peak = _traced_peak_mb(lambda: run_mc_stats(PARAMS, MixedSpec(), grid, 0.5, n_paths, 5))
+        assert peak < (states + mixed._BLOCK_BYTES + slack) / 1e6, peak
 
     def test_positivity_does_not_grow_with_paths(self):
         # ten times the paths, the same peak: every chunk has 1024 paths at

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import coupled_paths, increment_matrix
 
 import mfcir.mixed as mixed
+from mfcir.cli import _SIMULATE_BLOCK_BYTES
 from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import (
     CirculantEmbeddingError,
@@ -143,8 +144,8 @@ class TestEnsembleIncrements:
     )
     def test_reused_buffers_match_per_path_samplers_bitwise(self, n, n_seeds):
         # 2**16 steps: every block is one row, so the normals and spectrum
-        # buffers serve each path in turn; 1024 steps: blocks of 64 rows,
-        # the last one of 6, in the first rows of the buffers
+        # buffers serve each path in turn; 1024 steps: blocks of 15 rows,
+        # the last one of 10, in the first rows of the buffers
         spec = MixedSpec(0.75, 0.6, 1.4)
         grid = GridSpec(1.0, n)
         seeds = [substream_seed(53, i) for i in range(n_seeds)]
@@ -171,8 +172,9 @@ class TestEnsembleIncrements:
             increment_matrix(spec, grid, [1])
 
     def test_state_dicts_are_built_one_block_at_a_time(self, monkeypatch):
-        # 200 paths at n = 1024 are four blocks of up to 64 rows; when a
-        # block is yielded, each stream has built its rows' states and no more
+        # 200 paths at n = 1024 are blocks of the rows that fit the budget, the
+        # last one partial; when a block is yielded, each stream has built its
+        # rows' states and no more
         built = []
 
         def counting(seeds, stream):
@@ -188,11 +190,49 @@ class TestEnsembleIncrements:
         for lo, block in mixed._increment_blocks(MixedSpec(), GridSpec(1.0, 1024), seeds):
             ends.append(lo + len(block))
             assert built == [ends[-1]] * 2, (lo, built)
-        assert ends == [64, 128, 192, 200]
+        rows = mixed._block_rows(1024, True, mixed._BLOCK_BYTES)
+        assert ends == [*range(rows, 200, rows), 200]
 
     def test_overflowing_weight_is_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             increment_matrix(MixedSpec(weight_bm=1e308), GridSpec(1e6, 4), [1])
+
+    @pytest.mark.parametrize("lo", [0, 16], ids=["mid-block", "first row"])
+    def test_rows_above_an_overflowing_row_are_yielded_first(self, lo):
+        # one block of one-step rows from path lo on, of which path 16 is the
+        # first to overflow: the rows above it are yielded, then the error raised
+        spec, grid = MixedSpec(weight_bm=1e308, weight_fbm=0.0), GridSpec(1.0, 1)
+        seeds = [substream_seed(42, i) for i in range(lo, 50)]
+        with np.errstate(over="ignore"):
+            reference = np.vstack([reference_row(spec, grid, seed) for seed in seeds])
+        bad = int(np.isfinite(reference).all(axis=1).argmin())
+        assert bad == 16 - lo
+        yielded = []
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            for at, block in mixed._increment_blocks(spec, grid, np.array(seeds, dtype=np.uint64)):
+                yielded.append((at, block.tobytes()))
+        assert yielded == ([(0, reference[:bad].tobytes())] if bad else [])
+
+
+class TestBlockRows:
+    """The rows of a draw block: as many as its buffers fit in the byte budget."""
+
+    @pytest.mark.parametrize("n", [1, 16, 1024, 4096, 2**14, 2**16])
+    @pytest.mark.parametrize(
+        "budget, normals", [(mixed._BLOCK_BYTES, 2**17), (_SIMULATE_BLOCK_BYTES, 2**13)], ids=["harness", "simulate"]
+    )
+    def test_rows_fit_the_budget(self, n, budget, normals):
+        # the rows that blocks took when both kinds counted 2n normals a row
+        counted = max(1, normals // (2 * n))
+        assert mixed._block_rows(n, False, budget) == counted
+        rows, row_bytes = mixed._block_rows(n, True, budget), 32 * n + 16
+        assert 1 <= rows <= counted
+        assert rows * row_bytes <= budget or rows == min(4, counted)  # fits, or sits at the floor
+        assert (rows + 1) * row_bytes > budget or rows == counted  # and takes every row that fits
+
+    def test_figure1_and_bracket_fine_draw_one_row_at_a_time(self):
+        assert mixed._block_rows(4096, True, _SIMULATE_BLOCK_BYTES) == 1
+        assert mixed._block_rows(2**16, True, mixed._BLOCK_BYTES) == 1
 
 
 class TestDeriveCoupled:
