@@ -79,6 +79,8 @@ LINES = (
     "simulate --k 0.01 --theta 300 --sigma 3 --T 0.01 --n 1 --weight-bm 1e155 --seed 7 --paths 40",
     "simulate --k 0.01 --theta 300 --sigma 3 --T 0.01 --n 1 --weight-bm 1e155 --seed 7 --paths 40 --format json-lines",
     "simulate --weight-bm 1e160 --weight-fbm 0 --n 4 --paths 3",
+    # the harnesses' chunk states overflow in the implicit step
+    "positivity --weight-bm 1e160 --weight-fbm 0 --n 4 --paths 3",
     # path 16's draw overflows; the finite draws before it are stepped, and path 0's state overflows
     "simulate --weight-bm 1e308 --weight-fbm 0 --n 1 --paths 50",
     "bracket --hurst 0.999 --n 262144 --paths 1",
