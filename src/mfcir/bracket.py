@@ -60,7 +60,8 @@ def _bracket_sums(increments: np.ndarray, values: np.ndarray, refinement: int) -
     qv_sum = float(np.einsum("i,i->", outer_inc, outer_inc))
     left = values[:-1].reshape(n_outer, refinement)
     rel = left - left[:, :1]  # path relative to the outer-interval start
-    iterated_correction = 2.0 * float(np.sum(rel * increments.reshape(n_outer, refinement)))
+    rel *= increments.reshape(n_outer, refinement)
+    iterated_correction = 2.0 * float(np.sum(rel))
     return qv_sum, iterated_correction, qv_sum - iterated_correction
 
 

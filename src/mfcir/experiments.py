@@ -75,9 +75,11 @@ _SWEEP_CELLS = 2**22
 # _step takes each path's sup |M| from step-major running sums, one
 # np.add per step into a ring of _RING_ROWS rows that is folded with max and
 # -min each time it fills.  Against a cumsum of each loaded block (2-core
-# x86-64 box, numpy 2.4.6, n = 1024) it takes 0.47 of the time at 1024
+# x86-64 box, numpy 2.4.6, n = 1024) the sums take 0.47 of the time at 1024
 # paths and 0.77 at 512, but 2.0 at 128, since each step costs a narrow
 # chunk about 0.45 us.  Rings of 16 or 256 rows took 1.2 times as long.
+# _RING_ROWS also sets the length of the segments of rows that _step steps,
+# and folds into each path's max and min, after each fold of the ring.
 _RING_ROWS = 64
 
 
@@ -113,42 +115,38 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
-def _running_sup(increments: np.ndarray) -> np.ndarray:
-    """Each column's sup |M| from its step-major ``increments`` (steps, paths).
-
-    M runs through the columns' partial sums, one row at a time in a ring of
-    _RING_ROWS rows, in the order of a cumsum along each path, so the sup is
-    the same bit for bit.  A sum that overflows leaves an inf or nan sup; its
-    path's states overflow too, which :func:`_step` rejects, so numpy need
-    not warn.
-    """
-    width = increments.shape[1]
-    ring = np.empty((min(_RING_ROWS, len(increments)), width))
-    high, low = np.full(width, -np.inf), np.full(width, np.inf)
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for at in range(0, len(increments), len(ring)):
-            rows = ring[: len(increments) - at]
-            for row, inc in zip(rows, increments[at:]):
-                total = np.add(total, inc, out=row)
-            np.maximum(high, rows.max(axis=0), out=high)
-            np.minimum(low, rows.min(axis=0), out=low)
-    return np.maximum(high, np.negative(low, out=low), out=high)
-
-
 def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Step the paths in the columns of ``z`` (n + 1, width); reject overflowed states.
 
     Column i holds z0 in row 0, then path i's increments, which are turned
     into its states in place, bit for bit as :func:`~mfcir.scheme.simulate_z`.
-    Each path's sup |M| is taken from running sums over its rows before
-    they are stepped.  Returns ``z``, its minimum and the number of paths
-    that pierce the envelope.
+    One pass takes the rows a segment of _RING_ROWS at a time: each path's
+    sup |M| runs through the partial sums of the segment's increments, in a
+    ring, in the order of a cumsum along the path, so it is the same bit for
+    bit; then the segment is stepped and its states are folded into each
+    path's max and min.  A sum that overflows leaves an inf or nan sup; its
+    path's states overflow too, and numpy's folds keep a nan state for
+    ``_require_in_range`` to reject, so numpy need not warn.  Returns ``z``,
+    its minimum and the number of paths that pierce the envelope.
     """
-    sup_m = _running_sup(z[1:])  # its ring is allocated once the chunk's block buffers are gone
-    implicit_steps(params, grid.dt, z)
-    z_max = z.max(axis=0)
-    z_min = float(z.min())
+    n, width = len(z) - 1, z.shape[1]
+    ring = np.empty((min(_RING_ROWS, n), width))  # allocated once the chunk's block buffers are gone
+    high, low = np.full(width, -np.inf), np.full(width, np.inf)
+    z_max, z_min = np.full(width, -np.inf), np.full(width, np.inf)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at in range(1, n + 1, len(ring)):
+            rows = ring[: n + 1 - at]
+            for row, inc in zip(rows, z[at:]):
+                total = np.add(total, inc, out=row)
+            np.maximum(high, rows.max(axis=0), out=high)
+            np.minimum(low, rows.min(axis=0), out=low)
+            segment = z[at - 1 : at + len(rows)]  # the previous state, then the segment's increments
+            implicit_steps(params, grid.dt, segment)
+            np.maximum(z_max, segment.max(axis=0), out=z_max)
+            np.minimum(z_min, segment.min(axis=0), out=z_min)
+    sup_m = np.maximum(high, np.negative(low, out=low), out=high)
+    z_min = float(z_min.min())
     _require_in_range(z_min, z_max.max(), params.sigma)
     return z, z_min, _envelope_violations(params, grid, sup_m, z_max)
 

@@ -593,28 +593,30 @@ def test_largest_seed(argv, tmp_path, capsys):
 
 class TestReportCommands:
     # One line per shape of the harnesses' chunks, at the default seed, and
-    # the calls each makes.  tests/streams.json holds each line's bytes (they
-    # were first recorded while sup |M| was taken from a cumsum of each
-    # loaded block, not from running sums).
+    # the kernel calls each makes: one per segment of _RING_ROWS (64) steps of
+    # each chunk on each grid, every grid here a multiple of 64 steps.  tests/streams.json holds each line's bytes
+    # (they were first recorded while sup |M| was taken from a cumsum of each
+    # loaded block, and the states were stepped in one call per chunk).
     SWEEP_LINES = {
-        "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", 2),  # a 1024-wide chunk, then a 76-wide one
-        "long": ("positivity --n 131072 --paths 3", 1),  # one 3-wide chunk of 131072 steps, 2048 rings
-        "lanes": ("convergence --paths 2", 6),  # the 2**14-step reference lane and 5 coarse ones, each 2 wide
+        "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", 32),  # a 1024-wide chunk, then a 76-wide one
+        "long": ("positivity --n 131072 --paths 3", 2048),  # one 3-wide chunk of 131072 steps
+        # the 2**14-step reference lane and coarse lanes of 64, 128, 256, 512 and 1024 steps, each 2 wide
+        "lanes": ("convergence --paths 2", 256 + 1 + 2 + 4 + 8 + 16),
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
     def test_sweep_lines_are_golden(self, monkeypatch, sweep):
-        line, steps = self.SWEEP_LINES[sweep]
+        line, calls = self.SWEEP_LINES[sweep]
         assert line in record_streams.LINES
         taken = []
-        for name in ("_running_sup", "implicit_steps"):
-            def spy(*args, _real=getattr(mfcir.experiments, name), _name=name, **kwargs):
-                taken.append(_name)
-                return _real(*args, **kwargs)
 
-            monkeypatch.setattr(mfcir.experiments, name, spy)
+        def spy(*args, _real=mfcir.experiments.implicit_steps, **kwargs):
+            taken.append(len(args[2]) - 1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mfcir.experiments, "implicit_steps", spy)
         assert main(line.split() + ["--out", os.devnull]) == 0
-        assert taken == ["_running_sup", "implicit_steps"] * steps
+        assert taken == [64] * calls
 
     # Each command's seed-5 line of the table, whose every byte shows there.
     SEED_5_LINES = {
@@ -849,6 +851,30 @@ class TestStreams:
     def test_no_byte_depends_on_the_block_budgets(self, monkeypatch, line, budget):
         monkeypatch.setattr(mfcir.mixed, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget)
+        assert record_streams.run_line(line) == _STREAMS["lines"][line]
+
+    # The stepping lines at rings of one row (one segment a step), 5 rows (a
+    # partial last segment on every grid here) and 2**20 rows (one segment a
+    # grid): they print what the shipped 64-row ring printed.  Three lines
+    # whose time goes to drawing long or many fractional paths are left out,
+    # and so is the 2**17-step line at one row, to keep the test near 3 s.
+    @pytest.mark.parametrize(
+        "ring, line",
+        [
+            (ring, line)
+            for ring in (1, 5, 2**20)
+            for line in record_streams.LINES
+            if line.split()[0] in ("positivity", "mcstats", "convergence")
+            and line not in (
+                "positivity --hurst 0.999 --n 65536 --paths 2",
+                "positivity --n 4096 --paths 1030",
+                "convergence --paths 260 --n-list 8,16",
+            )
+            and (ring, line) != (1, "positivity --n 131072 --paths 3")
+        ],
+    )
+    def test_no_byte_depends_on_the_ring(self, monkeypatch, ring, line):
+        monkeypatch.setattr(mfcir.experiments, "_RING_ROWS", ring)
         assert record_streams.run_line(line) == _STREAMS["lines"][line]
 
     # OpenBLAS splits a long dot product over its threads, and so rounds it

@@ -839,14 +839,47 @@ class TestPeakMemory:
 @example(paths=[[3.0, -4.0, 0.5, -2.0, 2.0]], ring_rows=2)  # the sup is -min, in the last, partial ring
 @settings(max_examples=300, deadline=None)
 def test_running_sup_equals_the_cumsum_of_each_path(paths, ring_rows):
-    # any doubles, inf and nan included, and any ring: partial, one row, longer than the path
+    # any doubles, inf and nan included, and any ring: partial, one row, longer than the path.
+    # The kernel and the range check are stubbed, so _step hands the increments' sup |M| on as it is.
     increments = np.array(paths)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
+    z = np.vstack([np.full(len(increments), PARAMS.z0), increments.T])
+    handed = []
+
+    def violations(params, grid, sup_m, z_max):
+        handed.append(sup_m)
+        return 0
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(experiments, "_RING_ROWS", ring_rows)
-        got = experiments._running_sup(np.ascontiguousarray(increments.T))
+        m.setattr(experiments, "implicit_steps", lambda params, dt, segment: None)
+        m.setattr(experiments, "_require_in_range", lambda z_min, z_max, sigma: None)
+        m.setattr(experiments, "_envelope_violations", violations)
+        experiments._step(PARAMS, GridSpec(1.0, increments.shape[1]), z)
+    [got] = handed
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("ring_rows", [1, 3, 64])
+def test_a_nan_state_reaches_the_range_check(monkeypatch, ring_rows):
+    # the last increment of path 1 is nan, so only its last state is: numpy's
+    # folds keep it, in the last segment too (partial at 3 rows), where
+    # Python's min would drop it
+    z = np.zeros((9, 3))
+    z[0] = PARAMS.z0
+    z[8, 1] = math.nan
+    checked = []
+
+    def check(z_min, z_max, sigma, _real=experiments._require_in_range):
+        checked.append(z_min)
+        return _real(z_min, z_max, sigma)
+
+    monkeypatch.setattr(experiments, "_RING_ROWS", ring_rows)
+    monkeypatch.setattr(experiments, "_require_in_range", check)
+    with pytest.raises(ValueError, match="the implicit step overflowed"):
+        experiments._step(PARAMS, GridSpec(1.0, 8), z)
+    assert len(checked) == 1 and math.isnan(checked[0])
 
 
 def test_overflowing_driver_is_rejected_not_reported():
