@@ -593,10 +593,11 @@ def test_largest_seed(argv, tmp_path, capsys):
 
 class TestReportCommands:
     # One line per shape of the harnesses' chunks, at the default seed, and
-    # the kernel calls each makes: one per segment of _RING_ROWS (64) steps of
-    # each chunk on each grid, every grid here a multiple of 64 steps.  tests/streams.json holds each line's bytes
-    # (they were first recorded while sup |M| was taken from a cumsum of each
-    # loaded block, and the states were stepped in one call per chunk).
+    # the kernel calls each makes: one per segment of _RING_ROWS (64) steps
+    # of each chunk on each grid, every grid here a multiple of 64 steps.
+    # tests/streams.json holds each line's bytes (they were first recorded
+    # while sup |M| was taken from a cumsum of each loaded block, and each
+    # chunk was stepped in one call).
     SWEEP_LINES = {
         "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", 32),  # a 1024-wide chunk, then a 76-wide one
         "long": ("positivity --n 131072 --paths 3", 2048),  # one 3-wide chunk of 131072 steps

@@ -839,8 +839,9 @@ class TestPeakMemory:
 @example(paths=[[3.0, -4.0, 0.5, -2.0, 2.0]], ring_rows=2)  # the sup is -min, in the last, partial ring
 @settings(max_examples=300, deadline=None)
 def test_running_sup_equals_the_cumsum_of_each_path(paths, ring_rows):
-    # any doubles, inf and nan included, and any ring: partial, one row, longer than the path.
-    # The kernel and the range check are stubbed, so _step hands the increments' sup |M| on as it is.
+    # any doubles, inf and nan included, and any ring: partial, one row, longer
+    # than the path.  The kernel and the range check are stubbed, so _step
+    # hands on the increments' sup |M| whatever they hold.
     increments = np.array(paths)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
