@@ -299,7 +299,7 @@ def emit_trajectories(paths, config: RunConfig) -> None:
                 args[0::3], args[1::3], args[2::3] = pid.tolist(), z.tolist(), r.tolist()
                 return "".join(templates[step].tolist()) % tuple(args)
 
-        block = np.empty(min(_BLOCK_ROWS, rows * config.n_paths))
+        block = np.empty(_BLOCK_ROWS)
         first = filled = 0  # the run's row at block[0], and the rows the block holds
         try:
             for states in paths:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: parsing, precedence, emission, exit codes."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -416,6 +417,16 @@ class TestSimulateCommand:
         with pytest.raises(ValueError, match="not n [+] 1 = 5"):
             mfcir.cli.emit_trajectories([[2.0] * 5, [2.0] * length], config)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_block_does_not_depend_on_the_path_count(self, fmt, tmp_path):
+        # the emitter writes the paths it is given, whatever config.n_paths says
+        config = parse_config(["simulate", "--n", "4", "--format", fmt, "--out", str(tmp_path / "one")])
+        path = [2.0, 1.5, 1.0, 0.5, 0.25]
+        mfcir.cli.emit_trajectories([path], config)
+        mfcir.cli.emit_trajectories([path], dataclasses.replace(config, n_paths=0, output_path=str(tmp_path / "zero")))
+        assert (tmp_path / "zero").read_bytes() == (tmp_path / "one").read_bytes()
+        assert len((tmp_path / "one").read_text().splitlines()) == 5 + (fmt == "csv")
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
         real = mfcir.cli._scalar_steps
