@@ -98,6 +98,13 @@ LINES = (
     "convergence --n-list 2,4 --n-ref 32 --paths 3 --seed 5 --format json-lines",
     # the simulate-csv benchmark line at seed 1: 25 x 4097 rows in 101 blocks
     "simulate --preset figure1 --paths 25 --format csv --seed 1",
+    # the other three benchmark workloads at seed 1: a 500-wide chunk of 15-row blocks at the Feller margin,
+    # five chunks of Brownian paths (4 x 1024 + 904), and 25 one-row bracket blocks of 2**16 steps
+    "positivity --theta 0.5025 --hurst 0.75 --n 1024 --paths 500 --seed 1",
+    "mcstats --weight-fbm 0 --theta 0.04 --sigma 0.2 --r0 0.08 --n 1024 --paths 5000 --seed 1",
+    "bracket --n 65536 --refinements 1,16,256 --paths 25 --seed 1",
+    # below the Feller boundary with a heavy Brownian weight: steps through the kernel's c < 0 branch
+    "positivity --theta 0.35 --r0 0.04 --weight-bm 2 --n 64 --paths 10 --seed 3",
     # a step domain (m < -1/2) rejected before the first path is stepped
     "simulate --sigma 3 --n 8 --paths 2",
     "simulate --sigma 3 --n 8 --paths 2 --format json-lines",
