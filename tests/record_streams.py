@@ -14,6 +14,13 @@ errors, whose wording and wrapping are argparse's and so change with the
 Python version.  The table records the Python and numpy versions and the
 platform that it was written on.  A change that moves a stream names the
 lines that moved, and why, in CHANGES.md.
+
+Every output line also runs under a second layout, in
+``TestStreams::test_no_byte_depends_on_the_layout`` of ``tests/test_cli.py``:
+the six private constants that cut a run into chunks of paths, draw
+blocks, stepping segments and write blocks take values that a rule picks
+from the line's steps and paths, and the line must print what the table
+records.  So a line added here is checked at two layouts with no other edit.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ LINES = (
     "mcstats --weight-fbm 0 --n 1024 --paths 1100",
     "positivity --n 131072 --paths 3",
     "convergence --paths 2",
-    # chunk boundaries: a 1024-wide fractional chunk of 64 16-row blocks and a 6-wide one; three grids over
+    # chunk boundaries: a 1024-wide fractional chunk of 256 4-row blocks and a 6-wide one; three grids over
     # a 256-wide chunk and a 4-wide one; a 64-wide chunk of one-row bracket blocks and a 2-wide one
     "positivity --n 4096 --paths 1030",
     "convergence --paths 260 --n-list 8,16",

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from conftest import read_csv_rows, read_trajectory_rows
 
 import mfcir._csvtext
 import mfcir.cli
+import mfcir.experiments
 import mfcir.mixed
 import mfcir.noise
 from mfcir.cli import _COMMANDS, _OPTIONS, ConfigError, main, main_entry, parse_config
@@ -823,13 +825,43 @@ class TestCliText:
             assert (ran[stream] == [""]) == (recorded[stream] == [""]), stream
 
 
+def _layout(line):
+    """The six layout constants that ``line`` runs under in ``test_no_byte_depends_on_the_layout``.
+
+    They follow the line's work, its steps (the fine grid's for
+    ``convergence``) times its paths.  Up to 2**9 it takes the finest cuts:
+    one-row draw blocks, two-path chunks, one-row segments and write blocks.
+    Up to 2**14, cuts that leave a partial last piece; above, the coarsest:
+    one segment a grid and one write block for every line of the table.
+    """
+    try:
+        config = parse_config(shlex.split(line))
+        n = config.n_ref if config.command == "convergence" else config.grid.steps_n
+        work = n * config.n_paths
+    except ConfigError:  # rejected before any path is drawn
+        n = work = 1
+    if work <= 2**9:
+        budget, rows, cells, ring, write = 1, 2, 2**9, 1, 1
+    elif work <= 2**14:
+        budget, rows, cells, ring, write = 6144, 1000, 2**12, n // 2 + 1, 7
+    else:
+        budget, rows, cells, ring, write = 2**22, 2**11, 2**23, 2**20, 2**17
+    return [
+        (mfcir.mixed, "_BLOCK_BYTES", budget), (mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget),
+        (mfcir.experiments, "_SWEEP_ROWS", rows), (mfcir.experiments, "_SWEEP_CELLS", cells),
+        (mfcir.experiments, "_RING_ROWS", ring), (mfcir.cli, "_BLOCK_ROWS", write),
+    ]
+
+
 class TestStreams:
     """Each command line of ``streams.json`` prints what it printed when the table was recorded.
 
     ``tests/record_streams.py`` rewrites the table and runs each line as
-    this test does.  A stream that differs only on another numpy or CPU, say
-    because ``irfft`` rounds differently there, is a finding to report, not
-    a reason to drop the line.
+    this test does.  Every output line also runs under a second layout, the
+    one that ``_layout`` picks from its steps and paths, and must print the
+    same.  A stream that differs only on another numpy or CPU, say because
+    ``irfft`` rounds differently there, is a finding to report, not a reason
+    to drop the line.
     """
 
     def test_the_table_holds_the_recorded_lines(self):
@@ -842,51 +874,11 @@ class TestStreams:
             f"recorded with numpy {_STREAMS['numpy']} on {_STREAMS['platform']}, run with {record_streams.provenance()}"
         )
 
-    # Both block budgets at one row per block, at 6144 bytes (blocks of 3
-    # fractional rows at n = 256 and 2 at n = 300, each chunk's last one
-    # partial) and at 2**22 bytes (each chunk one block): the lines print
-    # what the shipped budgets printed
-    @pytest.mark.parametrize("budget", [1, 6144, 2**22])
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "positivity --n 256 --paths 20",
-            "mcstats --n 64 --paths 200",
-            "convergence --paths 3 --n-list 8,16 --n-ref 128",
-            "bracket --n 1024 --refinements 1,4,16 --paths 10",
-            "simulate --n 300 --paths 5",
-            "simulate --n 1 --paths 1100 --format json-lines",
-            "simulate --n 100 --paths 5 --weight-bm 0.5 --weight-fbm 0",
-            "simulate --weight-bm 1e308 --weight-fbm 0 --n 1 --paths 50",
-        ],
-    )
-    def test_no_byte_depends_on_the_block_budgets(self, monkeypatch, line, budget):
-        monkeypatch.setattr(mfcir.mixed, "_BLOCK_BYTES", budget)
-        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget)
-        assert record_streams.run_line(line) == _STREAMS["lines"][line]
-
-    # The stepping lines at rings of one row (one segment a step), 5 rows (a
-    # partial last segment on every grid here) and 2**20 rows (one segment a
-    # grid): they print what the shipped 64-row ring printed.  Three lines
-    # whose time goes to drawing long or many fractional paths are left out,
-    # and so is the 2**17-step line at one row, to keep the test near 3 s.
-    @pytest.mark.parametrize(
-        "ring, line",
-        [
-            (ring, line)
-            for ring in (1, 5, 2**20)
-            for line in record_streams.LINES
-            if line.split()[0] in ("positivity", "mcstats", "convergence")
-            and line not in (
-                "positivity --hurst 0.999 --n 65536 --paths 2",
-                "positivity --n 4096 --paths 1030",
-                "convergence --paths 260 --n-list 8,16",
-            )
-            and (ring, line) != (1, "positivity --n 131072 --paths 3")
-        ],
-    )
-    def test_no_byte_depends_on_the_ring(self, monkeypatch, ring, line):
-        monkeypatch.setattr(mfcir.experiments, "_RING_ROWS", ring)
+    @pytest.mark.parametrize("line", record_streams.LINES)
+    def test_no_byte_depends_on_the_layout(self, monkeypatch, line):
+        for module, name, value in _layout(line):
+            assert getattr(module, name) != value, name  # a layout that is not the shipped one
+            monkeypatch.setattr(module, name, value)
         assert record_streams.run_line(line) == _STREAMS["lines"][line]
 
     # OpenBLAS splits a long dot product over its threads, and so rounds it
