@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -851,6 +852,77 @@ def _layout(line):
         (mfcir.experiments, "_SWEEP_ROWS", rows), (mfcir.experiments, "_SWEEP_CELLS", cells),
         (mfcir.experiments, "_RING_ROWS", ring), (mfcir.cli, "_BLOCK_ROWS", write),
     ]
+
+
+_SHIPPED = {name: getattr(module, name) for module, name, _ in _layout("")}
+
+
+def _cut(length, size):
+    """``length`` in pieces of ``size``, as (the size of a full piece, the length of the partial last one or 0)."""
+    size = min(size, length)
+    return size, length % size
+
+
+def _cuts(line, **values):
+    """The pieces that each layout constant cuts ``line``'s run into, at the shipped values but for ``values``.
+
+    They follow ``_chunks`` (the chunks, which both sweep constants cut),
+    ``_increment_blocks`` (each chunk's draw blocks), ``_step`` (each
+    stepped grid's segments) and ``emit_trajectories`` (the write blocks).
+    A constant that does not reach the line cuts it into ().
+    """
+    cuts = dict.fromkeys(_SHIPPED, ())
+    try:
+        config = parse_config(shlex.split(line))
+    except ConfigError:
+        return cuts
+    value = _SHIPPED | values
+    n = config.n_ref if config.command == "convergence" else config.grid.steps_n
+    chunks = _cut(config.n_paths, min(value["_SWEEP_ROWS"], max(1, value["_SWEEP_CELLS"] // n)))
+    cuts["_SWEEP_ROWS"] = cuts["_SWEEP_CELLS"] = chunks
+    budget = "_SIMULATE_BLOCK_BYTES" if config.command == "simulate" else "_BLOCK_BYTES"
+    rows = mfcir.mixed._block_rows(n, config.mixed.weight_fbm != 0.0, value[budget])
+    cuts[budget] = tuple(_cut(width, rows) for width in chunks if width)
+    if config.command == "simulate":
+        cuts["_BLOCK_ROWS"] = _cut(config.n_paths * (n + 1), value["_BLOCK_ROWS"])
+    elif config.command != "bracket":
+        grids = (n, *config.n_list) if config.command == "convergence" else (n,)
+        cuts["_RING_ROWS"] = tuple(_cut(steps, value["_RING_ROWS"]) for steps in grids)
+    return cuts
+
+
+@functools.cache
+def _moved(line):
+    """``line``'s layout values that alone cut it otherwise than the shipped values, by constant."""
+    shipped = _cuts(line)
+    return {name: value for _, name, value in _layout(line) if _cuts(line, **{name: value})[name] != shipped[name]}
+
+
+class TestLayout:
+    """``_layout`` moves the pieces of some line of the table for each constant: from below and from
+    above its shipped value, at each extreme of the block-budget and ring tests it replaced, and on
+    each command that the constant reaches.  ``_cuts`` models the pieces from the code that cuts
+    them, so a change to how a constant cuts a run must be made there too."""
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("name", list(_SHIPPED))
+    def test_each_constant_moves_a_line_from_each_side(self, name, side):
+        values = [_moved(line)[name] for line in record_streams.LINES if name in _moved(line)]
+        assert any((value < _SHIPPED[name]) == (side == "below") for value in values)
+
+    # one-row draw blocks, one draw block a chunk, one-row segments, one segment a grid
+    @pytest.mark.parametrize("name, value", [
+        ("_BLOCK_BYTES", 1), ("_BLOCK_BYTES", 2**22), ("_SIMULATE_BLOCK_BYTES", 1), ("_SIMULATE_BLOCK_BYTES", 2**22),
+        ("_RING_ROWS", 1), ("_RING_ROWS", 2**20),
+    ])
+    def test_each_extreme_moves_a_line(self, name, value):
+        assert value in {_moved(line).get(name) for line in record_streams.LINES}
+
+    @pytest.mark.parametrize("name, command", sorted(
+        {(name, line.split()[0]) for line in record_streams.LINES for name, cut in _cuts(line).items() if cut}
+    ))
+    def test_each_constant_moves_a_line_of_each_command_it_reaches(self, name, command):
+        assert any(name in _moved(line) for line in record_streams.LINES if line.split()[0] == command)
 
 
 class TestStreams:
