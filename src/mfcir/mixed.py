@@ -3,7 +3,8 @@
 The two components are independent; each gets its own substream of the
 path seed, so the Brownian part of a path does not change when the
 fractional part is switched off (and vice versa); ``mfcir.noise`` derives
-the substream seeds of a whole uint64 array of path seeds in one pass.
+the substream seeds and PCG64 states of a whole uint64 array of path seeds
+in one pass.
 ``_increment_blocks`` is the one place where path seeds become driver
 increments: it yields them one block of paths at a time, in buffers it
 reuses, so neither the ensemble harnesses nor the CLI's ``simulate`` hold a
@@ -30,6 +31,7 @@ from .noise import (  # noqa: F401  perfbench/spans.py wraps the samplers and su
     _pcg64_states,
     _rng,
     _spectrum_scale,
+    _state_words,
     sample_brownian_increments,
     sample_fbm_cholesky,
     sample_fbm_davies_harte,
@@ -106,22 +108,25 @@ def _increment_blocks(
     block takes the second half, which no row uses.  The buffers are owned
     by this generator and reused from block to block, so a block is
     overwritten by the next one, and the caller may overwrite it too.  The
-    substream seeds of all ``seeds`` are derived and their PCG64 states
-    hashed at once, but the states are built one row at a time.  A weight of
-    exactly 1 is not multiplied by.
+    PCG64 states of all ``seeds`` are derived once per call, not per block:
+    one (len(seeds), 4) uint64 table per stream drawn (none for a weight of
+    0), whose rows are written into one Generator, each before its draw.
+    A weight of exactly 1 is not multiplied by.
     """
     n = grid.steps_n
     if not len(seeds):
         return
-    # One Generator serves every path: each row restores the state that
-    # PCG64(substream seed) would start from.
+    # One Generator serves every path: before each row, the state words that
+    # PCG64(substream seed) would start from are written into it in place.
+    # Its has_uint32 and uinteger, which the view does not cover, stay 0:
+    # the Generator is fresh for each call, and a float64 standard_normal
+    # never calls next_uint32.
     gen = _rng(0)
-    bits = gen.bit_generator
+    state = _state_words(gen.bit_generator)
 
-    def draw(rows: np.ndarray, states: Iterator[dict]) -> None:
-        # rows come first, so zip takes exactly one state per row
-        for row, state in zip(rows, states):
-            bits.state = state
+    def draw(rows: np.ndarray, table: np.ndarray) -> None:
+        for row, words in zip(rows, table.reshape(-1, 2, 2)):
+            state[...] = words
             gen.standard_normal(out=row)
 
     fractional = spec.weight_fbm != 0.0
@@ -139,12 +144,12 @@ def _increment_blocks(
         block = buffer[:size, -n:]  # if fractional, the half of the inverse transform that no row uses
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is rejected below
             if fractional:
-                draw(buffer[:size], fbm_states)
+                draw(buffer[:size], fbm_states[lo : lo + size])
                 fbm = _davies_harte_rows(scale, buffer[:size], spectrum[:size])
                 if spec.weight_fbm != 1.0:  # x * 1.0 is x, bit for bit
                     fbm *= spec.weight_fbm
             if spec.weight_bm != 0.0:
-                draw(block, bm_states)
+                draw(block, bm_states[lo : lo + size])
                 # Two products in the per-path samplers' order, so that rows
                 # match sample_brownian_increments bit for bit.
                 block *= np.sqrt(grid.dt)

@@ -18,7 +18,9 @@ so a (seed, grid, hurst) triple always maps to the same path.
 
 Seeds are derived here: ``substream_seed`` is the splitmix64 rule for one
 (seed, index) pair; ``_path_seeds`` (one chunk of path seeds) and
-``_pcg64_states`` (path seeds to PCG64 states) apply it in one array pass.
+``_pcg64_states`` (path seeds to a table of PCG64 state words) apply it in
+one array pass, and ``_state_words`` is the view through which a row of
+that table is written into a bit generator.
 
 The coupled grids and the bracket share one home for their grid rules:
 ``_split_grid`` (equal blocks), ``_block_sums`` and ``_path_values``.
@@ -26,9 +28,9 @@ The coupled grids and the bracket share one home for their grid rules:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -129,19 +131,61 @@ _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(_PCG_MULT, 1 << 64)
 
 
-def _pcg64_states(seeds: np.ndarray, stream: int) -> Iterator[dict]:
-    """Yield ``np.random.PCG64(substream_seed(s, stream)).state`` for every path seed, in order.
+def _add_carry(out: np.ndarray, a: np.ndarray, odd: np.ndarray) -> None:
+    """Add to ``out`` the carry out of each uint64 sum ``a + odd``, for odd ``odd``.
 
-    ``seeds`` is a uint64 array.  Runs the splitmix64 pass, SeedSequence's
-    entropy hash and ``generate_state(4, uint64)`` in uint64 and uint32
-    arithmetic on all seeds together, on the first ``next``; then PCG64's
-    seeding (two steps of its 128-bit LCG) one seed per ``next``, so that a
-    caller holds only the state dicts it has not used yet, and one Generator
-    can serve many seeds by state assignment instead of one construction
-    each.  Substream seeds are hashed as two 32-bit words.
+    (a >> 1) + (odd >> 1) + (a & 1) is (a + odd) >> 1 without overflow, so its
+    bit 63 is the carry.  It takes shifts and adds, not a comparison and a
+    bool cast, whose numpy code pages no other stage of a command touches:
+    faulting them in raised the peak RSS of ``positivity --n 1024 --paths
+    500`` by about 0.1 MB.
+    """
+    carry = a >> 1
+    carry += odd >> 1
+    carry += a & 1
+    carry >>= 63
+    out += carry
+
+
+def _add_mul_hi(out: np.ndarray, x: np.ndarray, y: int) -> None:
+    """Add the high 64 bits of each 128-bit product ``x * y`` to ``out``, in 32-bit limbs; overwrites ``x``.
+
+    ``out`` and ``x`` are uint64 arrays and ``y`` a 64-bit int.
+    """
+    y0, y1 = y & 0xFFFFFFFF, y >> 32
+    mid = x & 0xFFFFFFFF
+    x >>= 32
+    cross = mid * y1
+    mid *= y0
+    mid >>= 32  # the carry out of the low limbs' product
+    mid += cross & 0xFFFFFFFF
+    cross >>= 32
+    out += cross
+    np.multiply(x, y0, out=cross)
+    mid += cross & 0xFFFFFFFF
+    cross >>= 32
+    out += cross
+    x *= y1
+    out += x
+    mid >>= 32
+    out += mid
+
+
+def _pcg64_states(seeds: np.ndarray, stream: int) -> np.ndarray:
+    """The states of ``np.random.PCG64(substream_seed(s, stream))`` for every path seed, one row each.
+
+    ``seeds`` is a uint64 array.  Returns a (len(seeds), 4) uint64 table
+    whose rows are the words [state lo, state hi, inc lo, inc hi] of the
+    128-bit state and increment, which :func:`_state_words` writes into a
+    bit generator.  Runs the splitmix64 pass, SeedSequence's entropy hash,
+    ``generate_state(4, uint64)`` and PCG64's seeding (two steps of its
+    128-bit LCG, in 64-bit words with carries) in uint64 and uint32
+    arithmetic on all seeds together, the LCG steps in place, so that one
+    Generator can serve many seeds with neither a construction nor a state
+    dict each.  Substream seeds are hashed as two 32-bit words.
     """
 
     def hashmix(values, i, j):
@@ -162,12 +206,55 @@ def _pcg64_states(seeds: np.ndarray, stream: int) -> Iterator[dict]:
     words *= _HASH_B[1:]
     words = (words ^ (words >> 16)).astype(np.uint64)
     packed = words[0::2] | (words[1::2] << 32)
-    del s, entropy, pool, mixed, words  # while it yields, the generator holds packed alone
-    for at in range(0, packed.shape[1], 64):  # and Python ints for 64 seeds at a time
-        for a, b, c, d in zip(*packed[:, at : at + 64].tolist()):
-            inc = ((((c << 64) | d) << 1) | 1) & _MASK128
-            state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    del s, entropy, pool, mixed, words
+    init_hi, init_lo, seq_hi, seq_lo = packed  # generate_state(4, uint64): initstate, then initseq
+    table = np.empty((len(seeds), 4), dtype=np.uint64)
+    state_lo, state_hi, inc_lo, inc_hi = table.T
+    # inc = (seq << 1) | 1
+    np.left_shift(seq_hi, 1, out=inc_hi)
+    inc_hi |= seq_lo >> 63
+    np.left_shift(seq_lo, 1, out=inc_lo)
+    inc_lo |= 1
+    # t = inc + initstate, over initstate's words
+    init_hi += inc_hi
+    _add_carry(init_hi, init_lo, inc_lo)
+    init_lo += inc_lo
+    # state = t * _PCG_MULT + inc, mod 2**128
+    np.multiply(init_hi, _PCG_MULT_LO, out=state_hi)
+    np.multiply(init_lo, _PCG_MULT_HI, out=init_hi)
+    state_hi += init_hi
+    np.multiply(init_lo, _PCG_MULT_LO, out=state_lo)
+    _add_mul_hi(state_hi, init_lo, _PCG_MULT_LO)
+    state_hi += inc_hi
+    _add_carry(state_hi, state_lo, inc_lo)
+    state_lo += inc_lo
+    return table
+
+
+def _state_words(bits: np.random.PCG64) -> np.ndarray:
+    """A writable (2, 2) uint64 view of the state and increment of ``bits``, each as its (lo, hi) words.
+
+    Writing a row of :func:`_pcg64_states`, reshaped to (2, 2), sets the
+    state that ``bits.state`` would set from a dict, without the dict.  The
+    view reads the ``pcg_state`` pointer at ``bits.ctypes.state_address``;
+    it does not keep ``bits`` alive.  numpy's ``pcg64.h`` stores each 128-bit
+    value as a native ``__uint128_t`` (words in the order lo, hi) or as an
+    emulated ``{high, low}`` struct, which a big-endian int128 matches too,
+    so the order is checked once here: a known state is set through the
+    public setter and read back through the view.  Any other readback is a
+    NoiseError.  The setter also sets ``has_uint32`` and ``uinteger`` to 0,
+    which the view does not cover.
+    """
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64).reshape(2, 2)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": 1 << 64 | 2, "inc": 3 << 64 | 5},
+                  "has_uint32": 0, "uinteger": 0}
+    readback = words.tolist()
+    if readback == [[1, 2], [3, 5]]:
+        return words[:, ::-1]
+    if readback != [[2, 1], [5, 3]]:
+        raise NoiseError(f"unknown PCG64 state layout: state 2**64 + 2, inc 3 * 2**64 + 5 read back as {readback}")
+    return words
 
 
 def _require_integer(name: str, value) -> int:

@@ -171,27 +171,25 @@ class TestEnsembleIncrements:
         with pytest.raises(CirculantEmbeddingError):
             increment_matrix(spec, grid, [1])
 
-    def test_state_dicts_are_built_one_block_at_a_time(self, monkeypatch):
-        # 200 paths at n = 1024 are blocks of the rows that fit the budget, the
-        # last one partial; when a block is yielded, each stream has built its
-        # rows' states and no more
+    def test_one_state_table_per_stream_drawn(self, monkeypatch):
+        # every stream drawn gets one (len(seeds), 4) uint64 table for all its
+        # blocks (200 paths at n = 1024 are several), and a zero weight none
         built = []
 
         def counting(seeds, stream):
-            built.append(0)
-            call = len(built) - 1
-            for state in _pcg64_states(seeds, stream):
-                built[call] += 1
-                yield state
+            table = _pcg64_states(seeds, stream)
+            built.append((stream, table.dtype, table.shape))
+            return table
 
         monkeypatch.setattr(mixed, "_pcg64_states", counting)
         seeds = np.array([substream_seed(5, i) for i in range(200)], dtype=np.uint64)
-        ends = []
-        for lo, block in mixed._increment_blocks(MixedSpec(), GridSpec(1.0, 1024), seeds):
-            ends.append(lo + len(block))
-            assert built == [ends[-1]] * 2, (lo, built)
-        rows = mixed._block_rows(1024, True, mixed._BLOCK_BYTES)
-        assert ends == [*range(rows, 200, rows), 200]
+        grid = GridSpec(1.0, 1024)
+        assert mixed._block_rows(1024, True, mixed._BLOCK_BYTES) < 200
+        for spec, streams in [(MixedSpec(), [1, 0]), (MixedSpec(weight_fbm=0.0), [0]), (MixedSpec(weight_bm=0.0), [1])]:
+            built.clear()
+            blocks = [lo for lo, _ in mixed._increment_blocks(spec, grid, seeds)]
+            assert len(blocks) > 1, spec
+            assert built == [(stream, np.uint64, (200, 4)) for stream in streams], spec
 
     def test_overflowing_weight_is_rejected(self):
         with pytest.raises(ValueError, match="NaN or Inf"):

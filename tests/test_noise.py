@@ -1,12 +1,15 @@
 """Gaussian generator tests: covariance oracles, determinism, error paths."""
 
+import ctypes
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfcir.mixed as mixed
 from mfcir.experiments import _chunks
 from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import (
@@ -14,6 +17,7 @@ from mfcir.noise import (
     CirculantEmbeddingError,
     FactorizationError,
     GridSpec,
+    NoiseError,
     NoisePath,
     STREAM_VERSION,
     _circulant_eigenvalues,
@@ -25,6 +29,7 @@ from mfcir.noise import (
     _rng,
     _spd_factor,
     _spectrum_scale,
+    _state_words,
     fbm_covariance,
     sample_brownian_increments,
     sample_fbm_cholesky,
@@ -379,8 +384,9 @@ class TestArraySeeds:
     @pytest.mark.parametrize("index", INDICES)
     def test_substream_seeds_equal_the_scalar_rule(self, index):
         # _pcg64_states derives substream ``index`` of each path seed before its hash
-        states = list(_pcg64_states(np.array(self.SEEDS, dtype=np.uint64), index))
-        assert states == [np.random.PCG64(substream_seed(s, index)).state for s in self.SEEDS]
+        table = _pcg64_states(np.array(self.SEEDS, dtype=np.uint64), index)
+        assert table.dtype == np.uint64 and table.shape == (len(self.SEEDS), 4)
+        assert table.tolist() == [state_words(np.random.PCG64(substream_seed(s, index)).state) for s in self.SEEDS]
 
     def test_seeds_out_of_range_reduce_as_in_the_scalar_rule(self):
         # build_mixed reduces its path seed mod 2**64 before the array pass
@@ -443,6 +449,12 @@ class TestGridAndPathValidation:
             path.increments[0] = 1.0
 
 
+def state_words(state: dict) -> list[int]:
+    """A PCG64 state dict as the words of a _pcg64_states row: [state lo, state hi, inc lo, inc hi]."""
+    words = state["state"]
+    return [words["state"] % 2**64, words["state"] >> 64, words["inc"] % 2**64, words["inc"] >> 64]
+
+
 def _path_seed_of(substream: int, stream: int) -> int:
     """The path seed whose substream ``stream`` is ``substream``: substream_seed inverted."""
 
@@ -478,16 +490,68 @@ class TestPcg64States:
 
     def test_states_equal_constructed_generators(self):
         for stream in (0, 1):
-            for seed, state in zip(self.SEEDS, list(_pcg64_states(self._path_seeds_of(self.SEEDS, stream), stream))):
-                reference = np.random.PCG64(seed).state
-                assert state["state"]["state"] == reference["state"]["state"], (stream, seed)
-                assert state["state"]["inc"] == reference["state"]["inc"], (stream, seed)
-                assert state == reference, (stream, seed)
+            table = _pcg64_states(self._path_seeds_of(self.SEEDS, stream), stream)
+            assert table.dtype == np.uint64 and table.shape == (len(self.SEEDS), 4)
+            for seed, words in zip(self.SEEDS, table.tolist(), strict=True):
+                assert words == state_words(np.random.PCG64(seed).state), (stream, seed)
 
     def test_draws_after_state_assignment(self):
         gen = np.random.Generator(np.random.PCG64(0))
+        view = _state_words(gen.bit_generator)
         seeds = self.SEEDS[:8]
-        for seed, state in zip(seeds, list(_pcg64_states(self._path_seeds_of(seeds, 0), 0))):
-            gen.bit_generator.state = state
+        for seed, words in zip(seeds, _pcg64_states(self._path_seeds_of(seeds, 0), 0).reshape(-1, 2, 2), strict=True):
+            view[...] = words
+            assert gen.bit_generator.state == np.random.PCG64(seed).state, seed
             fresh = np.random.Generator(np.random.PCG64(seed)).standard_normal(257)
             assert np.array_equal(gen.standard_normal(257), fresh), seed
+
+
+class FakeBits:
+    """A bit generator whose ``pcg_state`` holds the words [state lo, state hi, inc lo, inc hi] in ``order``.
+
+    Its state setter writes the words of a state dict in that order, as a
+    build of numpy with another 128-bit layout would.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.words = (ctypes.c_uint64 * 4)()
+        self.pcg_state = ctypes.c_void_p(ctypes.addressof(self.words))  # pcg64_state's first field
+        self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self.pcg_state))
+
+    @property
+    def state(self):
+        raise AssertionError("the word order check reads the view, not the getter")
+
+    @state.setter
+    def state(self, value):
+        words = state_words(value)
+        self.words[:] = [words[i] for i in self.order]
+
+
+class TestStateWords:
+    """_state_words checks the order of the state words once, and writes through a view in that order."""
+
+    WORDS = [[10, 11], [12, 13]]  # state (lo, hi), inc (lo, hi)
+
+    def test_native_words(self):
+        bits = FakeBits([0, 1, 2, 3])
+        _state_words(bits)[...] = self.WORDS
+        assert list(bits.words) == [10, 11, 12, 13]
+
+    def test_swapped_words(self):
+        # numpy's emulated {high, low} struct, or a big-endian __uint128_t
+        bits = FakeBits([1, 0, 3, 2])
+        _state_words(bits)[...] = self.WORDS
+        assert list(bits.words) == [11, 10, 13, 12]
+
+    def test_unknown_order_draws_no_row(self, monkeypatch):
+        bits = FakeBits([2, 3, 0, 1])
+        with pytest.raises(NoiseError, match="layout"):
+            _state_words(bits)
+        drawn = []
+        gen = SimpleNamespace(bit_generator=bits, standard_normal=lambda out: drawn.append(out))
+        monkeypatch.setattr(mixed, "_rng", lambda seed: gen)
+        with pytest.raises(NoiseError, match="layout"):
+            list(mixed._increment_blocks(MixedSpec(), GridSpec(1.0, 8), np.arange(3, dtype=np.uint64)))
+        assert drawn == []
