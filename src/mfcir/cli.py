@@ -9,8 +9,8 @@ bracket      quadratic-variation and bracket diagnostics
 mcstats      Monte Carlo mean / SE of the rate at one time point
 
 Each command is one function in ``_COMMANDS``: it calls the library and
-writes its rows through ``emit_report`` (``simulate`` through
-``emit_trajectories``).
+writes its rows through ``emit_report`` (``simulate``, which steps each draw
+block through ``experiments._step``, through ``emit_trajectories``).
 
 Exit codes: 0 success, 2 configuration or validation error (an
 overflowing implicit step included) or an array too large to allocate,
@@ -36,10 +36,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import _chunks, run_bracket, run_convergence, run_mc_stats, run_positivity
+from .experiments import _chunks, _step, run_bracket, run_convergence, run_mc_stats, run_positivity
 from .mixed import MixedSpec, _increment_blocks
 from .noise import GridSpec, NoiseError
-from .scheme import CirParams, _require_in_range, _scalar_steps, z_to_r
+from .scheme import CirParams, _put_columns, _require_in_range, z_to_r
 # build_mixed, simulate_z and substream_seed are not called here; perfbench/spans.py wraps them by these names.
 from . import build_mixed, simulate_z, substream_seed  # noqa: F401
 
@@ -363,16 +363,21 @@ _SIMULATE_BLOCK_BYTES = 2**15
 
 
 def _simulate(config: RunConfig) -> None:
-    # each chunk drawn a block at a time, each path stepped when the emitter asks for it
+    # each draw block is stepped in one step-major buffer, its paths handed to the emitter one at a time
     params, grid = config.params, config.grid
-    dt, z0 = grid.dt, params.z0
 
     def paths():
+        z = None
         for _, chunk in _chunks(grid, config.n_paths, config.seed):
             for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_BYTES):
-                for row in block:
-                    yield _scalar_steps(params, dt, z0, memoryview(row))  # its doubles, read in place
-            del block, row  # chunk k's buffer is freed before chunk k + 1 is drawn
+                if z is None:  # sized by the first block, the widest
+                    z = np.empty((grid.steps_n + 1, len(block)))
+                    z[0] = params.z0
+                states = z[:, : len(block)]
+                _put_columns(states[1:], block)
+                _step(params, grid, states)
+                yield from states.T
+            del block  # chunk k's buffer is freed before chunk k + 1 is drawn
 
     emit_trajectories(paths(), config)
 

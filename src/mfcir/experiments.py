@@ -6,16 +6,16 @@ named by ``(n_paths, master_seed)``: path i's seed is
 ``mfcir.mixed._increment_blocks`` turns the seeds into increments, so
 reruns reproduce results exactly.
 
-``_chunks`` is the one ensemble entry, for every harness and the CLI's
-``simulate``: it checks both names, then yields the ensemble one chunk of
-paths at a time, deriving a chunk's seeds (``mfcir.noise._path_seeds``)
-when it is reached.  Each harness reduces the arrays that
-``_stepped_chunks`` or ``_increment_blocks`` yield, keeping per path only
-what its summary needs.  A chunk's increments are drawn a block of rows at
-a time and moved into the columns of its step-major states (after block
-sums onto every coarse grid, for convergence), or estimated row by row
-(bracket).  No (paths, n) increment matrix is held.  The grid rules come
-from :mod:`mfcir.noise`.
+``_chunks`` is the one ensemble entry and ``_step`` the one stepper, for
+every harness and the CLI's ``simulate``: ``_chunks`` checks both names,
+then yields the ensemble one chunk of paths at a time, deriving a chunk's
+seeds (``mfcir.noise._path_seeds``) when it is reached.  Each harness
+reduces the arrays that ``_stepped_chunks`` or ``_increment_blocks`` yield,
+keeping per path only what its summary needs.  A chunk's increments are
+drawn a block of rows at a time and moved into the columns of its
+step-major states (after block sums onto every coarse grid, for
+convergence), or estimated row by row (bracket).  No (paths, n) increment
+matrix is held.  The grid rules come from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -44,6 +44,7 @@ from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
     _put_columns,
     _require_in_range,
+    _scalar_steps,
     CirParams,
     implicit_steps,
     simulate_z_batch,
@@ -72,14 +73,19 @@ _BOUND_SLACK = 1e-9
 _SWEEP_ROWS = 1024
 _SWEEP_CELLS = 2**22
 
-# _step takes each path's sup |M| from step-major running sums, one
-# np.add per step into a ring of _RING_ROWS rows that is folded with max and
-# -min each time it fills.  Against a cumsum of each loaded block (2-core
-# x86-64 box, numpy 2.4.6, n = 1024) the sums take 0.47 of the time at 1024
-# paths and 0.77 at 512, but 2.0 at 128, since each step costs a narrow
-# chunk about 0.45 us.  Rings of 16 or 256 rows took 1.2 times as long.
-# _RING_ROWS also sets the length of the segments of rows that _step steps,
-# and folds into each path's max and min, after each fold of the ring.
+# _step steps a chunk of _SCALAR_WIDTH paths or more by the array kernel,
+# about eight ufunc calls a step whatever the width: 8.3 us a path step at
+# width 1, 0.69 at 8, 0.26-0.37 at 24 and 0.13-0.20 at 48, against 0.15-0.25
+# us for the scalar root at any width (n = 1024 to 16384; 2-core x86-64 box,
+# numpy 2.4.6).  A narrower chunk goes a column at a time, _SCALAR_ROWS steps
+# a call: 64 to 65536 steps a call took 145-185 ns a path step, and a call's
+# list holds 32 bytes a step.  A wide chunk's sup |M| comes from running sums
+# into a ring of _RING_ROWS rows, folded with max and -min each time it fills:
+# against a cumsum (n = 1024) they take 0.47 of the time at 1024 paths and
+# 0.77 at 512, but 2.0 at 128; rings of 16 or 256 rows took 1.2 times as long.
+# _RING_ROWS also sets the segments that the array kernel steps.
+_SCALAR_WIDTH = 32
+_SCALAR_ROWS = 4096
 _RING_ROWS = 64
 
 
@@ -115,26 +121,36 @@ def _envelope_violations(params: CirParams, grid: GridSpec, sup_m: np.ndarray, z
     return int(np.sum(z_max > limit + _BOUND_SLACK))
 
 
-def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Step the paths in the columns of ``z`` (n + 1, width); reject overflowed states.
+def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step the paths in the columns of ``z`` (n + 1, width) in place, by the kernel that suits its width.
 
     Column i holds z0 in row 0, then path i's increments, which are turned
-    into its states in place, bit for bit as :func:`~mfcir.scheme.simulate_z`.
-    One pass takes the rows a segment of _RING_ROWS at a time: each path's
-    sup |M| runs through the partial sums of the segment's increments, in a
-    ring, in the order of a cumsum along the path, so it is the same bit for
-    bit; then the segment is stepped and its states are folded into each
-    path's max and min.  A sum that overflows leaves an inf or nan sup; its
-    path's states overflow too, and numpy's folds keep a nan state for
-    ``_require_in_range`` to reject, so numpy need not warn.  Returns ``z``,
-    its minimum and the number of paths that pierce the envelope.
+    into its states, bit for bit as :func:`~mfcir.scheme.simulate_z`.  A chunk
+    narrower than _SCALAR_WIDTH is stepped a column at a time by
+    ``_scalar_steps``, each path's sup |M| taken from a cumsum.  A wider one
+    takes the rows a segment of _RING_ROWS at a time: each path's sup |M| runs
+    through the partial sums of the segment's increments, in a ring, in the
+    order of a cumsum, so it is the same bit for bit; then the segment is
+    stepped and folded into each path's max and min.  numpy's reductions keep
+    an overflowed (nan) state, so numpy need not warn.  Returns the minimum
+    state, each path's max state and each path's sup |M|.
     """
     n, width = len(z) - 1, z.shape[1]
-    ring = np.empty((min(_RING_ROWS, n), width))  # allocated once the chunk's block buffers are gone
-    high, low = np.full(width, -np.inf), np.full(width, np.inf)
-    z_max, z_min = np.full(width, -np.inf), np.full(width, np.inf)
-    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if width < _SCALAR_WIDTH:
+            sup_m = np.empty(width)
+            for i, column in enumerate(z.T):
+                sums = np.cumsum(column[1:])
+                sup_m[i] = np.abs(sums, out=sums).max()
+                for at in range(0, n, _SCALAR_ROWS):  # each call from the state the one before wrote
+                    increments = memoryview(column[at + 1 : at + 1 + _SCALAR_ROWS])
+                    states = _scalar_steps(params, grid.dt, float(column[at]), increments)
+                    column[at : at + len(states)] = states
+            return float(z.min()), z.max(axis=0), sup_m
+        ring = np.empty((min(_RING_ROWS, n), width))  # allocated once the chunk's block buffers are gone
+        high, low = np.full(width, -np.inf), np.full(width, np.inf)
+        z_max, z_min = np.full(width, -np.inf), np.full(width, np.inf)
+        total = 0.0
         for at in range(1, n + 1, len(ring)):
             rows = ring[: n + 1 - at]
             for row, inc in zip(rows, z[at:]):
@@ -145,10 +161,7 @@ def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[np.ndarray,
             implicit_steps(params, grid.dt, segment)
             np.maximum(z_max, segment.max(axis=0), out=z_max)
             np.minimum(z_min, segment.min(axis=0), out=z_min)
-    sup_m = np.maximum(high, np.negative(low, out=low), out=high)
-    z_min = float(z_min.min())
-    _require_in_range(z_min, z_max.max(), params.sigma)
-    return z, z_min, _envelope_violations(params, grid, sup_m, z_max)
+    return float(z_min.min()), z_max, np.maximum(high, np.negative(low, out=low), out=high)
 
 
 def _stepped_chunks(
@@ -159,11 +172,12 @@ def _stepped_chunks(
     Each grid has one step-major (n + 1, width) buffer, sized by the first
     (widest) chunk and reused.  The driver is drawn on ``grids[0]`` block by
     block into its buffer's columns, and each block's exact block sums into
-    the others'.  Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is
-    :func:`_step` on the chunk's columns of ``grids[g]``, which the next
-    chunk overwrites.  Every reduction of the states is elementwise or a
-    min/max, so the results equal those of the whole (paths, n + 1) state
-    matrix bit for bit, whatever the chunk size.
+    the others'.  Yields ``(lo, steps)`` per chunk, where ``steps[g]`` is the
+    chunk's columns of ``grids[g]``, stepped by :func:`_step` (the next chunk
+    overwrites them), their minimum and the number of paths that pierce the
+    envelope; overflowed states are rejected.  Every reduction of the states
+    is elementwise or a min/max, so the results equal those of the whole
+    (paths, n + 1) state matrix bit for bit, whatever the chunk size.
     """
     states = []
     for lo, chunk in chunks:
@@ -176,7 +190,13 @@ def _stepped_chunks(
                 _put_columns(z[1:, at : at + len(block)], _block_sums(block, grid.steps_n))
             _put_columns(states[0][1:, at : at + len(block)], block)
         del block  # the chunk's last block, freed before its states are stepped and the next chunk is drawn
-        yield lo, [_step(params, grid, z[:, : len(chunk)]) for grid, z in zip(grids, states)]
+        steps = []
+        for grid, z in zip(grids, states):
+            z = z[:, : len(chunk)]
+            z_min, z_max, sup_m = _step(params, grid, z)
+            _require_in_range(z_min, z_max.max(), params.sigma)
+            steps.append((z, z_min, _envelope_violations(params, grid, sup_m, z_max)))
+        yield lo, steps
 
 
 @dataclass(frozen=True, eq=False)

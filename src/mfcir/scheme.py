@@ -16,7 +16,8 @@ the step size.
 Each rule of the step has one home: ``_root_coefficients`` (the
 quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
-alike, from the caller's start state), :func:`simulate_z_batch` and
+alike, from the caller's start state; ``mfcir.experiments._step`` picks
+one by the width of a chunk of paths), :func:`simulate_z_batch` and
 ``_put_columns`` (a batch's layout) and :func:`z_to_r`, which
 :class:`Trajectory` and the CLI's emitter apply to derive a path's rates
 from its states.
@@ -139,8 +140,8 @@ def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, floa
 def _scalar_steps(params: CirParams, dt: float, z: float, increments: Iterable[float]) -> list[float]:
     """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form.
 
-    ``increments`` is any iterable of floats: a list, or a float64 row's
-    ``memoryview``, whose doubles it then reads in place.
+    ``increments`` is any iterable of floats: a list, or the ``memoryview``
+    of a float64 row or strided column, whose doubles it then reads in place.
 
     With ``a = 1 + k dt / 2``, ``c = z_prev + dm`` and ``d = (m + 1/2) dt``
     each step is the positive root ``(c + sqrt(c^2 + 4 a d)) / (2 a)`` of

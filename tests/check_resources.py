@@ -8,12 +8,14 @@ line with ``--out /dev/null`` and prints its own high-water RSS, ``VmHWM``
 from ``/proc/self/status``.  ``ru_maxrss`` would not do: Linux carries the
 launcher's high-water mark across ``exec``.  A child that only imports
 ``mfcir.cli`` gives the baseline, so Python, numpy and the import cancel
-out; with ``-B`` no child writes bytecode that a later one would read, so
-every child imports the same way.  ``LINES`` maps each line to its last measured growth over that
-baseline, and one rule gives every bound: ``max(growth * 1.05, growth +
-1.0)`` MB over the baseline.  The script prints each line's reading and
-bound, and exits 1 if any line is over.  ``tests/test_resources.py`` runs
-the same table in the Tier-1 suite.
+out.  Every child compiles mfcir from its source: it neither reads the
+bytecode in ``src/mfcir/__pycache__``, which installing or testing the
+package may have written (it took 1.1 MB off the baseline and 0.1 MB off
+the ``figure1`` line), nor writes any.  ``LINES`` maps each line to its
+last measured growth over that baseline, and one rule gives every bound:
+``max(growth * 1.05, growth + 1.0)`` MB over the baseline.  The script
+prints each line's reading and bound, and exits 1 if any line is over.
+``tests/test_resources.py`` runs the same table in the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -49,6 +51,24 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 _CHILD = """\
 import sys
+from importlib import machinery
+
+SRC = sys.argv.pop(1)
+
+
+class SourceLoader(machinery.SourceFileLoader):
+    def path_stats(self, path):  # without the source's mtime, bytecode is neither read nor written
+        raise OSError
+
+
+def source_only(path):
+    if path != SRC and not path.startswith(SRC + "/"):
+        raise ImportError  # the entries outside src/ go to the default hooks
+    return machinery.FileFinder(path, (SourceLoader, machinery.SOURCE_SUFFIXES))
+
+
+sys.path_hooks.insert(0, source_only)
+sys.path_importer_cache.clear()
 import mfcir.cli
 rc = mfcir.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 with open("/proc/self/status", encoding="ascii") as status:
@@ -62,16 +82,16 @@ def bound_mb(growth: float) -> float:
     return max(growth * 1.05, growth + 1.0)
 
 
-def peak_mb(line: str = "") -> float:
-    """The VmHWM of a fresh child that runs ``line`` (or, for "", only imports mfcir.cli), in MB.
+def peak_mb(line: str = "", src: str = _SRC) -> float:
+    """The VmHWM of a fresh child that runs ``line`` (or, for "", only imports mfcir.cli from ``src``), in MB.
 
     Its argv ends with ``--out /dev/null``; a nonzero exit is a RuntimeError
     that carries the child's stderr.
     """
     argv = line.split() + ["--out", os.devnull] if line else []
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _CHILD, *argv], capture_output=True, text=True, env=env, timeout=600
+        [sys.executable, "-B", "-c", _CHILD, src, *argv], capture_output=True, text=True, env=env, timeout=600
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{line!r} exited {proc.returncode}: {proc.stderr.strip()}")

@@ -17,8 +17,9 @@ lines that moved, and why, in CHANGES.md.
 
 Every output line also runs under a second layout, in
 ``TestStreams::test_no_byte_depends_on_the_layout`` of ``tests/test_cli.py``:
-the six private constants that cut a run into chunks of paths, draw
-blocks, stepping segments and write blocks take values that a rule picks
+the eight private constants that cut a run into chunks of paths, draw
+blocks, stepping segments (of either kernel, which the chunk's width
+picks) and write blocks take values that a rule picks
 from the line's steps and paths, and the line must print what the table
 records.  So a line added here is checked at two layouts with no other edit.
 """
@@ -72,6 +73,8 @@ LINES = (
     "mcstats --weight-fbm 0 --n 1024 --paths 1100",
     "positivity --n 131072 --paths 3",
     "convergence --paths 2",
+    # a 40-wide simulate block of 8 steps, wide enough for the array kernel
+    "simulate --n 8 --paths 40",
     # chunk boundaries: a 1024-wide fractional chunk of 256 4-row blocks and a 6-wide one; three grids over
     # a 256-wide chunk and a 4-wide one; a 64-wide chunk of one-row bracket blocks and a 2-wide one
     "positivity --n 4096 --paths 1030",

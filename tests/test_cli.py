@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -236,7 +235,8 @@ class TestSimulateCommand:
 
     @staticmethod
     def _fail_on_third_path(monkeypatch, error):
-        real = mfcir.cli._scalar_steps
+        # one-path draw blocks, so that the third block _step is called on is the third path
+        real = mfcir.cli._step
         calls = []
 
         def fail_third(*args):
@@ -245,7 +245,8 @@ class TestSimulateCommand:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(mfcir.cli, "_scalar_steps", fail_third)
+        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(mfcir.cli, "_step", fail_third)
         return calls
 
     @pytest.mark.parametrize("existing", [False, True])
@@ -432,27 +433,24 @@ class TestSimulateCommand:
         assert len((tmp_path / "one").read_text().splitlines()) == 5 + (fmt == "csv")
 
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
-        real = mfcir.cli._scalar_steps
-        alive = []
-        most = []
+        # one-path draw blocks: each is stepped in the same one-column buffer,
+        # so a path's states are overwritten by the next path's
+        real = mfcir.cli._step
+        buffers = []
 
-        class States(list):  # a list that a weak reference can follow
-            pass
+        def spy(params, grid, z):
+            buffers.append((z.__array_interface__["data"][0], z.shape))
+            return real(params, grid, z)
 
-        def spy(*args):
-            states = States(real(*args))
-            alive.append(weakref.ref(states))
-            most.append(sum(ref() is not None for ref in alive))
-            return states
-
-        monkeypatch.setattr(mfcir.cli, "_scalar_steps", spy)
+        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(mfcir.cli, "_step", spy)
         for fmt in ("csv", "json-lines"):
-            alive.clear()
+            buffers.clear()
             argv = ["--n", "16", "--paths", "6", "--format", fmt]
             assert main(["simulate", *argv, "--out", str(tmp_path / fmt)]) == 0
-            assert len(alive) == 6
+            assert len(buffers) == 6
             assert (tmp_path / fmt).read_bytes() == self._reference(argv, self.REFERENCE_ROW[fmt])
-        assert max(most) <= 1  # each path's list is let go before the next one is made
+            assert set(buffers) == {(buffers[0][0], (17, 1))}  # one buffer, one path wide
 
     def test_seeds_are_derived_one_chunk_at_a_time(self, monkeypatch):
         # a million paths, of which three are drawn: no seed array beyond the first chunk's 1024
@@ -607,31 +605,39 @@ def test_largest_seed(argv, tmp_path, capsys):
 
 class TestReportCommands:
     # One line per shape of the harnesses' chunks, at the default seed, and
-    # the kernel calls each makes: one per segment of _RING_ROWS (64) steps
-    # of each chunk on each grid, every grid here a multiple of 64 steps.
-    # tests/streams.json holds each line's bytes (they were first recorded
-    # while sup |M| was taken from a cumsum of each loaded block, and each
-    # chunk was stepped in one call).
+    # the kernel calls each makes: a chunk of _SCALAR_WIDTH (32) paths or more
+    # takes one implicit_steps call per segment of _RING_ROWS (64) steps of
+    # each grid, every grid here a multiple of 64 steps; a narrower one takes
+    # one _scalar_steps call per _SCALAR_ROWS (4096) steps of each path on
+    # each grid, or fewer on a shorter grid.  tests/streams.json holds each
+    # line's bytes (they were first recorded while sup |M| was taken from a
+    # cumsum of each loaded block, and each chunk was stepped in one call).
     SWEEP_LINES = {
-        "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", 32),  # a 1024-wide chunk, then a 76-wide one
-        "long": ("positivity --n 131072 --paths 3", 2048),  # one 3-wide chunk of 131072 steps
+        "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", "implicit_steps", [64] * 32),  # 1024 wide, then 76
+        "long": ("positivity --n 131072 --paths 3", "_scalar_steps", [4096] * 32 * 3),  # one 3-wide chunk
         # the 2**14-step reference lane and coarse lanes of 64, 128, 256, 512 and 1024 steps, each 2 wide
-        "lanes": ("convergence --paths 2", 256 + 1 + 2 + 4 + 8 + 16),
+        "lanes": ("convergence --paths 2", "_scalar_steps", [4096] * 8 + [64] * 2 + [128] * 2 + [256] * 2 + [512] * 2
+                  + [1024] * 2),
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
     def test_sweep_lines_are_golden(self, monkeypatch, sweep):
-        line, calls = self.SWEEP_LINES[sweep]
+        line, kernel, segments = self.SWEEP_LINES[sweep]
         assert line in record_streams.LINES
-        taken = []
+        taken = {"implicit_steps": [], "_scalar_steps": []}
 
-        def spy(*args, _real=mfcir.experiments.implicit_steps, **kwargs):
-            taken.append(len(args[2]) - 1)
+        def steps(*args, _real=mfcir.experiments.implicit_steps, **kwargs):
+            taken["implicit_steps"].append(len(args[2]) - 1)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(mfcir.experiments, "implicit_steps", spy)
+        def scalar(*args, _real=mfcir.experiments._scalar_steps, **kwargs):
+            taken["_scalar_steps"].append(len(args[3]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mfcir.experiments, "implicit_steps", steps)
+        monkeypatch.setattr(mfcir.experiments, "_scalar_steps", scalar)
         assert main(line.split() + ["--out", os.devnull]) == 0
-        assert taken == [64] * calls
+        assert taken == {"implicit_steps": [], "_scalar_steps": [], kernel: segments}
 
     # Each command's seed-5 line of the table, whose every byte shows there.
     SEED_5_LINES = {
@@ -827,13 +833,16 @@ class TestCliText:
 
 
 def _layout(line):
-    """The six layout constants that ``line`` runs under in ``test_no_byte_depends_on_the_layout``.
+    """The eight layout constants that ``line`` runs under in ``test_no_byte_depends_on_the_layout``.
 
     They follow the line's work, its steps (the fine grid's for
     ``convergence``) times its paths.  Up to 2**9 it takes the finest cuts:
-    one-row draw blocks, two-path chunks, one-row segments and write blocks.
-    Up to 2**14, cuts that leave a partial last piece; above, the coarsest:
-    one segment a grid and one write block for every line of the table.
+    one-row draw blocks, two-path chunks, one-row segments and write blocks,
+    a two-path chunk stepped by the array kernel and a one-path one by the
+    scalar loop.  Up to 2**14, cuts that leave a partial last piece, chunks
+    of 16 paths or more stepped by the array kernel.  Above, the coarsest:
+    one segment a grid and one write block for every line of the table,
+    chunks under 300 paths stepped by the scalar loop.
     """
     try:
         config = parse_config(shlex.split(line))
@@ -842,15 +851,16 @@ def _layout(line):
     except ConfigError:  # rejected before any path is drawn
         n = work = 1
     if work <= 2**9:
-        budget, rows, cells, ring, write = 1, 2, 2**9, 1, 1
+        budget, rows, cells, ring, write, width, segment = 1, 2, 2**9, 1, 1, 2, 1
     elif work <= 2**14:
-        budget, rows, cells, ring, write = 6144, 1000, 2**12, n // 2 + 1, 7
+        budget, rows, cells, ring, write, width, segment = 6144, 1000, 2**12, n // 2 + 1, 7, 16, n // 2 + 1
     else:
-        budget, rows, cells, ring, write = 2**22, 2**11, 2**23, 2**20, 2**17
+        budget, rows, cells, ring, write, width, segment = 2**22, 2**11, 2**23, 2**20, 2**17, 300, 2**20
     return [
         (mfcir.mixed, "_BLOCK_BYTES", budget), (mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget),
         (mfcir.experiments, "_SWEEP_ROWS", rows), (mfcir.experiments, "_SWEEP_CELLS", cells),
         (mfcir.experiments, "_RING_ROWS", ring), (mfcir.cli, "_BLOCK_ROWS", write),
+        (mfcir.experiments, "_SCALAR_WIDTH", width), (mfcir.experiments, "_SCALAR_ROWS", segment),
     ]
 
 
@@ -867,9 +877,11 @@ def _cuts(line, **values):
     """The pieces that each layout constant cuts ``line``'s run into, at the shipped values but for ``values``.
 
     They follow ``_chunks`` (the chunks, which both sweep constants cut),
-    ``_increment_blocks`` (each chunk's draw blocks), ``_step`` (each
-    stepped grid's segments) and ``emit_trajectories`` (the write blocks).
-    A constant that does not reach the line cuts it into ().
+    ``_increment_blocks`` (each chunk's draw blocks), ``_step`` (which of
+    the chunks, or of simulate's draw blocks, are narrow, and the segments
+    of each stepped grid: the ring's on a wide one, the scalar loop's on a
+    narrow one) and ``emit_trajectories`` (the write blocks).  A constant
+    that does not reach the line cuts it into ().
     """
     cuts = dict.fromkeys(_SHIPPED, ())
     try:
@@ -883,11 +895,16 @@ def _cuts(line, **values):
     budget = "_SIMULATE_BLOCK_BYTES" if config.command == "simulate" else "_BLOCK_BYTES"
     rows = mfcir.mixed._block_rows(n, config.mixed.weight_fbm != 0.0, value[budget])
     cuts[budget] = tuple(_cut(width, rows) for width in chunks if width)
+    if config.command == "bracket":
+        return cuts
+    stepped = [width for piece in (cuts[budget] if config.command == "simulate" else [chunks]) for width in piece]
+    narrow = cuts["_SCALAR_WIDTH"] = tuple(width < value["_SCALAR_WIDTH"] for width in stepped if width)
+    grids = (n, *config.n_list) if config.command == "convergence" else (n,)
+    for name, kernel_runs in (("_RING_ROWS", not all(narrow)), ("_SCALAR_ROWS", any(narrow))):
+        if kernel_runs:
+            cuts[name] = tuple(_cut(steps, value[name]) for steps in grids)
     if config.command == "simulate":
         cuts["_BLOCK_ROWS"] = _cut(config.n_paths * (n + 1), value["_BLOCK_ROWS"])
-    elif config.command != "bracket":
-        grids = (n, *config.n_list) if config.command == "convergence" else (n,)
-        cuts["_RING_ROWS"] = tuple(_cut(steps, value["_RING_ROWS"]) for steps in grids)
     return cuts
 
 
@@ -910,10 +927,10 @@ class TestLayout:
         values = [_moved(line)[name] for line in record_streams.LINES if name in _moved(line)]
         assert any((value < _SHIPPED[name]) == (side == "below") for value in values)
 
-    # one-row draw blocks, one draw block a chunk, one-row segments, one segment a grid
+    # one-row draw blocks, one draw block a chunk, one-row segments, one segment a grid, in either kernel
     @pytest.mark.parametrize("name, value", [
         ("_BLOCK_BYTES", 1), ("_BLOCK_BYTES", 2**22), ("_SIMULATE_BLOCK_BYTES", 1), ("_SIMULATE_BLOCK_BYTES", 2**22),
-        ("_RING_ROWS", 1), ("_RING_ROWS", 2**20),
+        ("_RING_ROWS", 1), ("_RING_ROWS", 2**20), ("_SCALAR_ROWS", 1), ("_SCALAR_ROWS", 2**20),
     ])
     def test_each_extreme_moves_a_line(self, name, value):
         assert value in {_moved(line).get(name) for line in record_streams.LINES}
@@ -969,13 +986,13 @@ class TestStreams:
 # No command calls the per-path references simulate_z and build_mixed.
 _CLI_NAMES = (
     "run_convergence", "run_positivity", "run_bracket", "run_mc_stats", "emit_report",
-    "_increment_blocks", "_scalar_steps", "emit_trajectories", "simulate_z", "build_mixed",
+    "_increment_blocks", "_step", "emit_trajectories", "simulate_z", "build_mixed",
 )
 
 
 # Each command line, and the calls it makes through those names.
 _CLI_CALLS = [
-    (["simulate", "--n", "4", "--paths", "3"], {"_increment_blocks": 1, "_scalar_steps": 3, "emit_trajectories": 1}),
+    (["simulate", "--n", "4", "--paths", "3"], {"_increment_blocks": 1, "_step": 1, "emit_trajectories": 1}),
     (["convergence", "--n-list", "4,8", "--n-ref", "64", "--paths", "2"], {"run_convergence": 1, "emit_report": 1}),
     (["positivity", "--n", "4", "--paths", "2"], {"run_positivity": 1, "emit_report": 1}),
     (["bracket", "--n", "8", "--refinements", "1,2", "--paths", "2"], {"run_bracket": 1, "emit_report": 1}),

@@ -839,48 +839,79 @@ class TestPeakMemory:
 @example(paths=[[3.0, -4.0, 0.5, -2.0, 2.0]], ring_rows=2)  # the sup is -min, in the last, partial ring
 @settings(max_examples=300, deadline=None)
 def test_running_sup_equals_the_cumsum_of_each_path(paths, ring_rows):
-    # any doubles, inf and nan included, and any ring: partial, one row, longer
-    # than the path.  The kernel and the range check are stubbed, so _step
-    # hands on the increments' sup |M| whatever they hold.
+    # any doubles, inf and nan included, and any ring or segment: partial, one
+    # row, longer than the path; each kernel hands on the increments' sup |M|
+    # whatever they hold, and whatever states they step to
     increments = np.array(paths)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.abs(np.cumsum(increments, axis=1)).max(axis=1)
-    z = np.vstack([np.full(len(increments), PARAMS.z0), increments.T])
-    handed = []
-
-    def violations(params, grid, sup_m, z_max):
-        handed.append(sup_m)
-        return 0
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiments, "_RING_ROWS", ring_rows)
-        m.setattr(experiments, "implicit_steps", lambda params, dt, segment: None)
-        m.setattr(experiments, "_require_in_range", lambda z_min, z_max, sigma: None)
-        m.setattr(experiments, "_envelope_violations", violations)
-        experiments._step(PARAMS, GridSpec(1.0, increments.shape[1]), z)
-    [got] = handed
-    assert np.array_equal(got, want, equal_nan=True)
+    for scalar_width in (1, 10**9):  # every chunk wide, every chunk narrow
+        z = np.vstack([np.full(len(increments), PARAMS.z0), increments.T])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(experiments, "_RING_ROWS", ring_rows)
+            m.setattr(experiments, "_SCALAR_ROWS", ring_rows)
+            m.setattr(experiments, "_SCALAR_WIDTH", scalar_width)
+            _, _, got = experiments._step(PARAMS, GridSpec(1.0, increments.shape[1]), z)
+        assert np.array_equal(got, want, equal_nan=True), scalar_width
 
 
-@pytest.mark.parametrize("ring_rows", [1, 3, 64])
-def test_a_nan_state_reaches_the_range_check(monkeypatch, ring_rows):
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_a_nan_state_reaches_the_range_check(monkeypatch, rows):
     # the last increment of path 1 is nan, so only its last state is: numpy's
-    # folds keep it, in the last segment too (partial at 3 rows), where
-    # Python's min would drop it
-    z = np.zeros((9, 3))
-    z[0] = PARAMS.z0
-    z[8, 1] = math.nan
+    # reductions keep it, in the last segment too (partial at 3 rows), where
+    # Python's min would drop it; through either kernel
+    block = np.zeros((3, 8))
+    block[1, 7] = math.nan
     checked = []
 
     def check(z_min, z_max, sigma, _real=experiments._require_in_range):
         checked.append(z_min)
         return _real(z_min, z_max, sigma)
 
-    monkeypatch.setattr(experiments, "_RING_ROWS", ring_rows)
+    monkeypatch.setattr(experiments, "_RING_ROWS", rows)
+    monkeypatch.setattr(experiments, "_SCALAR_ROWS", rows)
+    monkeypatch.setattr(experiments, "_increment_blocks", lambda spec, grid, chunk: iter([(0, block)]))
     monkeypatch.setattr(experiments, "_require_in_range", check)
-    with pytest.raises(ValueError, match="the implicit step overflowed"):
-        experiments._step(PARAMS, GridSpec(1.0, 8), z)
-    assert len(checked) == 1 and math.isnan(checked[0])
+    for scalar_width in (1, 10**9):  # every chunk wide, every chunk narrow
+        monkeypatch.setattr(experiments, "_SCALAR_WIDTH", scalar_width)
+        checked.clear()
+        chunks = iter([(0, np.arange(3, dtype=np.uint64))])
+        with pytest.raises(ValueError, match="the implicit step overflowed"):
+            next(_stepped_chunks(PARAMS, MixedSpec(), [GridSpec(1.0, 8)], chunks))
+        assert len(checked) == 1 and math.isnan(checked[0]), scalar_width
+
+
+@pytest.mark.parametrize(
+    "params, spec, n",
+    [
+        (PARAMS, MixedSpec(), 200),  # 200 steps: partial last segments of 64 and 7 rows
+        (SWEEP_PARAMS, SWEEP_SPEC, 200),  # below Feller: many steps take the c < 0 root branch
+        (PARAMS, MixedSpec(weight_bm=1e160, weight_fbm=0.0), 4),  # c * c overflows: inf and nan states
+    ],
+    ids=["partial-segments", "below-feller", "overflow"],
+)
+def test_both_kernels_step_a_chunk_alike(monkeypatch, params, spec, n):
+    # the same chunk through the narrow and the wide branch of _step: equal
+    # states, minimum, per-path maximum, sup |M| and violation count, bit for bit
+    grid = GridSpec(1.0, n)
+    increments = increment_matrix(spec, grid, _path_seeds(42, 0, 5))
+    monkeypatch.setattr(experiments, "_SCALAR_ROWS", 7)
+    runs = []
+    for scalar_width in (1, 10**9):  # every chunk wide, every chunk narrow
+        monkeypatch.setattr(experiments, "_SCALAR_WIDTH", scalar_width)
+        z = np.vstack([np.full(5, params.z0), increments.T])
+        z_min, z_max, sup_m = experiments._step(params, grid, z)
+        violations = experiments._envelope_violations(params, grid, sup_m, z_max)
+        runs.append((z.tobytes(), np.float64(z_min).tobytes(), z_max.tobytes(), sup_m.tobytes(), violations))
+    assert runs[0] == runs[1]
+    if spec.weight_bm == 1e160:
+        assert not np.isfinite(z).all()
+        with pytest.raises(ValueError, match="overflowed"):
+            experiments._require_in_range(z_min, z_max.max(), params.sigma)
+    elif params is SWEEP_PARAMS:
+        assert np.count_nonzero(z[:-1] + increments.T < 0.0) >= 30  # c < 0 on 38 of the 1000 steps
+    else:
+        assert np.isfinite(z).all()
 
 
 def test_overflowing_driver_is_rejected_not_reported():

@@ -1,11 +1,13 @@
 """The peak-memory table of ``check_resources.py``: each line stays within its bound."""
 
+import compileall
 import os
 import resource
+import shutil
 
 import numpy as np
 import pytest
-from check_resources import LINES, bound_mb, peak_mb
+from check_resources import _SRC, LINES, bound_mb, peak_mb
 
 pytestmark = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
 
@@ -28,3 +30,16 @@ def test_reads_the_childs_own_peak(baseline):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss > held.nbytes // 1024
     line = "simulate --preset figure1 --paths 25 --format csv"
     assert peak_mb(line) - baseline <= bound_mb(LINES[line])
+
+
+def test_reads_no_bytecode_beside_the_source(tmp_path):
+    # compiled bytecode in src/mfcir/__pycache__ took 1.1 MB off the baseline
+    # and 0.1 MB off this line, and put three lines over their bounds
+    src = tmp_path / "src"
+    shutil.copytree(os.path.join(_SRC, "mfcir"), src / "mfcir", ignore=shutil.ignore_patterns("__pycache__"))
+    line = "simulate --preset figure1 --paths 25 --format csv"
+    readings = [peak_mb("", str(src)), peak_mb(line, str(src))]
+    assert compileall.compile_dir(src / "mfcir", quiet=1)
+    assert (src / "mfcir" / "__pycache__").is_dir()
+    compiled = [peak_mb("", str(src)), peak_mb(line, str(src))]
+    assert all(abs(a - b) <= 0.2 for a, b in zip(readings, compiled)), (readings, compiled)

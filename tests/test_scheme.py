@@ -362,16 +362,19 @@ class TestSimulate:
         assert np.isnan(rows[1:, 0]).all() and np.isfinite(rows[:, 1:]).all()
 
     def test_a_row_read_in_place_steps_as_its_list(self):
-        # simulate feeds _scalar_steps each increment row's memoryview, rows of a
-        # block that is a view of a wider buffer's last columns: the states equal
-        # those of row.tolist() bit for bit, the c < 0 branch, -0.0 and nan included
+        # _step feeds _scalar_steps the memoryview of a narrow chunk's column,
+        # whose doubles are strided; a row of a block that is a view of a wider
+        # buffer's last columns reads the same: the states equal those of
+        # row.tolist() bit for bit, the c < 0 branch, -0.0 and nan included
         n = 64
         buffer = np.random.default_rng(11).normal(scale=2.0, size=(4, 2 * n))
         block = buffer[:, -n:]
         block[0, :4] = [-5.0, -0.1, 0.0, -3.0]
         block[1, :4] = [0.3, -2.0, -1e-300, 4.0]
         block[2, :3] = [-0.0, 1e-300, math.nan]
-        for row in block:
+        columns = np.ascontiguousarray(block.T)  # step-major: each path a strided column
+        assert not columns[:, 0].flags.contiguous
+        for row in [*block, *columns.T]:
             for params in (PARAMS_M_HALF, PARAMS_M_ONE):
                 want = _scalar_steps(params, 0.01, params.z0, row.tolist())
                 got = _scalar_steps(params, 0.01, params.z0, memoryview(row))
