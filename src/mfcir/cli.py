@@ -304,7 +304,7 @@ def emit_trajectories(paths, config: RunConfig) -> None:
         try:
             for states in paths:
                 z = np.asarray(states, dtype=np.float64)
-                del states  # a path's list is let go before the next path is made
+                del states  # simulate yields buffer views; a caller's list is let go before its next path is made
                 if z.shape != (rows,):
                     raise ValueError(f"a path has {z.size} states, not n + 1 = {rows}")
                 _require_in_range(z.min(), z.max(), sigma)  # min and max are nan if any state is

@@ -77,15 +77,14 @@ _SWEEP_CELLS = 2**22
 # about eight ufunc calls a step whatever the width: 8.3 us a path step at
 # width 1, 0.69 at 8, 0.26-0.37 at 24 and 0.13-0.20 at 48, against 0.15-0.25
 # us for the scalar root at any width (n = 1024 to 16384; 2-core x86-64 box,
-# numpy 2.4.6).  A narrower chunk goes a column at a time, _SCALAR_ROWS steps
-# a call: 64 to 65536 steps a call took 145-185 ns a path step, and a call's
-# list holds 32 bytes a step.  A wide chunk's sup |M| comes from running sums
-# into a ring of _RING_ROWS rows, folded with max and -min each time it fills:
-# against a cumsum (n = 1024) they take 0.47 of the time at 1024 paths and
-# 0.77 at 512, but 2.0 at 128; rings of 16 or 256 rows took 1.2 times as long.
-# _RING_ROWS also sets the segments that the array kernel steps.
+# numpy 2.4.6).  A narrower chunk takes one call of the scalar root, which
+# steps it in place, a column at a time.  A wide chunk's sup |M| comes from
+# running sums into a ring of _RING_ROWS rows, folded with max and -min each
+# time it fills: against a cumsum (n = 1024) they take 0.47 of the time at
+# 1024 paths and 0.77 at 512, but 2.0 at 128; rings of 16 or 256 rows took
+# 1.2 times as long.  _RING_ROWS also sets the segments that the array kernel
+# steps.
 _SCALAR_WIDTH = 32
-_SCALAR_ROWS = 4096
 _RING_ROWS = 64
 
 
@@ -126,26 +125,23 @@ def _step(params: CirParams, grid: GridSpec, z: np.ndarray) -> tuple[float, np.n
 
     Column i holds z0 in row 0, then path i's increments, which are turned
     into its states, bit for bit as :func:`~mfcir.scheme.simulate_z`.  A chunk
-    narrower than _SCALAR_WIDTH is stepped a column at a time by
-    ``_scalar_steps``, each path's sup |M| taken from a cumsum.  A wider one
-    takes the rows a segment of _RING_ROWS at a time: each path's sup |M| runs
-    through the partial sums of the segment's increments, in a ring, in the
-    order of a cumsum, so it is the same bit for bit; then the segment is
-    stepped and folded into each path's max and min.  numpy's reductions keep
-    an overflowed (nan) state, so numpy need not warn.  Returns the minimum
-    state, each path's max state and each path's sup |M|.
+    narrower than _SCALAR_WIDTH takes each path's sup |M| from a cumsum, into
+    one buffer that every path reuses, then one ``_scalar_steps`` call.  A
+    wider one takes the rows a segment of _RING_ROWS at a time: each path's
+    sup |M| runs through the partial sums of the segment's increments, in a
+    ring, in the order of a cumsum, so it is the same bit for bit; then the
+    segment is stepped and folded into each path's max and min.  numpy's
+    reductions keep an overflowed (nan) state, so numpy need not warn.
+    Returns the minimum state, each path's max state and each path's sup |M|.
     """
     n, width = len(z) - 1, z.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         if width < _SCALAR_WIDTH:
-            sup_m = np.empty(width)
+            sup_m, sums = np.empty(width), np.empty(n)
             for i, column in enumerate(z.T):
-                sums = np.cumsum(column[1:])
+                np.cumsum(column[1:], out=sums)
                 sup_m[i] = np.abs(sums, out=sums).max()
-                for at in range(0, n, _SCALAR_ROWS):  # each call from the state the one before wrote
-                    increments = memoryview(column[at + 1 : at + 1 + _SCALAR_ROWS])
-                    states = _scalar_steps(params, grid.dt, float(column[at]), increments)
-                    column[at : at + len(states)] = states
+            _scalar_steps(params, grid.dt, z)
             return float(z.min()), z.max(axis=0), sup_m
         ring = np.empty((min(_RING_ROWS, n), width))  # allocated once the chunk's block buffers are gone
         high, low = np.full(width, -np.inf), np.full(width, np.inf)

@@ -16,18 +16,17 @@ the step size.
 Each rule of the step has one home: ``_root_coefficients`` (the
 quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
-alike, from the caller's start state; ``mfcir.experiments._step`` picks
-one by the width of a chunk of paths), :func:`simulate_z_batch` and
-``_put_columns`` (a batch's layout) and :func:`z_to_r`, which
-:class:`Trajectory` and the CLI's emitter apply to derive a path's rates
-from its states.
+alike, each stepping a step-major buffer in place from the states in its
+row 0; ``mfcir.experiments._step`` picks one by the width of a chunk of
+paths), :func:`simulate_z_batch` and ``_put_columns`` (a batch's layout)
+and :func:`z_to_r`, which :class:`Trajectory` and the CLI's emitter apply
+to derive a path's rates from its states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -68,7 +67,7 @@ class CirParams:
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         sig2 = self.sigma * self.sigma
-        m = (2.0 * self.k * self.theta - sig2) / sig2 if sig2 > 0.0 else math.nan
+        m = (2.0 * (self.k * self.theta) - sig2) / sig2 if sig2 > 0.0 else math.nan
         if not math.isfinite(m):
             raise ValueError(f"m = (2 k theta - sigma^2) / sigma^2 is not finite for k = {self.k}, "
                              f"theta = {self.theta} and sigma = {self.sigma}")
@@ -137,11 +136,13 @@ def _root_coefficients(params: CirParams, dt: float) -> tuple[float, float, floa
     return 2.0 * a, 2.0 * d, 4.0 * a * d
 
 
-def _scalar_steps(params: CirParams, dt: float, z: float, increments: Iterable[float]) -> list[float]:
-    """States of one path from ``z`` through ``increments``, ``z`` first: the root in scalar form.
+def _scalar_steps(params: CirParams, dt: float, z: np.ndarray) -> None:
+    """The root in scalar form: :func:`implicit_steps`'s contract, stepped a column at a time.
 
-    ``increments`` is any iterable of floats: a list, or the ``memoryview``
-    of a float64 row or strided column, whose doubles it then reads in place.
+    ``z`` is the same step-major (steps + 1, paths) matrix, stepped in place
+    from the states in its row 0.  Each column's doubles are read and written
+    through its ``memoryview``, so a column may be strided; step j reads its
+    increment from row j before it writes z_j there.
 
     With ``a = 1 + k dt / 2``, ``c = z_prev + dm`` and ``d = (m + 1/2) dt``
     each step is the positive root ``(c + sqrt(c^2 + 4 a d)) / (2 a)`` of
@@ -149,15 +150,14 @@ def _scalar_steps(params: CirParams, dt: float, z: float, increments: Iterable[f
     cancellation, so it is strictly positive for every finite ``dm``.
     """
     two_a, two_d, four_ad = _root_coefficients(params, dt)
-    out = [z]
-    append = out.append
     sqrt = math.sqrt
-    for dm in increments:
-        c = z + dm
-        disc = sqrt(c * c + four_ad)
-        z = (c + disc) / two_a if c >= 0.0 else two_d / (disc - c)
-        append(z)
-    return out
+    for column in z.T:
+        cells = memoryview(column)
+        state = cells[0]
+        for j, dm in enumerate(cells[1:], 1):
+            c = state + dm
+            disc = sqrt(c * c + four_ad)
+            state = cells[j] = (c + disc) / two_a if c >= 0.0 else two_d / (disc - c)
 
 
 def implicit_steps(params: CirParams, dt: float, z: np.ndarray) -> None:
@@ -225,13 +225,14 @@ class Trajectory:
 def simulate_z(params: CirParams, noise: NoisePath) -> Trajectory:
     """Run the implicit scheme along one driver path.
 
-    Steps from ``z0 = (2 / sigma) sqrt(r0)`` through ``_scalar_steps``,
-    which on one path beats the array kernel :func:`implicit_steps`.  The
-    path is strictly positive whatever the Feller margin, as long as
-    ``m > -1/2``.
+    Steps one (n + 1, 1) buffer, ``z0 = (2 / sigma) sqrt(r0)`` and then the
+    increments, through ``_scalar_steps``, which on one path beats the array
+    kernel :func:`implicit_steps`.  The path is strictly positive whatever
+    the Feller margin, as long as ``m > -1/2``.
     """
-    z = _scalar_steps(params, noise.grid.dt, params.z0, noise.increments.tolist())
-    return Trajectory(grid=noise.grid, z_values=z, params=params, seed=noise.seed)
+    z = np.concatenate(([params.z0], noise.increments)).reshape(-1, 1)
+    _scalar_steps(params, noise.grid.dt, z)
+    return Trajectory(grid=noise.grid, z_values=z[:, 0], params=params, seed=noise.seed)
 
 
 def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ lines that moved, and why, in CHANGES.md.
 
 Every output line also runs under a second layout, in
 ``TestStreams::test_no_byte_depends_on_the_layout`` of ``tests/test_cli.py``:
-the eight private constants that cut a run into chunks of paths, draw
-blocks, stepping segments (of either kernel, which the chunk's width
-picks) and write blocks take values that a rule picks
-from the line's steps and paths, and the line must print what the table
-records.  So a line added here is checked at two layouts with no other edit.
+the seven private constants that cut a run into chunks of paths, draw
+blocks, the array kernel's stepping segments (and the width below which a
+chunk takes the scalar kernel) and write blocks take values that a rule
+picks from the line's steps and paths, and the line must print what the
+table records.  So a line added here is checked at two layouts with no other edit.
 """
 
 from __future__ import annotations

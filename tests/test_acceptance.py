@@ -106,9 +106,12 @@ def test_criterion_3_implicit_step_vs_bisection():
 
     params = [CirParams(k[i], (m_target[i] + 1.0) / (2.0 * k[i]), 1.0, 1.0) for i in range(n_cases)]
     m = np.array([p.m for p in params])
-    closed = np.array(
-        [_scalar_steps(params[i], dt[i], z_prev[i], [dm[i]])[-1] for i in range(n_cases)]
-    )
+    closed = np.empty(n_cases)
+    z = np.empty((2, 1))  # one step's buffer: z_prev, then dm, which the step turns into its state
+    for i in range(n_cases):
+        z[:, 0] = z_prev[i], dm[i]
+        _scalar_steps(params[i], dt[i], z)
+        closed[i] = z[1, 0]
     assert np.all(closed > 0.0)
 
     # independent oracle: bisection on phi(x) = a x - d / x - c, the

@@ -607,22 +607,22 @@ class TestReportCommands:
     # One line per shape of the harnesses' chunks, at the default seed, and
     # the kernel calls each makes: a chunk of _SCALAR_WIDTH (32) paths or more
     # takes one implicit_steps call per segment of _RING_ROWS (64) steps of
-    # each grid, every grid here a multiple of 64 steps; a narrower one takes
-    # one _scalar_steps call per _SCALAR_ROWS (4096) steps of each path on
-    # each grid, or fewer on a shorter grid.  tests/streams.json holds each
+    # each grid, every grid here a multiple of 64 steps, recorded by its
+    # steps; a narrower one takes one _scalar_steps call per grid, recorded by
+    # the shape of the buffer it steps.  tests/streams.json holds each
     # line's bytes (they were first recorded while sup |M| was taken from a
     # cumsum of each loaded block, and each chunk was stepped in one call).
     SWEEP_LINES = {
         "wide": ("mcstats --weight-fbm 0 --n 1024 --paths 1100", "implicit_steps", [64] * 32),  # 1024 wide, then 76
-        "long": ("positivity --n 131072 --paths 3", "_scalar_steps", [4096] * 32 * 3),  # one 3-wide chunk
+        "long": ("positivity --n 131072 --paths 3", "_scalar_steps", [(131073, 3)]),  # one 3-wide chunk
         # the 2**14-step reference lane and coarse lanes of 64, 128, 256, 512 and 1024 steps, each 2 wide
-        "lanes": ("convergence --paths 2", "_scalar_steps", [4096] * 8 + [64] * 2 + [128] * 2 + [256] * 2 + [512] * 2
-                  + [1024] * 2),
+        "lanes": ("convergence --paths 2", "_scalar_steps", [(16385, 2), (65, 2), (129, 2), (257, 2), (513, 2),
+                                                              (1025, 2)]),
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEP_LINES))
     def test_sweep_lines_are_golden(self, monkeypatch, sweep):
-        line, kernel, segments = self.SWEEP_LINES[sweep]
+        line, kernel, calls = self.SWEEP_LINES[sweep]
         assert line in record_streams.LINES
         taken = {"implicit_steps": [], "_scalar_steps": []}
 
@@ -631,13 +631,13 @@ class TestReportCommands:
             return _real(*args, **kwargs)
 
         def scalar(*args, _real=mfcir.experiments._scalar_steps, **kwargs):
-            taken["_scalar_steps"].append(len(args[3]))
+            taken["_scalar_steps"].append(args[2].shape)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(mfcir.experiments, "implicit_steps", steps)
         monkeypatch.setattr(mfcir.experiments, "_scalar_steps", scalar)
         assert main(line.split() + ["--out", os.devnull]) == 0
-        assert taken == {"implicit_steps": [], "_scalar_steps": [], kernel: segments}
+        assert taken == {"implicit_steps": [], "_scalar_steps": [], kernel: calls}
 
     # Each command's seed-5 line of the table, whose every byte shows there.
     SEED_5_LINES = {
@@ -833,16 +833,16 @@ class TestCliText:
 
 
 def _layout(line):
-    """The eight layout constants that ``line`` runs under in ``test_no_byte_depends_on_the_layout``.
+    """The seven layout constants that ``line`` runs under in ``test_no_byte_depends_on_the_layout``.
 
     They follow the line's work, its steps (the fine grid's for
     ``convergence``) times its paths.  Up to 2**9 it takes the finest cuts:
     one-row draw blocks, two-path chunks, one-row segments and write blocks,
     a two-path chunk stepped by the array kernel and a one-path one by the
-    scalar loop.  Up to 2**14, cuts that leave a partial last piece, chunks
+    scalar kernel.  Up to 2**14, cuts that leave a partial last piece, chunks
     of 16 paths or more stepped by the array kernel.  Above, the coarsest:
     one segment a grid and one write block for every line of the table,
-    chunks under 300 paths stepped by the scalar loop.
+    chunks under 300 paths stepped by the scalar kernel.
     """
     try:
         config = parse_config(shlex.split(line))
@@ -851,16 +851,16 @@ def _layout(line):
     except ConfigError:  # rejected before any path is drawn
         n = work = 1
     if work <= 2**9:
-        budget, rows, cells, ring, write, width, segment = 1, 2, 2**9, 1, 1, 2, 1
+        budget, rows, cells, ring, write, width = 1, 2, 2**9, 1, 1, 2
     elif work <= 2**14:
-        budget, rows, cells, ring, write, width, segment = 6144, 1000, 2**12, n // 2 + 1, 7, 16, n // 2 + 1
+        budget, rows, cells, ring, write, width = 6144, 1000, 2**12, n // 2 + 1, 7, 16
     else:
-        budget, rows, cells, ring, write, width, segment = 2**22, 2**11, 2**23, 2**20, 2**17, 300, 2**20
+        budget, rows, cells, ring, write, width = 2**22, 2**11, 2**23, 2**20, 2**17, 300
     return [
         (mfcir.mixed, "_BLOCK_BYTES", budget), (mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget),
         (mfcir.experiments, "_SWEEP_ROWS", rows), (mfcir.experiments, "_SWEEP_CELLS", cells),
         (mfcir.experiments, "_RING_ROWS", ring), (mfcir.cli, "_BLOCK_ROWS", write),
-        (mfcir.experiments, "_SCALAR_WIDTH", width), (mfcir.experiments, "_SCALAR_ROWS", segment),
+        (mfcir.experiments, "_SCALAR_WIDTH", width),
     ]
 
 
@@ -878,10 +878,10 @@ def _cuts(line, **values):
 
     They follow ``_chunks`` (the chunks, which both sweep constants cut),
     ``_increment_blocks`` (each chunk's draw blocks), ``_step`` (which of
-    the chunks, or of simulate's draw blocks, are narrow, and the segments
-    of each stepped grid: the ring's on a wide one, the scalar loop's on a
-    narrow one) and ``emit_trajectories`` (the write blocks).  A constant
-    that does not reach the line cuts it into ().
+    the chunks, or of simulate's draw blocks, are narrow, and the ring's
+    segments of each grid that a wide one steps) and ``emit_trajectories``
+    (the write blocks).  A constant that does not reach the line cuts it
+    into ().
     """
     cuts = dict.fromkeys(_SHIPPED, ())
     try:
@@ -900,9 +900,8 @@ def _cuts(line, **values):
     stepped = [width for piece in (cuts[budget] if config.command == "simulate" else [chunks]) for width in piece]
     narrow = cuts["_SCALAR_WIDTH"] = tuple(width < value["_SCALAR_WIDTH"] for width in stepped if width)
     grids = (n, *config.n_list) if config.command == "convergence" else (n,)
-    for name, kernel_runs in (("_RING_ROWS", not all(narrow)), ("_SCALAR_ROWS", any(narrow))):
-        if kernel_runs:
-            cuts[name] = tuple(_cut(steps, value[name]) for steps in grids)
+    if not all(narrow):
+        cuts["_RING_ROWS"] = tuple(_cut(steps, value["_RING_ROWS"]) for steps in grids)
     if config.command == "simulate":
         cuts["_BLOCK_ROWS"] = _cut(config.n_paths * (n + 1), value["_BLOCK_ROWS"])
     return cuts
@@ -927,10 +926,10 @@ class TestLayout:
         values = [_moved(line)[name] for line in record_streams.LINES if name in _moved(line)]
         assert any((value < _SHIPPED[name]) == (side == "below") for value in values)
 
-    # one-row draw blocks, one draw block a chunk, one-row segments, one segment a grid, in either kernel
+    # one-row draw blocks, one draw block a chunk, one-row segments, one segment a grid
     @pytest.mark.parametrize("name, value", [
         ("_BLOCK_BYTES", 1), ("_BLOCK_BYTES", 2**22), ("_SIMULATE_BLOCK_BYTES", 1), ("_SIMULATE_BLOCK_BYTES", 2**22),
-        ("_RING_ROWS", 1), ("_RING_ROWS", 2**20), ("_SCALAR_ROWS", 1), ("_SCALAR_ROWS", 2**20),
+        ("_RING_ROWS", 1), ("_RING_ROWS", 2**20),
     ])
     def test_each_extreme_moves_a_line(self, name, value):
         assert value in {_moved(line).get(name) for line in record_streams.LINES}

@@ -762,6 +762,27 @@ def _traced_peak_mb(run) -> float:
 class TestPeakMemory:
     # tracemalloc sees numpy's buffers, so these peaks count the arrays a run holds
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_narrow_step_holds_one_path_of_running_sums(self, width):
+        # 2**16-step paths in a chunk narrower than _SCALAR_WIDTH: their
+        # sup |M| is taken through one buffer of n running sums, and the
+        # scalar root steps them in place, so the peak is one path's doubles
+        # and a little.  Stepping 4096-step segments through lists took it
+        # to 770 KiB on one path, and a fresh cumsum for each path to
+        # 1157 KiB on three (2-core x86-64 box, numpy 2.4.6).
+        n = 2**16
+        grid = GridSpec(1.0, n)
+        increments = np.random.default_rng(5).normal(scale=grid.dt**0.5, size=(n, width))
+        z = np.empty((n + 1, width))
+
+        def run():
+            z[0], z[1:] = PARAMS.z0, increments
+            experiments._step(PARAMS, grid, z)
+
+        assert width < experiments._SCALAR_WIDTH
+        peak = _traced_peak_mb(run)
+        assert peak < (8 * n + 16 * 1024) / 1e6, peak
+
     def test_bracket_does_not_grow_with_paths(self):
         # one block of one 2**14-step row at a time: ten times the paths, the same peak
         grid = GridSpec(1.0, 2**14)
@@ -849,7 +870,6 @@ def test_running_sup_equals_the_cumsum_of_each_path(paths, ring_rows):
         z = np.vstack([np.full(len(increments), PARAMS.z0), increments.T])
         with pytest.MonkeyPatch.context() as m:
             m.setattr(experiments, "_RING_ROWS", ring_rows)
-            m.setattr(experiments, "_SCALAR_ROWS", ring_rows)
             m.setattr(experiments, "_SCALAR_WIDTH", scalar_width)
             _, _, got = experiments._step(PARAMS, GridSpec(1.0, increments.shape[1]), z)
         assert np.array_equal(got, want, equal_nan=True), scalar_width
@@ -869,7 +889,6 @@ def test_a_nan_state_reaches_the_range_check(monkeypatch, rows):
         return _real(z_min, z_max, sigma)
 
     monkeypatch.setattr(experiments, "_RING_ROWS", rows)
-    monkeypatch.setattr(experiments, "_SCALAR_ROWS", rows)
     monkeypatch.setattr(experiments, "_increment_blocks", lambda spec, grid, chunk: iter([(0, block)]))
     monkeypatch.setattr(experiments, "_require_in_range", check)
     for scalar_width in (1, 10**9):  # every chunk wide, every chunk narrow
@@ -884,7 +903,7 @@ def test_a_nan_state_reaches_the_range_check(monkeypatch, rows):
 @pytest.mark.parametrize(
     "params, spec, n",
     [
-        (PARAMS, MixedSpec(), 200),  # 200 steps: partial last segments of 64 and 7 rows
+        (PARAMS, MixedSpec(), 200),  # 200 steps: a partial last segment of 64 rows
         (SWEEP_PARAMS, SWEEP_SPEC, 200),  # below Feller: many steps take the c < 0 root branch
         (PARAMS, MixedSpec(weight_bm=1e160, weight_fbm=0.0), 4),  # c * c overflows: inf and nan states
     ],
@@ -895,7 +914,6 @@ def test_both_kernels_step_a_chunk_alike(monkeypatch, params, spec, n):
     # states, minimum, per-path maximum, sup |M| and violation count, bit for bit
     grid = GridSpec(1.0, n)
     increments = increment_matrix(spec, grid, _path_seeds(42, 0, 5))
-    monkeypatch.setattr(experiments, "_SCALAR_ROWS", 7)
     runs = []
     for scalar_width in (1, 10**9):  # every chunk wide, every chunk narrow
         monkeypatch.setattr(experiments, "_SCALAR_WIDTH", scalar_width)

@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from conftest import euler_on_r, increment_matrix
 
 from mfcir.cli import main
@@ -34,8 +35,10 @@ PARAMS_M_ONE = CirParams(k=1.0, theta=1.0, sigma=1.0, r0=0.04)
 
 
 def one_step(z_prev: float, dm: float, dt: float, params: CirParams) -> float:
-    """One drift-implicit Euler step from ``z_prev``: the scheme's scalar root."""
-    return _scalar_steps(params, dt, z_prev, [dm])[-1]
+    """One drift-implicit Euler step from ``z_prev``: the scheme's scalar root, on a (2, 1) buffer."""
+    z = np.array([[z_prev], [dm]])
+    _scalar_steps(params, dt, z)
+    return float(z[1, 0])
 
 
 def step_major(params: CirParams, increments: np.ndarray) -> np.ndarray:
@@ -81,6 +84,10 @@ class TestParams:
     def test_z0(self):
         assert CirParams(1.0, 1.0, 2.0, 1.0).z0 == 1.0
         assert PARAMS_M_HALF.z0 == 0.5
+
+    def test_m_is_finite_where_two_k_overflows(self):
+        # 2 k overflows, but k theta is about 1, so m = 2 k theta - 1 is about 1
+        assert CirParams(1e308, 1e-308, 1.0, 1.0).m == 2.0 * (1e308 * 1e-308) - 1.0
 
     @pytest.mark.parametrize(
         "k, theta, sigma",
@@ -263,6 +270,32 @@ class TestStepProperties:
         assert abs(closed - oracle) <= 1e-11 * max(1.0, closed)
 
 
+# Inputs of the kernel comparisons, each an @example of the property test.
+NEGATIVE_SHOCKS = np.array([[-5.0, 0.3], [-0.1, -2.0], [0.0, -1e-300], [-3.0, 4.0]])  # c < 0 on most steps
+NAN_SHOCKS = np.array([[math.nan, -5.0, 0.3], [0.1, -0.1, -2.0], [-3.0, 0.0, 4.0]])
+
+
+def _mixed_shocks() -> np.ndarray:
+    """64 steps of 4 paths: normal shocks, shocks that take the c < 0 branch, -0.0, 1e-300 and nan."""
+    block = np.random.default_rng(11).normal(scale=2.0, size=(4, 128))[:, -64:]
+    block[0, :4] = [-5.0, -0.1, 0.0, -3.0]
+    block[1, :4] = [0.3, -2.0, -1e-300, 4.0]
+    block[2, :3] = [-0.0, 1e-300, math.nan]
+    return block.T
+
+
+def _any_start() -> np.ndarray:
+    """12 steps of 5 paths from start states that are not z0; path 0's shocks take the c < 0 branch."""
+    z = np.random.default_rng(7).normal(scale=2.0, size=(13, 5))
+    z[0] = [1e-3, 0.2, 1.0, 3.5, 40.0]
+    z[1:, 0] = -0.5
+    return z
+
+
+MIXED_SHOCKS = _mixed_shocks()
+ANY_START = _any_start()
+
+
 def zero_noise(grid: GridSpec) -> NoisePath:
     return NoisePath(grid, np.zeros(grid.steps_n), seed=0)
 
@@ -339,68 +372,73 @@ class TestSimulate:
         for i, p in enumerate(paths):
             assert np.array_equal(batch[i], simulate_z(PARAMS_M_ONE, p).z_values)
 
-    def test_kernel_negative_branch_matches_scalar(self):
-        # increments that push c = z + dm below zero on most steps
-        dm = np.array([[-5.0, 0.3], [-0.1, -2.0], [0.0, -1e-300], [-3.0, 4.0]])
-        rows = step_major(PARAMS_M_HALF, dm)
-        implicit_steps(PARAMS_M_HALF, 0.01, rows)
-        for path in range(dm.shape[1]):
-            z = PARAMS_M_HALF.z0
-            for step in range(dm.shape[0]):
-                z = one_step(z, dm[step, path], 0.01, PARAMS_M_HALF)
-                assert rows[step + 1, path] == z
+    @given(
+        start=hnp.arrays(np.float64, st.tuples(st.integers(1, 13), st.integers(1, 40)), elements=st.floats()),
+        margin=st.integers(0, 2),
+        split=st.none() | st.integers(0, 12),
+        params=param_strategy(),
+        dt=st.floats(1e-4, 2.0),
+    )
+    @example(step_major(PARAMS_M_HALF, NEGATIVE_SHOCKS), 0, None, PARAMS_M_HALF, 0.01)
+    @example(step_major(PARAMS_M_HALF, NAN_SHOCKS), 0, None, PARAMS_M_HALF, 0.01)
+    @example(step_major(PARAMS_M_HALF, MIXED_SHOCKS), 64, None, PARAMS_M_HALF, 0.01)
+    @example(step_major(PARAMS_M_ONE, MIXED_SHOCKS), 64, None, PARAMS_M_ONE, 0.01)
+    @example(ANY_START, 0, 1, PARAMS_M_HALF, 0.01)
+    @example(ANY_START, 0, 5, PARAMS_M_HALF, 0.01)
+    @example(ANY_START, 0, 11, PARAMS_M_HALF, 0.01)
+    @settings(max_examples=300, deadline=None)
+    def test_both_kernels_step_a_buffer_alike(self, start, margin, split, params, dt):
+        # any start row and any doubles (inf, nan, -0.0 and c < 0 included),
+        # in a contiguous buffer or in a view of a wider one, whose columns
+        # are strided, stepped in one call or in two split at any row: the
+        # scalar and the array root leave the same buffer, bit for bit but
+        # for the payload of a nan, and write nothing outside it
+        steps, width = len(start) - 1, start.shape[1]
+        runs = []
+        for kernel in (_scalar_steps, implicit_steps):
+            wide = np.full((steps + 1, width + 2 * margin), np.pi)
+            z = wide[:, margin : margin + width]
+            z[...] = start
+            if split is None:
+                kernel(params, dt, z)
+            else:
+                cut = min(split, steps)
+                kernel(params, dt, z[: cut + 1])
+                kernel(params, dt, z[cut:])
+            runs.append(wide)
+        scalar, array = runs
+        nan = np.isnan(scalar)
+        assert np.array_equal(nan, np.isnan(array))
+        assert scalar[~nan].tobytes() == array[~nan].tobytes()
+        assert (np.delete(scalar, np.s_[margin : margin + width], axis=1) == np.pi).all()
 
-    def test_kernel_nan_column_leaves_the_others_alone(self):
-        # a NaN in c takes the masked branch, which must neither touch the
-        # NaN column nor skip a negative c in another one
-        dm = np.array([[math.nan, -5.0, 0.3], [0.1, -0.1, -2.0], [-3.0, 0.0, 4.0]])
-        rows = step_major(PARAMS_M_HALF, dm)
-        implicit_steps(PARAMS_M_HALF, 0.01, rows)
-        for path in range(dm.shape[1]):
-            want = _scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, dm[:, path].tolist())
-            assert np.array_equal(rows[:, path], want, equal_nan=True)
+    @pytest.mark.parametrize("shocks", [NEGATIVE_SHOCKS, MIXED_SHOCKS], ids=["negative", "mixed"])
+    def test_examples_take_the_negative_branch(self, shocks):
+        z = step_major(PARAMS_M_HALF, shocks)
+        _scalar_steps(PARAMS_M_HALF, 0.01, z)
+        assert (z[:-1] + shocks < 0.0).any()  # some c = z_prev + dm < 0
+
+    @pytest.mark.parametrize("kernel", [_scalar_steps, implicit_steps], ids=["scalar", "array"])
+    def test_kernel_nan_column_leaves_the_others_alone(self, kernel):
+        # a NaN in c takes the array kernel's masked branch, which must
+        # neither touch the NaN column nor skip a negative c in another one
+        rows = step_major(PARAMS_M_HALF, NAN_SHOCKS)
+        kernel(PARAMS_M_HALF, 0.01, rows)
         assert np.isnan(rows[1:, 0]).all() and np.isfinite(rows[:, 1:]).all()
 
-    def test_a_row_read_in_place_steps_as_its_list(self):
-        # _step feeds _scalar_steps the memoryview of a narrow chunk's column,
-        # whose doubles are strided; a row of a block that is a view of a wider
-        # buffer's last columns reads the same: the states equal those of
-        # row.tolist() bit for bit, the c < 0 branch, -0.0 and nan included
-        n = 64
-        buffer = np.random.default_rng(11).normal(scale=2.0, size=(4, 2 * n))
-        block = buffer[:, -n:]
-        block[0, :4] = [-5.0, -0.1, 0.0, -3.0]
-        block[1, :4] = [0.3, -2.0, -1e-300, 4.0]
-        block[2, :3] = [-0.0, 1e-300, math.nan]
-        columns = np.ascontiguousarray(block.T)  # step-major: each path a strided column
-        assert not columns[:, 0].flags.contiguous
-        for row in [*block, *columns.T]:
-            for params in (PARAMS_M_HALF, PARAMS_M_ONE):
-                want = _scalar_steps(params, 0.01, params.z0, row.tolist())
-                got = _scalar_steps(params, 0.01, params.z0, memoryview(row))
-                assert np.array(got).tobytes() == np.array(want).tobytes()
-        states = np.array(_scalar_steps(PARAMS_M_HALF, 0.01, PARAMS_M_HALF.z0, memoryview(block[0])))
-        assert (states[:-1] + block[0] < 0.0).any()  # some c = z_prev + dm < 0
-
+    @pytest.mark.parametrize("kernel", [_scalar_steps, implicit_steps], ids=["scalar", "array"])
     @pytest.mark.parametrize("k", [1, 5, 11])
-    def test_kernel_continues_from_any_start_state(self, k):
+    def test_kernel_continues_from_any_start_state(self, kernel, k):
         # one call over n = 12 steps equals two calls split at row k, the
         # second stepping z[k:] from the states that the first left in row
-        # k, and equals the scalar root from each column's row-0 state;
-        # the start states are not z0, and the shocks take the c < 0 branch
-        n, dt = 12, 0.01
-        z = np.random.default_rng(7).normal(scale=2.0, size=(n + 1, 5))
-        z[0] = [1e-3, 0.2, 1.0, 3.5, 40.0]
-        z[1:, 0] = -0.5
+        # k; the start states are not z0, and the shocks take the c < 0 branch
+        z, split = ANY_START.copy(), ANY_START.copy()
         assert PARAMS_M_HALF.z0 not in z[0]
-        start, split = z.copy(), z.copy()
-        implicit_steps(PARAMS_M_HALF, dt, z)
-        implicit_steps(PARAMS_M_HALF, dt, split[: k + 1])
-        implicit_steps(PARAMS_M_HALF, dt, split[k:])
+        kernel(PARAMS_M_HALF, 0.01, z)
+        kernel(PARAMS_M_HALF, 0.01, split[: k + 1])
+        kernel(PARAMS_M_HALF, 0.01, split[k:])
         assert z.tobytes() == split.tobytes()
-        for path in range(z.shape[1]):
-            assert z[:, path].tolist() == _scalar_steps(PARAMS_M_HALF, dt, start[0, path], start[1:, path].tolist())
-        assert (start[1:] + z[:-1] < 0.0).any()  # some c = z_prev + dm < 0
+        assert (ANY_START[1:] + z[:-1] < 0.0).any()  # some c = z_prev + dm < 0
 
     def test_batch_of_zero_paths(self):
         assert simulate_z_batch(PARAMS_M_ONE, GridSpec(1.0, 4), np.zeros((0, 4))).shape == (0, 5)
