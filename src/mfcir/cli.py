@@ -9,8 +9,9 @@ bracket      quadratic-variation and bracket diagnostics
 mcstats      Monte Carlo mean / SE of the rate at one time point
 
 Each command is one function in ``_COMMANDS``: it calls the library and
-writes its rows through ``emit_report`` (``simulate``, which steps each draw
-block through ``experiments._step``, through ``emit_trajectories``).
+writes its rows through ``emit_report`` (``simulate`` through
+``emit_trajectories``, which emits the paths that
+``experiments._stepped_paths`` yields).
 
 Exit codes: 0 success, 2 configuration or validation error (an
 overflowing implicit step included) or an array too large to allocate,
@@ -36,10 +37,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import _chunks, _step, run_bracket, run_convergence, run_mc_stats, run_positivity
-from .mixed import MixedSpec, _increment_blocks
+from .experiments import _stepped_paths, run_bracket, run_convergence, run_mc_stats, run_positivity
+from .mixed import MixedSpec
 from .noise import GridSpec, NoiseError
-from .scheme import CirParams, _put_columns, _require_in_range, z_to_r
+from .scheme import CirParams, _require_in_range, z_to_r
 # build_mixed, simulate_z and substream_seed are not called here; perfbench/spans.py wraps them by these names.
 from . import build_mixed, simulate_z, substream_seed  # noqa: F401
 
@@ -357,29 +358,8 @@ def emit_report(rows, footer, config: RunConfig) -> None:
         out.writelines(line + "\n" for line in lines)
 
 
-# simulate's increment block budget, in bytes (mixed._block_rows): one row at n = 4096.  Blocks
-# of 16 rows there, the harnesses' Brownian ones, raised the peak RSS of --preset figure1 from 37.3 to 39.2 MB.
-_SIMULATE_BLOCK_BYTES = 2**15
-
-
 def _simulate(config: RunConfig) -> None:
-    # each draw block is stepped in one step-major buffer, its paths handed to the emitter one at a time
-    params, grid = config.params, config.grid
-
-    def paths():
-        z = None
-        for _, chunk in _chunks(grid, config.n_paths, config.seed):
-            for _, block in _increment_blocks(config.mixed, grid, chunk, _SIMULATE_BLOCK_BYTES):
-                if z is None:  # sized by the first block, the widest
-                    z = np.empty((grid.steps_n + 1, len(block)))
-                    z[0] = params.z0
-                states = z[:, : len(block)]
-                _put_columns(states[1:], block)
-                _step(params, grid, states)
-                yield from states.T
-            del block  # chunk k's buffer is freed before chunk k + 1 is drawn
-
-    emit_trajectories(paths(), config)
+    emit_trajectories(_stepped_paths(config.params, config.mixed, config.grid, config.n_paths, config.seed), config)
 
 
 def _convergence(config: RunConfig) -> None:

@@ -9,13 +9,13 @@ reruns reproduce results exactly.
 ``_chunks`` is the one ensemble entry and ``_step`` the one stepper, for
 every harness and the CLI's ``simulate``: ``_chunks`` checks both names,
 then yields the ensemble one chunk of paths at a time, deriving a chunk's
-seeds (``mfcir.noise._path_seeds``) when it is reached.  Each harness
-reduces the arrays that ``_stepped_chunks`` or ``_increment_blocks`` yield,
-keeping per path only what its summary needs.  A chunk's increments are
-drawn a block of rows at a time and moved into the columns of its
-step-major states (after block sums onto every coarse grid, for
-convergence), or estimated row by row (bracket).  No (paths, n) increment
-matrix is held.  The grid rules come from :mod:`mfcir.noise`.
+seeds (``mfcir.noise._path_seeds``) when it is reached.  ``_stepped_chunks``
+(the harnesses) and ``_stepped_paths`` (``simulate``) draw a chunk's
+increments a block of rows at a time and transpose each block into the
+columns of their step-major states (after block sums onto every coarse grid,
+for convergence); bracket estimates the rows of ``_increment_blocks``.  Each
+harness keeps per path only what its summary needs, and no (paths, n)
+increment matrix is held.  The grid rules come from :mod:`mfcir.noise`.
 
 Every simulated trajectory of an ensemble or convergence run is also
 checked against the a priori envelope
@@ -42,7 +42,6 @@ from .mixed import MixedSpec, _increment_blocks, build_mixed  # noqa: F401
 from .noise import _MASK64, GridSpec, _block_sums, _path_seeds, _path_values, _require_integer, _split_grid
 from .noise import substream_seed  # noqa: F401
 from .scheme import (  # noqa: F401
-    _put_columns,
     _require_in_range,
     _scalar_steps,
     CirParams,
@@ -86,6 +85,11 @@ _SWEEP_CELLS = 2**22
 # steps.
 _SCALAR_WIDTH = 32
 _RING_ROWS = 64
+
+# simulate's draw block budget in bytes (mixed._block_rows): one row at n = 4096.  With the
+# harnesses' 2**19 (4-row blocks), --preset figure1 --paths 25 peaked at 37.25-37.37 MB, against
+# 36.70-36.82 MB (6 fresh processes each), but --n 100 --paths 2000 ran in 219-251 ms, against 286-315.
+_SIMULATE_BLOCK_BYTES = 2**15
 
 
 def _median(a: np.ndarray) -> np.ndarray:
@@ -183,8 +187,8 @@ def _stepped_chunks(
                 z[0] = params.z0
         for at, block in _increment_blocks(spec, grids[0], chunk):
             for grid, z in zip(grids[1:], states[1:]):
-                _put_columns(z[1:, at : at + len(block)], _block_sums(block, grid.steps_n))
-            _put_columns(states[0][1:, at : at + len(block)], block)
+                z[1:, at : at + len(block)] = _block_sums(block, grid.steps_n).T
+            states[0][1:, at : at + len(block)] = block.T
         del block  # the chunk's last block, freed before its states are stepped and the next chunk is drawn
         steps = []
         for grid, z in zip(grids, states):
@@ -193,6 +197,27 @@ def _stepped_chunks(
             _require_in_range(z_min, z_max.max(), params.sigma)
             steps.append((z, z_min, _envelope_violations(params, grid, sup_m, z_max)))
         yield lo, steps
+
+
+def _stepped_paths(
+    params: CirParams, spec: MixedSpec, grid: GridSpec, n_paths: int, master_seed: int
+) -> Iterator[np.ndarray]:
+    """Lazily, each path's n + 1 states on ``grid``, z0 first, as a view that the next draw block overwrites.
+
+    Each block of ``_SIMULATE_BLOCK_BYTES`` is stepped by :func:`_step` in one
+    step-major buffer, sized by the first (widest) block; the caller rejects overflowed states.
+    """
+    z = None
+    for _, chunk in _chunks(grid, n_paths, master_seed):
+        for _, block in _increment_blocks(spec, grid, chunk, _SIMULATE_BLOCK_BYTES):
+            if z is None:  # sized by the first block, the widest
+                z = np.empty((grid.steps_n + 1, len(block)))
+                z[0] = params.z0
+            states = z[:, : len(block)]
+            states[1:] = block.T
+            _step(params, grid, states)
+            yield from states.T
+        del block  # chunk k's buffer is freed before chunk k + 1 is drawn
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,9 +18,9 @@ quadratic and its domain ``m > -1/2``), ``_scalar_steps`` and
 :func:`implicit_steps` (the root, in scalar and array form, bit for bit
 alike, each stepping a step-major buffer in place from the states in its
 row 0; ``mfcir.experiments._step`` picks one by the width of a chunk of
-paths), :func:`simulate_z_batch` and ``_put_columns`` (a batch's layout)
-and :func:`z_to_r`, which :class:`Trajectory` and the CLI's emitter apply
-to derive a path's rates from its states.
+paths), :func:`simulate_z_batch` (a path-major batch's layout) and
+:func:`z_to_r`, which :class:`Trajectory` and the CLI's emitter apply to
+derive a path's rates from its states.
 """
 
 from __future__ import annotations
@@ -241,22 +241,15 @@ def simulate_z_batch(params: CirParams, grid: GridSpec, increments: np.ndarray) 
     ``increments`` has shape (paths, grid.steps_n); the result has shape
     (paths, grid.steps_n + 1) and matches path-by-path what
     :func:`simulate_z` produces, bit for bit.  It is the transpose of the
-    step-major matrix, z0 in row 0, that :func:`implicit_steps` fills.
+    step-major matrix, z0 in row 0, that :func:`implicit_steps` fills, put in by
+    one plain transpose: 9.3 ms at 1024 x 1024 against 1.9 ms in 64-path strips
+    (2-core x86-64 box, numpy 2.4.6), but only the tests call this, on small ones.
     """
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 2 or inc.shape[1] != grid.steps_n:
         raise ValueError(f"increments must have shape (paths, {grid.steps_n})")
     z = np.empty((grid.steps_n + 1, len(inc)))
     z[0] = params.z0
-    _put_columns(z[1:], inc)
+    z[1:] = inc.T
     implicit_steps(params, grid.dt, z)
     return z.T
-
-
-def _put_columns(columns: np.ndarray, rows: np.ndarray) -> None:
-    """Write path-major ``rows`` (paths, steps) into step-major ``columns`` (steps, paths).
-
-    The transpose goes in strips of 64 paths, to stay in cache.
-    """
-    for b in range(0, len(rows), 64):
-        columns[:, b : b + 64] = rows[b : b + 64].T

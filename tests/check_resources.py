@@ -39,6 +39,8 @@ LINES = {
     # many short paths: only one chunk's seeds are derived at a time
     "positivity --n 16 --paths 300000": 7.7,
     "simulate --n 1 --paths 50000": 7.7,
+    # 10-row draw blocks, where simulate's draw budget and the harnesses' cut most differently
+    "simulate --n 100 --paths 2000": 7.7,
     "convergence --paths 50": 17.7,
     # the four benchmark workloads
     "simulate --preset figure1 --paths 25 --format csv": 8.1,

@@ -236,7 +236,7 @@ class TestSimulateCommand:
     @staticmethod
     def _fail_on_third_path(monkeypatch, error):
         # one-path draw blocks, so that the third block _step is called on is the third path
-        real = mfcir.cli._step
+        real = mfcir.experiments._step
         calls = []
 
         def fail_third(*args):
@@ -245,8 +245,8 @@ class TestSimulateCommand:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", 1)
-        monkeypatch.setattr(mfcir.cli, "_step", fail_third)
+        monkeypatch.setattr(mfcir.experiments, "_SIMULATE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(mfcir.experiments, "_step", fail_third)
         return calls
 
     @pytest.mark.parametrize("existing", [False, True])
@@ -435,15 +435,15 @@ class TestSimulateCommand:
     def test_paths_are_streamed_not_held(self, monkeypatch, tmp_path):
         # one-path draw blocks: each is stepped in the same one-column buffer,
         # so a path's states are overwritten by the next path's
-        real = mfcir.cli._step
+        real = mfcir.experiments._step
         buffers = []
 
         def spy(params, grid, z):
             buffers.append((z.__array_interface__["data"][0], z.shape))
             return real(params, grid, z)
 
-        monkeypatch.setattr(mfcir.cli, "_SIMULATE_BLOCK_BYTES", 1)
-        monkeypatch.setattr(mfcir.cli, "_step", spy)
+        monkeypatch.setattr(mfcir.experiments, "_SIMULATE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(mfcir.experiments, "_step", spy)
         for fmt in ("csv", "json-lines"):
             buffers.clear()
             argv = ["--n", "16", "--paths", "6", "--format", fmt]
@@ -857,7 +857,7 @@ def _layout(line):
     else:
         budget, rows, cells, ring, write, width = 2**22, 2**11, 2**23, 2**20, 2**17, 300
     return [
-        (mfcir.mixed, "_BLOCK_BYTES", budget), (mfcir.cli, "_SIMULATE_BLOCK_BYTES", budget),
+        (mfcir.mixed, "_BLOCK_BYTES", budget), (mfcir.experiments, "_SIMULATE_BLOCK_BYTES", budget),
         (mfcir.experiments, "_SWEEP_ROWS", rows), (mfcir.experiments, "_SWEEP_CELLS", cells),
         (mfcir.experiments, "_RING_ROWS", ring), (mfcir.cli, "_BLOCK_ROWS", write),
         (mfcir.experiments, "_SCALAR_WIDTH", width),
@@ -985,13 +985,13 @@ class TestStreams:
 # No command calls the per-path references simulate_z and build_mixed.
 _CLI_NAMES = (
     "run_convergence", "run_positivity", "run_bracket", "run_mc_stats", "emit_report",
-    "_increment_blocks", "_step", "emit_trajectories", "simulate_z", "build_mixed",
+    "_stepped_paths", "emit_trajectories", "simulate_z", "build_mixed",
 )
 
 
 # Each command line, and the calls it makes through those names.
 _CLI_CALLS = [
-    (["simulate", "--n", "4", "--paths", "3"], {"_increment_blocks": 1, "_step": 1, "emit_trajectories": 1}),
+    (["simulate", "--n", "4", "--paths", "3"], {"_stepped_paths": 1, "emit_trajectories": 1}),
     (["convergence", "--n-list", "4,8", "--n-ref", "64", "--paths", "2"], {"run_convergence": 1, "emit_report": 1}),
     (["positivity", "--n", "4", "--paths", "2"], {"run_positivity": 1, "emit_report": 1}),
     (["bracket", "--n", "8", "--refinements", "1,2", "--paths", "2"], {"run_bracket": 1, "emit_report": 1}),
@@ -1082,7 +1082,7 @@ class TestExitCodes:
         def explode(spec, grid, seeds, block_bytes):
             raise CirculantEmbeddingError("synthetic eigenvalue failure")
 
-        monkeypatch.setattr("mfcir.cli._increment_blocks", explode)
+        monkeypatch.setattr("mfcir.experiments._increment_blocks", explode)
         assert main(["simulate", "--n", "2", "--out", "-"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 

@@ -694,7 +694,6 @@ class TestSweep:
                 yield lo, block
 
         monkeypatch.setattr(experiments, "_increment_blocks", spy)
-        monkeypatch.setattr("mfcir.cli._increment_blocks", spy)
         monkeypatch.setattr(experiments, "_SWEEP_ROWS", 3)
         args = (SWEEP_PARAMS, SWEEP_SPEC, SWEEP_GRID)
         if run == "simulate":  # simulate draws each chunk a 2**15-byte block at a time: one block here

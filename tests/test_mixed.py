@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import coupled_paths, increment_matrix
 
 import mfcir.mixed as mixed
-from mfcir.cli import _SIMULATE_BLOCK_BYTES
+from mfcir.experiments import _SIMULATE_BLOCK_BYTES
 from mfcir.mixed import MixedSpec, build_mixed
 from mfcir.noise import (
     CirculantEmbeddingError,
